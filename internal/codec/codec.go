@@ -96,30 +96,16 @@ const (
 	TagHybrid     Tag = 9 // hybrid.Sketch (adaptive exact/sketch wrapper)
 )
 
+var tagNames = [...]string{TagSpanning: "spanning", TagSkeleton: "skeleton", TagEdgeConn: "edgeconn",
+	TagVertexConn: "vertexconn", TagEstimator: "vertexconn-estimator", TagReconstr: "reconstruct",
+	TagSparsify: "sparsify", TagBecker: "becker", TagHybrid: "hybrid"}
+
 // String names the tag for diagnostics.
 func (t Tag) String() string {
-	switch t {
-	case TagSpanning:
-		return "spanning"
-	case TagSkeleton:
-		return "skeleton"
-	case TagEdgeConn:
-		return "edgeconn"
-	case TagVertexConn:
-		return "vertexconn"
-	case TagEstimator:
-		return "vertexconn-estimator"
-	case TagReconstr:
-		return "reconstruct"
-	case TagSparsify:
-		return "sparsify"
-	case TagBecker:
-		return "becker"
-	case TagHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("tag(%d)", uint8(t))
+	if int(t) < len(tagNames) && tagNames[t] != "" {
+		return tagNames[t]
 	}
+	return fmt.Sprintf("tag(%d)", uint8(t))
 }
 
 // Header is a frame's envelope metadata.
@@ -151,74 +137,145 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrame appends a complete frame for (h, payload) to dst.
 func AppendFrame(dst []byte, h Header, payload []byte) []byte {
 	start := len(dst)
+	dst = append(beginFrame(grow(dst, FrameOverhead+len(payload)), h), payload...)
+	return finishFrame(dst, start)
+}
+
+// grow returns dst with room for n more bytes, reallocating at most once,
+// to exactly that size.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
+// beginFrame appends h's header with a zero payload length; the caller
+// appends the payload in place and finishFrame completes the frame.
+func beginFrame(dst []byte, h Header) []byte {
 	dst = append(dst, Magic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
 	dst = append(dst, byte(h.Kind), byte(h.Tag))
 	dst = binary.LittleEndian.AppendUint64(dst, h.Fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return binary.LittleEndian.AppendUint64(dst, 0)
+}
+
+// finishFrame completes the frame begun at dst[start:]: it patches the
+// payload length and appends the CRC, one pass over the frame.
+func finishFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint64(dst[start+16:], uint64(len(dst)-start-headerLen))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // WriteFrame writes a complete frame to w and returns the bytes written.
 func WriteFrame(w io.Writer, h Header, payload []byte) (int64, error) {
-	buf := AppendFrame(make([]byte, 0, FrameOverhead+len(payload)), h, payload)
-	n, err := w.Write(buf)
+	n, err := w.Write(AppendFrame(nil, h, payload))
 	return int64(n), err
 }
+
+// readChunk is the first buffer for a frame from a reader that cannot
+// report its remaining length. Until half of a longer frame has arrived it
+// is read in chunks, each as long as everything received before it; then
+// the exact-size frame is allocated and the rest read straight into it. A
+// lying length thus fails ErrTruncated with every allocation at most twice
+// the bytes actually received.
+const readChunk = 64 << 10
 
 // ReadFrame reads one frame from r, verifying magic, version, and checksum.
 // It returns the header, the payload, and the number of bytes consumed.
 // Errors are the package sentinels (possibly wrapped with detail).
 func ReadFrame(r io.Reader) (Header, []byte, int64, error) {
+	h, frame, n, err := ReadFrameBytes(r)
+	if err != nil {
+		return Header{}, nil, n, err
+	}
+	return h, frame[headerLen : len(frame)-crcLen], n, nil
+}
+
+// ReadFrameBytes is ReadFrame returning the complete verified frame, header
+// through checksum, in an exact-size buffer — the bytes the sender's
+// AppendFrame produced. When r reports its remaining length (Len() int, as
+// bytes.Reader and bytes.Buffer do) the declared length is checked against
+// it and the frame is read with one allocation.
+func ReadFrameBytes(r io.Reader) (Header, []byte, int64, error) {
 	var hdr [headerLen]byte
 	n, err := io.ReadFull(r, hdr[:])
 	read := int64(n)
 	if err != nil {
 		return Header{}, nil, read, fmt.Errorf("codec: reading header: %w", ErrTruncated)
 	}
-	var h Header
+	size, err := frameSize(hdr[:])
+	if err != nil {
+		return Header{}, nil, read, err
+	}
+	half := size / 2
+	if sr, ok := r.(interface{ Len() int }); ok {
+		if avail := sr.Len(); avail < size-headerLen {
+			return Header{}, nil, read, fmt.Errorf("codec: payload short by %d bytes: %w", size-headerLen-avail, ErrTruncated)
+		}
+		half = 0
+	}
+	chunks, got := [][]byte{hdr[:]}, headerLen
+	for size > readChunk && got < half {
+		chunk := make([]byte, min(max(got, readChunk), half-got))
+		m, err := io.ReadFull(r, chunk)
+		read += int64(m)
+		if got += m; err != nil {
+			return Header{}, nil, read, fmt.Errorf("codec: payload short by %d bytes: %w", size-got, ErrTruncated)
+		}
+		chunks = append(chunks, chunk)
+	}
+	frame := make([]byte, 0, size)
+	for _, c := range chunks {
+		frame = append(frame, c...)
+	}
+	m, err := io.ReadFull(r, frame[got:size])
+	read += int64(m)
+	if err != nil {
+		return Header{}, nil, read, fmt.Errorf("codec: payload short by %d bytes: %w", size-got-m, ErrTruncated)
+	}
+	frame = frame[:size]
+	h, _, _, err := DecodeFrame(frame)
+	if err != nil {
+		return Header{}, nil, read, err
+	}
+	return h, frame, read, nil
+}
+
+// frameSize validates a frame header's magic, version and declared length
+// and returns the length of the whole frame.
+func frameSize(hdr []byte) (int, error) {
 	if !bytes.Equal(hdr[:4], Magic[:]) {
-		return Header{}, nil, read, ErrBadMagic
+		return 0, ErrBadMagic
 	}
-	h.Version = binary.LittleEndian.Uint16(hdr[4:6])
-	if h.Version != Version {
-		return Header{}, nil, read, fmt.Errorf("codec: format version %d (this build reads %d): %w", h.Version, Version, ErrVersion)
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
+		return 0, fmt.Errorf("codec: format version %d (this build reads %d): %w", v, Version, ErrVersion)
 	}
-	h.Kind = Kind(hdr[6])
-	h.Tag = Tag(hdr[7])
-	h.Fingerprint = binary.LittleEndian.Uint64(hdr[8:16])
 	plen := binary.LittleEndian.Uint64(hdr[16:24])
 	if plen > maxSanePayload {
-		return Header{}, nil, read, fmt.Errorf("codec: declared payload of %d bytes: %w", plen, ErrTruncated)
+		return 0, fmt.Errorf("codec: declared payload of %d bytes: %w", plen, ErrTruncated)
 	}
-	// Stream the payload+checksum in rather than trusting plen with one
-	// allocation: a lying length field then fails as ErrTruncated with
-	// memory bounded by the bytes actually present.
-	var body bytes.Buffer
-	m, err := io.CopyN(&body, r, int64(plen)+crcLen)
-	read += m
-	if err != nil {
-		return Header{}, nil, read, fmt.Errorf("codec: payload short by %d bytes: %w", int64(plen)+crcLen-m, ErrTruncated)
-	}
-	payload := body.Bytes()[:plen]
-	wantSum := binary.LittleEndian.Uint32(body.Bytes()[plen:])
-	sum := crc32.Checksum(hdr[:], castagnoli)
-	sum = crc32.Update(sum, castagnoli, payload)
-	if sum != wantSum {
-		return Header{}, nil, read, ErrChecksum
-	}
-	return h, payload, read, nil
+	return headerLen + int(plen) + crcLen, nil
 }
 
 // DecodeFrame reads one frame from the front of b and additionally returns
-// the remaining bytes, for composing frames into larger messages.
+// the remaining bytes, for composing frames into larger messages. The
+// payload and the rest are windows into b: nothing is copied.
 func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
-	rd := bytes.NewReader(b)
-	h, payload, n, err := ReadFrame(rd)
+	if len(b) < headerLen {
+		return Header{}, nil, nil, fmt.Errorf("codec: reading header: %w", ErrTruncated)
+	}
+	size, err := frameSize(b)
 	if err != nil {
 		return Header{}, nil, nil, err
 	}
-	return h, payload, b[n:], nil
+	if len(b) < size {
+		return Header{}, nil, nil, fmt.Errorf("codec: payload short by %d bytes: %w", size-len(b), ErrTruncated)
+	}
+	end := size - crcLen
+	if crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
+		return Header{}, nil, nil, ErrChecksum
+	}
+	h := Header{Version: Version, Kind: Kind(b[6]), Tag: Tag(b[7]), Fingerprint: binary.LittleEndian.Uint64(b[8:16])}
+	return h, b[headerLen:end:end], b[size:], nil
 }

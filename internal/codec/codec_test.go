@@ -2,15 +2,23 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 func validFrame(t *testing.T) []byte {
 	t.Helper()
 	h := Header{Version: Version, Kind: KindCheckpoint, Tag: TagSpanning, Fingerprint: 0xdeadbeefcafe}
 	return AppendFrame(nil, h, []byte("payload bytes here"))
+}
+
+// checkpointFrame builds a checkpoint frame around a literal state.
+func checkpointFrame(tag Tag, params, state []byte) []byte {
+	return AppendCheckpoint(nil, tag, params, len(state), func(b []byte) []byte { return append(b, state...) })
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -161,7 +169,7 @@ func TestCorruption(t *testing.T) {
 // restore entry point: Open must surface the typed sentinel too.
 func TestCorruptionViaOpen(t *testing.T) {
 	params := AppendUint64s(nil, 8, 3, 99)
-	frame := AppendCheckpoint(nil, TagSpanning, params, []byte("state"))
+	frame := checkpointFrame(TagSpanning, params, []byte("state"))
 
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-2] ^= 0xFF
@@ -188,7 +196,7 @@ func TestCorruptionViaOpen(t *testing.T) {
 	// ErrUnknownType. Use a tag value far outside the registered set so the
 	// test is independent of which packages are linked in.
 	const ghost = Tag(250)
-	ghostFrame := AppendCheckpoint(nil, ghost, params, []byte("state"))
+	ghostFrame := checkpointFrame(ghost, params, []byte("state"))
 	if _, err := Open(bytes.NewReader(ghostFrame)); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("unregistered tag: got %v, want ErrUnknownType", err)
 	}
@@ -197,7 +205,7 @@ func TestCorruptionViaOpen(t *testing.T) {
 func TestReadCheckpointIdentity(t *testing.T) {
 	params := AppendUint64s(nil, 16, 2, 7)
 	fp := Fingerprint(TagSkeleton, params)
-	frame := AppendCheckpoint(nil, TagSkeleton, params, []byte("skeleton-state"))
+	frame := checkpointFrame(TagSkeleton, params, []byte("skeleton-state"))
 
 	n, state, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, fp)
 	if err != nil {
@@ -286,5 +294,53 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	_, _, _, err := ReadFrame(io.MultiReader(bytes.NewReader(h), bytes.NewReader(make([]byte, 1024))))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("oversized declared payload: got %v, want ErrTruncated", err)
+	}
+}
+
+// TestReadFrameLyingLengthBoundedAllocation pins the chunked read: a header
+// declaring the largest accepted payload, followed by 100 bytes from a
+// reader that cannot report its length, fails ErrTruncated having
+// allocated memory proportional to the bytes received, not the declared
+// length.
+func TestReadFrameLyingLengthBoundedAllocation(t *testing.T) {
+	h := validFrame(t)[:headerLen]
+	binary.LittleEndian.PutUint64(h[16:], maxSanePayload)
+	in := append(h, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := ReadFrame(iotest.OneByteReader(bytes.NewReader(in)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying length: got %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("lying length allocated %d bytes, want <= 2 MiB", got)
+	}
+}
+
+// TestReadFrameChunkedExact reads a frame several chunks long through a
+// reader without Len(): the frame comes back whole and exact-size.
+func TestReadFrameChunkedExact(t *testing.T) {
+	payload := bytes.Repeat([]byte("chunk"), readChunk)
+	frame := AppendFrame(nil, Header{Kind: KindPull, Tag: TagSpanning, Fingerprint: 3}, payload)
+	_, got, n, err := ReadFrameBytes(iotest.HalfReader(bytes.NewReader(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, frame) || cap(got) != len(frame) || n != int64(len(frame)) {
+		t.Fatalf("got %d bytes (cap %d, consumed %d), want the %d-byte frame exactly",
+			len(got), cap(got), n, len(frame))
+	}
+}
+
+// TestDecodeFrameZeroCopy pins DecodeFrame to windows of its input.
+func TestDecodeFrameZeroCopy(t *testing.T) {
+	frame := validFrame(t)
+	_, payload, _, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &payload[0] != &frame[headerLen] {
+		t.Fatal("DecodeFrame copied the payload")
 	}
 }

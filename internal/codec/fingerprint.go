@@ -63,3 +63,16 @@ func IntField(v uint64, name string) (int, error) {
 	}
 	return int(v), nil
 }
+
+// IntFields converts the leading params words to ints with IntField, one
+// per name.
+func IntFields(vs []uint64, names ...string) ([]int, error) {
+	out := make([]int, len(names))
+	for i, name := range names {
+		var err error
+		if out[i], err = IntField(vs[i], name); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}

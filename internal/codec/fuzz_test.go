@@ -2,7 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzCodecRoundTrip checks that any frame we encode decodes back to exactly
@@ -37,9 +41,25 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte("GSKF"))
 	f.Add(validSeed())
 	f.Add(append(validSeed(), 0xFF))
+	long := validSeed() // declares more than readChunk: the chunked read
+	binary.LittleEndian.PutUint64(long[16:], 3*readChunk)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, _, err := ReadFrame(bytes.NewReader(data)); err != nil && !IsDecodeError(err) {
+		h, payload, _, err := ReadFrame(bytes.NewReader(data))
+		if err != nil && !IsDecodeError(err) {
 			t.Fatalf("ReadFrame: untyped error %v", err)
+		}
+		// Readers without Len() take the chunked path; they must agree with
+		// the sized one on the header, the payload and the error sentinel.
+		for _, r := range []io.Reader{
+			iotest.OneByteReader(bytes.NewReader(data)),
+			iotest.HalfReader(bytes.NewReader(data)),
+		} {
+			gh, gp, _, gerr := ReadFrame(r)
+			if gh != h || !bytes.Equal(gp, payload) || sentinel(gerr) != sentinel(err) {
+				t.Fatalf("%T: got (%+v, %d bytes, %v), sized path (%+v, %d bytes, %v)",
+					r, gh, len(gp), gerr, h, len(payload), err)
+			}
 		}
 		if _, _, _, err := DecodeFrame(data); err != nil && !IsDecodeError(err) {
 			t.Fatalf("DecodeFrame: untyped error %v", err)
@@ -62,5 +82,15 @@ func FuzzCodecDecode(f *testing.F) {
 
 func validSeed() []byte {
 	params := AppendUint64s(nil, 8, 3, 99)
-	return AppendCheckpoint(nil, TagSpanning, params, []byte("state"))
+	return checkpointFrame(TagSpanning, params, []byte("state"))
+}
+
+// sentinel returns the package sentinel err wraps, or nil.
+func sentinel(err error) error {
+	for _, s := range []error{ErrBadMagic, ErrVersion, ErrUnknownType, ErrFingerprint, ErrChecksum, ErrTruncated} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return err
 }

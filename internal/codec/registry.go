@@ -53,25 +53,33 @@ func opener(tag Tag) Opener {
 	return openers[tag]
 }
 
-// AppendCheckpoint frames params+state into a checkpoint envelope: the
-// payload is the length-prefixed params encoding followed by the state
-// bytes, and the header fingerprint commits to (tag, params).
-func AppendCheckpoint(dst []byte, tag Tag, params, state []byte) []byte {
-	payload := make([]byte, 0, 4+len(params)+len(state))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(params)))
-	payload = append(payload, params...)
-	payload = append(payload, state...)
-	h := Header{Version: Version, Kind: KindCheckpoint, Tag: tag, Fingerprint: Fingerprint(tag, params)}
-	return AppendFrame(dst, h, payload)
+// AppendCheckpoint appends a checkpoint frame to dst: the payload is the
+// length-prefixed params encoding followed by the state appendState
+// appends in place, and the header fingerprint commits to (tag, params).
+// stateSize is the exact length appendState adds; with it the frame is
+// built in one exact-size buffer and checksummed in one pass (a wrong size
+// costs a regrow, never a wrong frame).
+func AppendCheckpoint(dst []byte, tag Tag, params []byte, stateSize int, appendState func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = grow(dst, CheckpointSize(params, stateSize))
+	dst = beginFrame(dst, Header{Kind: KindCheckpoint, Tag: tag, Fingerprint: Fingerprint(tag, params)})
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(params)))
+	dst = appendState(append(dst, params...))
+	return finishFrame(dst, start)
 }
 
-// WriteCheckpoint writes a checkpoint frame to w and records the write in
-// the codec metrics. It is the single implementation behind every sketch's
-// WriteTo method.
-func WriteCheckpoint(w io.Writer, tag Tag, params, state []byte) (int64, error) {
+// CheckpointSize returns the length of the checkpoint frame AppendCheckpoint
+// builds for params and a stateSize-byte state.
+func CheckpointSize(params []byte, stateSize int) int {
+	return FrameOverhead + 4 + len(params) + stateSize
+}
+
+// WriteCheckpoint writes the checkpoint frame AppendCheckpoint builds to w
+// in one Write and records the write in the codec metrics. It is the
+// single implementation behind every sketch's WriteTo method.
+func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, appendState func([]byte) []byte) (int64, error) {
 	start := time.Now()
-	buf := AppendCheckpoint(nil, tag, params, state)
-	n, err := w.Write(buf)
+	n, err := w.Write(AppendCheckpoint(nil, tag, params, stateSize, appendState))
 	if err == nil {
 		cdm.ckptWrites.Inc()
 		cdm.ckptWriteBytes.Add(int64(n))
@@ -80,40 +88,43 @@ func WriteCheckpoint(w io.Writer, tag Tag, params, state []byte) (int64, error) 
 	return int64(n), err
 }
 
-// splitCheckpoint separates a checkpoint payload into params and state.
-func splitCheckpoint(payload []byte) (params, state []byte, err error) {
+// readCheckpoint reads a checkpoint frame from r and splits its payload
+// into params and state, verifying that the header fingerprint commits to
+// the params. Rejections are counted.
+func readCheckpoint(r io.Reader) (h Header, params, state []byte, n int64, err error) {
+	defer func() { cdm.reject(err) }()
+	h, payload, n, err := ReadFrame(r)
+	if err != nil {
+		return h, nil, nil, n, err
+	}
+	if h.Kind != KindCheckpoint {
+		return h, nil, nil, n, fmt.Errorf("codec: expected a checkpoint frame, got kind %d: %w", h.Kind, ErrUnknownType)
+	}
 	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("codec: checkpoint payload of %d bytes: %w", len(payload), ErrTruncated)
+		return h, nil, nil, n, fmt.Errorf("codec: checkpoint payload of %d bytes: %w", len(payload), ErrTruncated)
 	}
 	plen := binary.LittleEndian.Uint32(payload)
 	if uint64(len(payload)-4) < uint64(plen) {
-		return nil, nil, fmt.Errorf("codec: params length %d exceeds payload: %w", plen, ErrTruncated)
+		return h, nil, nil, n, fmt.Errorf("codec: params length %d exceeds payload: %w", plen, ErrTruncated)
 	}
-	return payload[4 : 4+plen], payload[4+plen:], nil
+	params, state = payload[4:4+plen], payload[4+plen:]
+	if Fingerprint(h.Tag, params) != h.Fingerprint {
+		return h, nil, nil, n, fmt.Errorf("codec: header fingerprint does not match embedded params: %w", ErrFingerprint)
+	}
+	return h, params, state, n, nil
 }
 
 // ReadCheckpoint reads a checkpoint frame from r for a receiver whose
 // identity is (wantTag, wantFP), verifying the frame matches before
 // returning the state bytes: the typed replacement for "restore onto an
 // identically-built instance and hope". It backs every sketch's ReadFrom.
-func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (n int64, state []byte, err error) {
+func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (int64, []byte, error) {
 	start := time.Now()
-	h, payload, n, err := ReadFrame(r)
+	h, _, state, n, err := readCheckpoint(r)
 	if err != nil {
-		cdm.reject(err)
 		return n, nil, err
 	}
-	if h.Kind != KindCheckpoint {
-		err = fmt.Errorf("codec: expected a checkpoint frame, got kind %d: %w", h.Kind, ErrUnknownType)
-		cdm.reject(err)
-		return n, nil, err
-	}
-	params, state, err := splitCheckpoint(payload)
-	if err != nil {
-		cdm.reject(err)
-		return n, nil, err
-	}
-	if h.Tag != wantTag || h.Fingerprint != wantFP || Fingerprint(h.Tag, params) != h.Fingerprint {
+	if h.Tag != wantTag || h.Fingerprint != wantFP {
 		err = fmt.Errorf("codec: frame is %v/%016x, receiver is %v/%016x: %w",
 			h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
 		cdm.reject(err)
@@ -132,40 +143,21 @@ func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (n int64, state []b
 // is self-describing. Decode failures are the package sentinels; opener
 // errors (e.g. params that fail constructor validation) are returned
 // wrapped.
-func Open(r io.Reader) (graphsketch.Sketch, error) {
+func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	start := time.Now()
-	h, payload, n, err := ReadFrame(r)
+	h, params, state, n, err := readCheckpoint(r)
 	if err != nil {
-		cdm.reject(err)
 		return nil, err
 	}
-	if h.Kind != KindCheckpoint {
-		err = fmt.Errorf("codec: Open wants a checkpoint frame, got kind %d: %w", h.Kind, ErrUnknownType)
-		cdm.reject(err)
-		return nil, err
-	}
-	params, state, err := splitCheckpoint(payload)
-	if err != nil {
-		cdm.reject(err)
-		return nil, err
-	}
-	if Fingerprint(h.Tag, params) != h.Fingerprint {
-		cdm.reject(ErrFingerprint)
-		return nil, fmt.Errorf("codec: header fingerprint does not match embedded params: %w", ErrFingerprint)
-	}
+	defer func() { cdm.reject(err) }()
 	open := opener(h.Tag)
 	if open == nil {
-		err = fmt.Errorf("codec: no decoder registered for %v: %w", h.Tag, ErrUnknownType)
-		cdm.reject(err)
-		return nil, err
+		return nil, fmt.Errorf("codec: no decoder registered for %v: %w", h.Tag, ErrUnknownType)
 	}
-	s, err := open(params)
-	if err != nil {
-		cdm.reject(err)
+	if s, err = open(params); err != nil {
 		return nil, fmt.Errorf("codec: reconstructing %v: %w", h.Tag, err)
 	}
 	if err := s.Unmarshal(state); err != nil {
-		cdm.reject(err)
 		return nil, fmt.Errorf("codec: restoring %v state: %w", h.Tag, err)
 	}
 	cdm.ckptReads.Inc()
@@ -178,12 +170,11 @@ func Open(r io.Reader) (graphsketch.Sketch, error) {
 // payload is the vertex index followed by the interior bytes, fingerprinted
 // with the sender's identity so a mismatched receiver rejects it typed.
 func AppendShareFrame(dst []byte, tag Tag, fp uint64, v int, interior []byte) []byte {
-	payload := make([]byte, 0, 4+len(interior))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
-	payload = append(payload, interior...)
-	h := Header{Version: Version, Kind: KindShare, Tag: tag, Fingerprint: fp}
+	start := len(dst)
+	dst = beginFrame(grow(dst, ShareOverhead+len(interior)), Header{Kind: KindShare, Tag: tag, Fingerprint: fp})
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	cdm.shareFrames.Inc()
-	return AppendFrame(dst, h, payload)
+	return finishFrame(append(dst, interior...), start)
 }
 
 // DecodeShareFrame reads a share frame from the front of b for a receiver
@@ -192,26 +183,18 @@ func AppendShareFrame(dst []byte, tag Tag, fp uint64, v int, interior []byte) []
 // different parameters, profile, or seed fails with ErrFingerprint instead
 // of decoding to garbage.
 func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64) (v int, interior, rest []byte, err error) {
+	defer func() { cdm.reject(err) }()
 	h, payload, rest, err := DecodeFrame(b)
-	if err != nil {
-		cdm.reject(err)
+	switch {
+	case err != nil:
 		return 0, nil, nil, err
-	}
-	if h.Kind != KindShare {
-		err = fmt.Errorf("codec: expected a share frame, got kind %d: %w", h.Kind, ErrUnknownType)
-		cdm.reject(err)
-		return 0, nil, nil, err
-	}
-	if h.Tag != wantTag || h.Fingerprint != wantFP {
-		err = fmt.Errorf("codec: share is %v/%016x, receiver is %v/%016x: %w",
+	case h.Kind != KindShare:
+		return 0, nil, nil, fmt.Errorf("codec: expected a share frame, got kind %d: %w", h.Kind, ErrUnknownType)
+	case h.Tag != wantTag || h.Fingerprint != wantFP:
+		return 0, nil, nil, fmt.Errorf("codec: share is %v/%016x, receiver is %v/%016x: %w",
 			h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
-		cdm.reject(err)
-		return 0, nil, nil, err
-	}
-	if len(payload) < 4 {
-		err = fmt.Errorf("codec: share payload of %d bytes: %w", len(payload), ErrTruncated)
-		cdm.reject(err)
-		return 0, nil, nil, err
+	case len(payload) < 4:
+		return 0, nil, nil, fmt.Errorf("codec: share payload of %d bytes: %w", len(payload), ErrTruncated)
 	}
 	return int(binary.LittleEndian.Uint32(payload)), payload[4:], rest, nil
 }

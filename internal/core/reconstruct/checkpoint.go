@@ -27,7 +27,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), s.StateSize(), s.AppendState)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch

@@ -125,6 +125,12 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 // the structure's identity and are not serialized.
 func (s *Sketch) Marshal() []byte { return s.skeleton.State() }
 
+// AppendState appends Marshal's bytes to dst; StateSize is their length.
+func (s *Sketch) AppendState(dst []byte) []byte { return s.skeleton.AppendState(dst) }
+
+// StateSize returns the length of Marshal.
+func (s *Sketch) StateSize() int { return s.skeleton.StateSize() }
+
 // Unmarshal merges serialized contents into the sketch (linearly).
 func (s *Sketch) Unmarshal(data []byte) error { return s.skeleton.AddState(data) }
 

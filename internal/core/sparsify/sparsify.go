@@ -251,14 +251,22 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 // Marshal serializes every level's contents, each length-prefixed so
 // Unmarshal can split them back (graphsketch.Sketch). Parameters are the
 // structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte {
-	var b []byte
+func (s *Sketch) Marshal() []byte { return s.appendState(make([]byte, 0, s.stateSize())) }
+
+func (s *Sketch) appendState(dst []byte) []byte {
 	for _, l := range s.levels {
-		state := l.Marshal()
-		b = binary.BigEndian.AppendUint64(b, uint64(len(state)))
-		b = append(b, state...)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(l.StateSize()))
+		dst = l.AppendState(dst)
 	}
-	return b
+	return dst
+}
+
+func (s *Sketch) stateSize() int {
+	n := 0
+	for _, l := range s.levels {
+		n += 8 + l.StateSize()
+	}
+	return n
 }
 
 // Unmarshal merges serialized contents into the sketch (linearly); the

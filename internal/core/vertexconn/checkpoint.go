@@ -29,7 +29,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), s.StateSize(), s.AppendState)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -78,7 +78,7 @@ func (e *Estimator) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), e.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), e.stateSize(), e.appendState)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the estimator
@@ -101,11 +101,9 @@ func init() {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("vertexconn: params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
 		}
-		fields := [4]int{}
-		for i, name := range []string{"n", "r", "k", "subgraphs"} {
-			if fields[i], err = codec.IntField(vs[i], name); err != nil {
-				return nil, err
-			}
+		fields, err := codec.IntFields(vs, "n", "r", "k", "subgraphs")
+		if err != nil {
+			return nil, err
 		}
 		cfg, err := sketch.ReadWireConfig(vs[4:9])
 		if err != nil {

@@ -144,14 +144,22 @@ func (e *Estimator) Merge(o graphsketch.Sketch) error {
 // Marshal serializes every scale's contents, each length-prefixed so
 // Unmarshal can split them back (graphsketch.Sketch). Parameters are the
 // structure's identity and are not serialized.
-func (e *Estimator) Marshal() []byte {
-	var b []byte
+func (e *Estimator) Marshal() []byte { return e.appendState(make([]byte, 0, e.stateSize())) }
+
+func (e *Estimator) appendState(dst []byte) []byte {
 	for _, s := range e.scales {
-		state := s.Marshal()
-		b = binary.BigEndian.AppendUint64(b, uint64(len(state)))
-		b = append(b, state...)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(s.StateSize()))
+		dst = s.AppendState(dst)
 	}
-	return b
+	return dst
+}
+
+func (e *Estimator) stateSize() int {
+	n := 0
+	for _, s := range e.scales {
+		n += 8 + s.StateSize()
+	}
+	return n
 }
 
 // Unmarshal merges serialized contents into the estimator (linearly); the

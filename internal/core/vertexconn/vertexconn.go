@@ -343,13 +343,26 @@ func (s *Sketch) VertexWords(v int) int {
 // that sampled v — player P_v's message in the simultaneous communication
 // model (subgraph membership is public randomness).
 func (s *Sketch) VertexShare(v int) []byte {
-	var b []byte
+	return s.appendVertexShare(make([]byte, 0, s.vertexShareSize(v)), v)
+}
+
+func (s *Sketch) appendVertexShare(dst []byte, v int) []byte {
 	for i, sk := range s.sketches {
 		if s.InSubgraph(i, v) {
-			b = append(b, sk.VertexShare(v)...)
+			dst = sk.AppendVertexShare(dst, v)
 		}
 	}
-	return b
+	return dst
+}
+
+func (s *Sketch) vertexShareSize(v int) int {
+	n := 0
+	for i, sk := range s.sketches {
+		if s.InSubgraph(i, v) {
+			n += sk.VertexShareSize(v)
+		}
+	}
+	return n
 }
 
 // AddVertexShare merges a serialized vertex share into this sketch. The
@@ -376,12 +389,24 @@ func (s *Sketch) AddVertexShare(v int, data []byte) error {
 // order — for checkpointing a long-running stream consumer. Parameters and
 // membership are the structure's public identity and are not serialized;
 // restore by constructing an identically-parameterized sketch first.
-func (s *Sketch) State() []byte {
-	var b []byte
+func (s *Sketch) State() []byte { return s.AppendState(make([]byte, 0, s.StateSize())) }
+
+// AppendState appends State's bytes to dst; StateSize is their exact
+// length, so a presized dst never regrows.
+func (s *Sketch) AppendState(dst []byte) []byte {
 	for v := 0; v < s.p.N; v++ {
-		b = append(b, s.VertexShare(v)...)
+		dst = s.appendVertexShare(dst, v)
 	}
-	return b
+	return dst
+}
+
+// StateSize returns the length of State.
+func (s *Sketch) StateSize() int {
+	n := 0
+	for v := 0; v < s.p.N; v++ {
+		n += s.vertexShareSize(v)
+	}
+	return n
 }
 
 // AddState merges a serialized state into the sketch (linearly); see

@@ -41,7 +41,7 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 	if err := s.ready(); err != nil {
 		return 0, err
 	}
-	return codec.WriteCheckpoint(w, codec.TagHybrid, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagHybrid, s.wireParams(), s.stateSize(), s.appendState)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch

@@ -51,8 +51,8 @@ func FuzzHybridUnmarshal(f *testing.F) {
 			_ = hy.Marshal()
 		}
 		// Shell path: the same bytes as the state of a well-formed frame.
-		frame := codec.AppendCheckpoint(nil, codec.TagHybrid,
-			codec.AppendUint64s(nil, 4, 0), state)
+		frame := codec.AppendCheckpoint(nil, codec.TagHybrid, codec.AppendUint64s(nil, 4, 0),
+			len(state), func(b []byte) []byte { return append(b, state...) })
 		if s, err := codec.Open(bytes.NewReader(frame)); err == nil {
 			_ = s.Marshal()
 		}

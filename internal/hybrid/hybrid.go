@@ -85,6 +85,10 @@ type Inner interface {
 	Domain() graph.Domain
 	Fingerprint() uint64
 	SharedWords() int
+	// AppendCheckpoint appends the frame WriteTo writes, whose length is
+	// CheckpointSize; the hybrid state embeds it in place.
+	AppendCheckpoint(dst []byte) []byte
+	CheckpointSize() int
 }
 
 // Sketch is the adaptive hybrid wrapper. It satisfies the same root
@@ -550,14 +554,15 @@ func (s *Sketch) Marshal() []byte {
 	if s.inner == nil {
 		return nil
 	}
-	var inner bytes.Buffer
-	if _, err := s.inner.WriteTo(&inner); err != nil {
-		// Writes to a bytes.Buffer cannot fail; a checkpointable inner that
-		// errors here is broken beyond what Marshal can report.
-		panic(fmt.Sprintf("hybrid: inner WriteTo failed: %v", err))
-	}
-	b := binary.LittleEndian.AppendUint64(nil, uint64(inner.Len()))
-	b = append(b, inner.Bytes()...)
+	return s.appendState(make([]byte, 0, s.stateSize()))
+}
+
+// appendState appends Marshal's bytes to dst, the inner frame built in
+// place; stateSize is their exact length.
+func (s *Sketch) appendState(b []byte) []byte {
+	at := len(b)
+	b = s.inner.AppendCheckpoint(binary.LittleEndian.AppendUint64(b, 0))
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
 	n := len(s.spilled)
 	for w := 0; w < (n+63)/64; w++ {
 		var word uint64
@@ -579,6 +584,16 @@ func (s *Sketch) Marshal() []byte {
 		}
 	}
 	return b
+}
+
+func (s *Sketch) stateSize() int {
+	n := 8 + s.inner.CheckpointSize() + 8*((len(s.spilled)+63)/64)
+	for v, spilled := range s.spilled {
+		if !spilled {
+			n += 4 + 16*len(s.keys[v])
+		}
+	}
+	return n
 }
 
 // Unmarshal restores contents produced by Marshal (graphsketch.Sketch). On

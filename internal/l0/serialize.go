@@ -29,6 +29,17 @@ func (s *Sampler) AppendBinary(b []byte) []byte {
 	return b
 }
 
+// BinarySize returns the length AppendBinary appends.
+func (s *Sampler) BinarySize() int {
+	n := 1
+	for _, lv := range s.levels {
+		if lv != nil {
+			n += 1 + lv.BinarySize()
+		}
+	}
+	return n
+}
+
 // AddBinary adds a serialized sampler into s (linear merge) and returns the
 // remaining bytes. The serialized sampler must come from a sampler with the
 // same seed, domain and config.

@@ -126,17 +126,13 @@ func (t *MemberTransport) GatherShares(dst ShareMerger) (ShareStats, error) {
 			}
 			rest, err := dst.AddVertexShareFrame(msg)
 			if err != nil {
-				if spm.gatherRejects != nil {
-					spm.gatherRejects.Inc()
-				}
+				spm.gatherRejects.Inc()
 				return st, fmt.Errorf("shardplane: merging share for vertex %d: %w", v, err)
 			}
 			if len(rest) != 0 {
 				return st, fmt.Errorf("shardplane: share frame for vertex %d left %d trailing bytes: %w", v, len(rest), ErrBadPayload)
 			}
-			if spm.gatherFrames != nil {
-				spm.gatherFrames.Inc()
-			}
+			spm.gatherFrames.Inc()
 		}
 	}
 	return st, nil
@@ -173,14 +169,10 @@ func (t *MemberTransport) Gather(dst graphsketch.Sketch) error {
 			return fmt.Errorf("shardplane: checkpointing member %d: %w", s, err)
 		}
 		if _, err := rf.ReadFrom(&buf); err != nil {
-			if spm.gatherRejects != nil {
-				spm.gatherRejects.Inc()
-			}
+			spm.gatherRejects.Inc()
 			return fmt.Errorf("shardplane: merging member %d: %w", s, err)
 		}
-		if spm.gatherFrames != nil {
-			spm.gatherFrames.Inc()
-		}
+		spm.gatherFrames.Inc()
 	}
 	return nil
 }

@@ -147,9 +147,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 		case codec.KindPull:
 			n, werr := member.WriteTo(conn)
-			if spm.txBytes != nil {
-				spm.txBytes.Add(n)
-			}
+			spm.txBytes.Add(n)
 			if werr != nil {
 				return
 			}

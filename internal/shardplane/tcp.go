@@ -214,27 +214,35 @@ func (t *TCPTransport) Gather(dst graphsketch.Sketch) error {
 	return t.pullAll(rf)
 }
 
-// pullAll pulls a checkpoint from every shard sequentially (the frames
-// can be large; one at a time bounds coordinator memory). When rf is
-// non-nil each frame is merged into it. Callers hold t.mu.
+// pullAll pulls a checkpoint from every shard, all shards at once since
+// each builds and sends its frame independently. When rf is non-nil the
+// frames are then merged into it in shard order. Callers hold t.mu.
 func (t *TCPTransport) pullAll(rf io.ReaderFrom) error {
+	frames := make([][]byte, len(t.shards))
+	errs := make([]error, len(t.shards))
+	var wg sync.WaitGroup
 	for s, sc := range t.shards {
-		raw, err := t.pull(sc, s)
-		if err != nil {
-			return fmt.Errorf("shardplane: shard %d (%s): %w", s, sc.addr, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frames[s], errs[s] = t.pull(sc, s)
+		}()
+	}
+	wg.Wait()
+	for s, sc := range t.shards {
+		if errs[s] != nil {
+			return fmt.Errorf("shardplane: shard %d (%s): %w", s, sc.addr, errs[s])
 		}
-		if rf == nil {
-			continue
-		}
-		if _, err := rf.ReadFrom(bytes.NewReader(raw)); err != nil {
-			if spm.gatherRejects != nil {
-				spm.gatherRejects.Inc()
-			}
+	}
+	if rf == nil {
+		return nil
+	}
+	for s, sc := range t.shards {
+		if _, err := rf.ReadFrom(bytes.NewReader(frames[s])); err != nil {
+			spm.gatherRejects.Inc()
 			return fmt.Errorf("shardplane: merging shard %d (%s): %w", s, sc.addr, err)
 		}
-		if spm.gatherFrames != nil {
-			spm.gatherFrames.Inc()
-		}
+		spm.gatherFrames.Inc()
 	}
 	return nil
 }
@@ -262,18 +270,14 @@ func (t *TCPTransport) pullOnce(sc *shardConn) ([]byte, error) {
 	if err := writeFrame(sc.conn, h, nil); err != nil {
 		return nil, err
 	}
-	ch, payload, err := readFrame(sc.conn)
+	// The received frame, CRC-verified and exact-size, is kept as is: it
+	// is the shard's next restore point.
+	ch, frame, n, err := codec.ReadFrameBytes(sc.conn)
+	spm.rxBytes.Add(n)
 	if err != nil {
 		return nil, err
 	}
-	if err := expectKind(ch, codec.KindCheckpoint); err != nil {
-		return nil, err
-	}
-	// Re-encode rather than teeing the stream: AppendFrame over the parsed
-	// header+payload reproduces the checkpoint frame byte-for-byte (the
-	// version was already enforced equal and the CRC is a function of the
-	// rest), and the frame doubles as the shard's next restore point.
-	return codec.AppendFrame(nil, ch, payload), nil
+	return frame, expectKind(ch, codec.KindCheckpoint)
 }
 
 // reconnect re-dials a shard, restores it from the last pulled checkpoint
@@ -304,7 +308,7 @@ func (t *TCPTransport) reconnect(sc *shardConn, shard int) error {
 			continue
 		}
 		sc.conn = conn
-		if spm.reconnects != nil && redial {
+		if redial {
 			spm.reconnects.Inc()
 		}
 		return nil
@@ -360,9 +364,7 @@ func (t *TCPTransport) Close() error {
 
 func writeRawFrame(w io.Writer, frame []byte) error {
 	n, err := w.Write(frame)
-	if spm.txBytes != nil {
-		spm.txBytes.Add(int64(n))
-	}
+	spm.txBytes.Add(int64(n))
 	return err
 }
 

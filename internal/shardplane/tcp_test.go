@@ -3,7 +3,9 @@ package shardplane_test
 import (
 	"bytes"
 	"errors"
+	"math/rand/v2"
 	"net"
+	"runtime"
 	"testing"
 
 	"graphsketch"
@@ -112,6 +114,17 @@ func streamBatches(st stream.Stream, size int) [][]graph.WeightedEdge {
 // the transport into it.
 func gatherFresh(t *testing.T, tr shardplane.Transport, proto shardplane.Member) graphsketch.Sketch {
 	t.Helper()
+	fresh := openCopy(t, proto)
+	if err := tr.Gather(fresh); err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// openCopy reconstructs proto from its checkpoint frame, as a shard opens
+// the frame its hello carries.
+func openCopy(t *testing.T, proto shardplane.Member) shardplane.Member {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := proto.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -120,10 +133,7 @@ func gatherFresh(t *testing.T, tr shardplane.Transport, proto shardplane.Member)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Gather(fresh); err != nil {
-		t.Fatal(err)
-	}
-	return fresh
+	return fresh.(shardplane.Member)
 }
 
 // TestThreeWayEquivalence is the plane's central promise: for every sketch
@@ -183,6 +193,11 @@ func TestThreeWayEquivalence(t *testing.T) {
 // coordinator that gathers into a sketch built under different public
 // randomness gets codec.ErrFingerprint, not silently corrupted state.
 func TestTCPCrossSeedReject(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	rejects := obs.Default().Counter("shardplane_gather_rejects_total", "")
+	before := rejects.Value()
+
 	const n = 24
 	st := testStream(t, n, 5)
 	c := startCluster(t, 3)
@@ -202,6 +217,9 @@ func TestTCPCrossSeedReject(t *testing.T) {
 	crossSeed := mustSpanning(t, n, 2)
 	if err := tr.Gather(crossSeed); !errors.Is(err, codec.ErrFingerprint) {
 		t.Fatalf("cross-seed gather: got %v, want ErrFingerprint", err)
+	}
+	if got := rejects.Value() - before; got != 1 {
+		t.Fatalf("shardplane_gather_rejects_total advanced by %d, want 1", got)
 	}
 	// The right-seed gather still works on the same transport.
 	if got := gatherFresh(t, tr, proto); got == nil {
@@ -293,5 +311,135 @@ func TestTCPClosedAndDead(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestTCPRestorePointIsShardFrame pins what a pull keeps: the restore point
+// is the frame the shard's member itself writes, byte for byte — here a
+// member opened from the dial prototype's frame, as the shard opens its
+// hello, fed the batches restricted to the shard's vertex range.
+func TestTCPRestorePointIsShardFrame(t *testing.T) {
+	const n, seed = 48, 7
+	batches := streamBatches(testStream(t, n, 11), 32)
+	for name, mk := range memberKinds(t, n) {
+		t.Run(name, func(t *testing.T) {
+			c := startCluster(t, 2)
+			defer c.closeAll()
+			proto := mk(seed)
+			tr, err := shardplane.DialTCP(proto, c.addrs, shardplane.TCPOptions{CheckpointEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			for _, b := range batches {
+				if err := tr.Route(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gatherFresh(t, tr, proto)
+			bounds := tr.Bounds()
+			for s := 0; s < tr.Shards(); s++ {
+				member := openCopy(t, proto)
+				for _, b := range batches {
+					if err := member.UpdateBatchRange(b, bounds[s], bounds[s+1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var want bytes.Buffer
+				if _, err := member.WriteTo(&want); err != nil {
+					t.Fatal(err)
+				}
+				if got := tr.RestorePoint(s); !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("shard %d restore point (%d bytes) differs from its member's frame (%d bytes)",
+						s, len(got), want.Len())
+				}
+			}
+		})
+	}
+}
+
+// TestTCPKillRestoreAfterGather is the kill-and-restore drill with a Gather
+// as the only restore point: periodic pulls are off, so the shard that dies
+// is restored from the frame the Gather received and kept, and the replay
+// must still land on the serial state.
+func TestTCPKillRestoreAfterGather(t *testing.T) {
+	const n, seed = 40, 13
+	batches := streamBatches(testStream(t, n, 17), 16)
+	serial := mustSpanning(t, n, seed)
+	for _, b := range batches {
+		if err := serial.UpdateBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := startCluster(t, 2)
+	defer c.closeAll()
+	proto := mustSpanning(t, n, seed)
+	tr, err := shardplane.DialTCP(proto, c.addrs, shardplane.TCPOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		if err := tr.Route(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gatherFresh(t, tr, proto)
+	for _, b := range batches[half : half+2] {
+		if err := tr.Route(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.kill(1)
+	c.restart(1)
+	for _, b := range batches[half+2:] {
+		if err := tr.Route(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, serial.Marshal()) {
+		t.Fatal("state after a gather, kill and restore differs from serial")
+	}
+}
+
+// TestTCPGatherAllocation pins the copy-free gather. The bytes allocated,
+// shard servers included since they run in this process, are the shard's
+// frame build (1×), the pull read at most 2× (chunks up to half the
+// frame, then the exact-size restore point), and ReadFrom's one exact
+// copy (1×); the destination is warm, so merging allocates no state.
+func TestTCPGatherAllocation(t *testing.T) {
+	const n = 128
+	c := startCluster(t, 2)
+	defer c.closeAll()
+	proto := mustSpanning(t, n, 21)
+	tr, err := shardplane.DialTCP(proto, c.addrs, shardplane.TCPOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rng := rand.New(rand.NewPCG(21, 1))
+	batch := make([]graph.WeightedEdge, 0, 1024)
+	for len(batch) < cap(batch) {
+		if u, v := rng.IntN(n), rng.IntN(n); u != v {
+			batch = append(batch, graph.WeightedEdge{E: graph.MustEdge(u, v), W: 1})
+		}
+	}
+	if err := tr.Route(batch); err != nil {
+		t.Fatal(err)
+	}
+	dst := gatherFresh(t, tr, proto)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := tr.Gather(dst); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	frames := len(tr.RestorePoint(0)) + len(tr.RestorePoint(1))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(frames)
+	t.Logf("Gather allocated %.2f× its %d gathered frame bytes", ratio, frames)
+	if ratio > 4 {
+		t.Fatalf("Gather allocated %.2f× its %d gathered frame bytes, want <= 4×", ratio, frames)
 	}
 }

@@ -141,18 +141,14 @@ func parseAck(p []byte) error {
 // it, counting transmitted bytes when obs is enabled.
 func writeFrame(w io.Writer, h codec.Header, payload []byte) error {
 	n, err := codec.WriteFrame(w, h, payload)
-	if spm.txBytes != nil {
-		spm.txBytes.Add(n)
-	}
+	spm.txBytes.Add(n)
 	return err
 }
 
 // readFrame reads one frame, counting received bytes when obs is enabled.
 func readFrame(r io.Reader) (codec.Header, []byte, error) {
 	h, payload, n, err := codec.ReadFrame(r)
-	if spm.rxBytes != nil {
-		spm.rxBytes.Add(n)
-	}
+	spm.rxBytes.Add(n)
 	return h, payload, err
 }
 

@@ -38,7 +38,17 @@ func (s *SpanningSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SpanningSketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), s.State())
+	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), s.StateSize(), s.AppendState)
+}
+
+// AppendCheckpoint appends the frame WriteTo writes to dst, in place.
+func (s *SpanningSketch) AppendCheckpoint(dst []byte) []byte {
+	return codec.AppendCheckpoint(dst, codec.TagSpanning, s.wireParams(), s.StateSize(), s.AppendState)
+}
+
+// CheckpointSize returns the length of the frame WriteTo writes.
+func (s *SpanningSketch) CheckpointSize() int {
+	return codec.CheckpointSize(s.wireParams(), s.StateSize())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -87,7 +97,17 @@ func (s *SkeletonSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SkeletonSketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), s.State())
+	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), s.StateSize(), s.AppendState)
+}
+
+// AppendCheckpoint appends the frame WriteTo writes to dst, in place.
+func (s *SkeletonSketch) AppendCheckpoint(dst []byte) []byte {
+	return codec.AppendCheckpoint(dst, codec.TagSkeleton, s.wireParams(), s.StateSize(), s.AppendState)
+}
+
+// CheckpointSize returns the length of the frame WriteTo writes.
+func (s *SkeletonSketch) CheckpointSize() int {
+	return codec.CheckpointSize(s.wireParams(), s.StateSize())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch;
@@ -129,60 +149,32 @@ func AppendWireConfig(dst []byte, cfg SpanningConfig) []byte {
 // ReadWireConfig decodes the five words written by AppendWireConfig,
 // validating each as a sane dimension.
 func ReadWireConfig(vs []uint64) (SpanningConfig, error) {
-	var cfg SpanningConfig
-	var err error
-	if cfg.Rounds, err = codec.IntField(vs[0], "rounds"); err != nil {
-		return cfg, err
-	}
-	sampler, err := samplerConfig(vs[1:5])
+	f, err := codec.IntFields(vs, "rounds", "sampler.s", "sampler.rows", "sampler.buckets_per_s", "sampler.max_levels")
 	if err != nil {
-		return cfg, err
+		return SpanningConfig{}, err
 	}
-	cfg.Sampler = sampler
-	return cfg, nil
+	return SpanningConfig{Rounds: f[0], Sampler: l0.Config{S: f[1], Rows: f[2], BucketsPerS: f[3], MaxLevels: f[4]}}, nil
 }
 
 // WireConfigWords is the number of uint64 words AppendWireConfig emits.
 const WireConfigWords = 5
 
-// samplerConfig decodes the four l0.Config words every params encoding in
-// this package embeds.
-func samplerConfig(vs []uint64) (l0.Config, error) {
-	var cfg l0.Config
-	var err error
-	if cfg.S, err = codec.IntField(vs[0], "sampler.s"); err != nil {
-		return cfg, err
+// paramWords decodes a params encoding of exactly n words.
+func paramWords(tag codec.Tag, params []byte, n int) ([]uint64, error) {
+	vs, rest, err := codec.ReadUint64s(params, n)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("sketch: %v params carry %d trailing bytes: %w", tag, len(rest), codec.ErrUnknownType)
 	}
-	if cfg.Rows, err = codec.IntField(vs[1], "sampler.rows"); err != nil {
-		return cfg, err
-	}
-	if cfg.BucketsPerS, err = codec.IntField(vs[2], "sampler.buckets_per_s"); err != nil {
-		return cfg, err
-	}
-	if cfg.MaxLevels, err = codec.IntField(vs[3], "sampler.max_levels"); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
-func paramsLenError(tag codec.Tag, rest []byte) error {
-	return fmt.Errorf("sketch: %v params carry %d trailing bytes: %w", tag, len(rest), codec.ErrUnknownType)
+	return vs, err
 }
 
 func init() {
 	codec.Register(codec.TagSpanning, func(params []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 8)
+		vs, err := paramWords(codec.TagSpanning, params, 8)
 		if err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, paramsLenError(codec.TagSpanning, rest)
-		}
-		n, err := codec.IntField(vs[0], "n")
-		if err != nil {
-			return nil, err
-		}
-		r, err := codec.IntField(vs[1], "r")
+		f, err := codec.IntFields(vs, "n", "r")
 		if err != nil {
 			return nil, err
 		}
@@ -190,25 +182,14 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		return NewSpanningSketch(SpanningParams{N: f[0], R: f[1], Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
 	})
 	codec.Register(codec.TagSkeleton, func(params []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 9)
+		vs, err := paramWords(codec.TagSkeleton, params, 9)
 		if err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, paramsLenError(codec.TagSkeleton, rest)
-		}
-		n, err := codec.IntField(vs[0], "n")
-		if err != nil {
-			return nil, err
-		}
-		r, err := codec.IntField(vs[1], "r")
-		if err != nil {
-			return nil, err
-		}
-		k, err := codec.IntField(vs[2], "k")
+		f, err := codec.IntFields(vs, "n", "r", "k")
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +197,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSkeletonSketch(SkeletonParams{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		return NewSkeletonSketch(SkeletonParams{N: f[0], R: f[1], K: f[2], Spanning: cfg, Seed: vs[8]})
 	})
 }
 

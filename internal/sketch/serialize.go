@@ -11,11 +11,24 @@ var ErrShare = errors.New("sketch: malformed vertex share")
 // (the sketch is vertex-based: v's samplers depend only on edges incident
 // to v, which is precisely P_v's input).
 func (s *SpanningSketch) VertexShare(v int) []byte {
-	var b []byte
+	return s.AppendVertexShare(make([]byte, 0, s.VertexShareSize(v)), v)
+}
+
+// AppendVertexShare appends vertex v's share (VertexShare) to dst.
+func (s *SpanningSketch) AppendVertexShare(dst []byte, v int) []byte {
 	for t := range s.samplers {
-		b = s.samplers[t][v].AppendBinary(b)
+		dst = s.samplers[t][v].AppendBinary(dst)
 	}
-	return b
+	return dst
+}
+
+// VertexShareSize returns the length of vertex v's share.
+func (s *SpanningSketch) VertexShareSize(v int) int {
+	n := 0
+	for t := range s.samplers {
+		n += s.samplers[t][v].BinarySize()
+	}
+	return n
 }
 
 // AddVertexShare merges a serialized vertex share into this sketch
@@ -25,14 +38,7 @@ func (s *SpanningSketch) VertexShare(v int) []byte {
 // share frames (VertexShareFrame / AddVertexShareFrame), which verify the
 // identity fingerprint before delegating to this raw interior path.
 func (s *SpanningSketch) AddVertexShare(v int, data []byte) error {
-	rest, err := s.AddVertexShareFrom(v, data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShare
-	}
-	return nil
+	return noTrailing(s.AddVertexShareFrom(v, data))
 }
 
 // AddVertexShareFrom merges a vertex share from the front of b and returns
@@ -49,23 +55,29 @@ func (s *SpanningSketch) AddVertexShareFrom(v int, b []byte) ([]byte, error) {
 
 // VertexShare serializes vertex v's share across all skeleton layers.
 func (s *SkeletonSketch) VertexShare(v int) []byte {
-	var b []byte
+	return s.AppendVertexShare(make([]byte, 0, s.VertexShareSize(v)), v)
+}
+
+// AppendVertexShare appends vertex v's share (VertexShare) to dst.
+func (s *SkeletonSketch) AppendVertexShare(dst []byte, v int) []byte {
 	for _, l := range s.layers {
-		b = append(b, l.VertexShare(v)...)
+		dst = l.AppendVertexShare(dst, v)
 	}
-	return b
+	return dst
+}
+
+// VertexShareSize returns the length of vertex v's share.
+func (s *SkeletonSketch) VertexShareSize(v int) int {
+	n := 0
+	for _, l := range s.layers {
+		n += l.VertexShareSize(v)
+	}
+	return n
 }
 
 // AddVertexShare merges a serialized skeleton vertex share.
 func (s *SkeletonSketch) AddVertexShare(v int, data []byte) error {
-	rest, err := s.AddVertexShareFrom(v, data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShare
-	}
-	return nil
+	return noTrailing(s.AddVertexShareFrom(v, data))
 }
 
 // AddVertexShareFrom merges a skeleton vertex share from the front of b and

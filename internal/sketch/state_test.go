@@ -1,7 +1,10 @@
 package sketch
 
 import (
+	"bytes"
+	"io"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"graphsketch/internal/graph"
@@ -110,5 +113,34 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 	}
 	if err := b.AddState(append(state, 0xff)); err == nil {
 		t.Fatal("over-long state accepted")
+	}
+}
+
+// TestSpanningWriteToAllocation pins the one-pass checkpoint writer: WriteTo
+// builds the frame in one exact-size buffer, so it allocates about the
+// frame's own bytes.
+func TestSpanningWriteToAllocation(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	h := randomGraph(rng, 64, 400)
+	s := NewSpanning(5, h.Domain(), SpanningConfig{})
+	streamInto(t, s, h)
+	var frame bytes.Buffer
+	if _, err := s.WriteTo(&frame); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := s.WriteTo(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != int64(frame.Len()) {
+		t.Fatalf("WriteTo: %d bytes, %v; want %d", n, err, frame.Len())
+	}
+	if s.CheckpointSize() != frame.Len() || !bytes.Equal(s.AppendCheckpoint(nil), frame.Bytes()) {
+		t.Fatal("AppendCheckpoint/CheckpointSize disagree with WriteTo")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("WriteTo allocated %.3f× its %d-byte frame", ratio, n)
+	if ratio > 1.1 {
+		t.Fatalf("WriteTo allocated %.2f× its %d-byte frame, want <= 1.1×", ratio, n)
 	}
 }
