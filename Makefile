@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-diff codec-check \
-	obs-check cluster-check fmt-check ci lint lint-gsvet lint-staticcheck \
+.PHONY: all build vet test race bench bench-json bench-diff bench-check \
+	codec-check obs-check cluster-check fmt-check ci lint lint-gsvet lint-staticcheck \
 	lint-govulncheck lint-timing lint-json
 
 # Benchmark knobs for bench-json: runs to average and time per run.
@@ -60,6 +60,15 @@ BENCH_FAIL_OVER ?= 3
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -fail-over=$(BENCH_FAIL_OVER) \
 		BENCH_pr8.json BENCH_pr9.json
+
+# The gsbench benchmark's own tests. gsbench/ is a separate module (it
+# builds the library from ../ via a replace directive), so `go test ./...`
+# never reaches it. Its short mode checks every answer against the exact
+# graph, byte-matches the TCP cluster against a serial replay, and checks
+# that the exact metrics repeat; the environment is gsbench/run.sh's
+# (offline, no workspace, no inherited flags).
+bench-check:
+	cd gsbench && GOFLAGS= GOWORK=off GOPROXY=off $(GO) test .
 
 # Wire-format gate: the codec corruption/round-trip suite and the root
 # checkpoint conformance harness under the race detector, plus a fuzz smoke

@@ -21,6 +21,7 @@ import (
 	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/hashutil"
 	"graphsketch/internal/hybrid"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/oracle"
@@ -492,8 +493,11 @@ func BenchmarkSparseIngest(b *testing.B) {
 
 // BenchmarkSparseDecode compares spanning decode on the same sparse
 // workload: the pure sketch draws samplers per Boruvka merge, while the
-// hybrid answers components of unspilled vertices directly from exact
-// buffers (the power-law hubs still exercise the mixed path).
+// hybrid contracts every edge its exact buffers know and samples only the
+// components holding a spilled power-law hub. hybrid-n16384 decodes the
+// gsbench hybrid-sparse workload's base graph (16384-vertex power law,
+// average degree 3, budget 32 words), the size at which per-decode costs
+// over all n vertices show.
 func BenchmarkSparseDecode(b *testing.B) {
 	const n, budget = 1024, 32
 	batch := sparseBatch(n, 1)
@@ -514,6 +518,28 @@ func BenchmarkSparseDecode(b *testing.B) {
 	b.Run("hybrid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := hy.SpanningGraph(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hybrid-n16384", func(b *testing.B) {
+		const n = 16384
+		inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		big, err := hybrid.New(inner, budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), n, 3, 2.5)
+		if err := big.UpdateBatch(base.WeightedEdges()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := big.SpanningGraph(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -124,9 +124,9 @@ func DecodeHybridTraced(h *hybrid.Sketch, parent *obs.Span) (*graph.Hypergraph, 
 
 // DecodeHybridWorkers routes a hybrid sketch's decode through the engine's
 // parallel machinery where the inner type has one. A spanning inner uses
-// the hybrid's own mixed exact/sketch decode (which bypasses sampler draws
-// for unspilled components entirely — the exact path is already cheaper
-// than any fan-out). A skeleton inner spills a clone and runs the parallel
+// the hybrid's own contract-then-sample decode (sampler draws only for
+// components holding a spilled vertex — already cheaper than any
+// fan-out). A skeleton inner spills a clone and runs the parallel
 // peel over it, so Theorem 14 peeling is byte-for-byte the pure path.
 // Decode-budget exhaustion is reported wrapped in ErrDecodeExhausted, as
 // for DecodeSkeletonWorkers.

@@ -93,11 +93,18 @@ func (d Domain) MustEncode(e Hyperedge) uint64 {
 // a canonical hyperedge; the sketches rely on this to reject corrupt
 // decodings instead of fabricating edges.
 func (d Domain) Decode(key uint64) (Hyperedge, error) {
+	return d.AppendDecode(make(Hyperedge, 0, d.r), key)
+}
+
+// AppendDecode is Decode appending the hyperedge's vertices to dst, so a
+// loop over many keys can reuse one buffer (pass e[:0]). On error it
+// returns nil.
+func (d Domain) AppendDecode(dst Hyperedge, key uint64) (Hyperedge, error) {
 	if key >= d.size {
 		return nil, fmt.Errorf("graph: key %d outside domain of size %d", key, d.size)
 	}
 	mask := uint64(1)<<uint(d.b) - 1
-	e := make(Hyperedge, 0, d.r)
+	e, base := dst, len(dst)
 	sawEmpty := false
 	for slot := 0; slot < d.r; slot++ {
 		raw := key >> uint(d.b*(d.r-1-slot)) & mask
@@ -112,13 +119,13 @@ func (d Domain) Decode(key uint64) (Hyperedge, error) {
 		if v >= d.n {
 			return nil, fmt.Errorf("graph: key %d decodes vertex %d outside [0,%d)", key, v, d.n)
 		}
-		if len(e) > 0 && e[len(e)-1] >= v {
+		if len(e) > base && e[len(e)-1] >= v {
 			return nil, fmt.Errorf("graph: key %d not sorted/distinct", key)
 		}
 		e = append(e, v)
 	}
-	if len(e) < 2 {
-		return nil, fmt.Errorf("graph: key %d decodes to %d vertices", key, len(e))
+	if len(e)-base < 2 {
+		return nil, fmt.Errorf("graph: key %d decodes to %d vertices", key, len(e)-base)
 	}
 	return e, nil
 }

@@ -1,10 +1,16 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzDomainDecode checks that Decode never panics on arbitrary keys and
 // that every key it accepts re-encodes to itself — the bijection the
-// sketches' certified decodes rely on to reject corrupt coordinates.
+// sketches' certified decodes rely on to reject corrupt coordinates. It
+// also checks that AppendDecode agrees with Decode on the raw key (out of
+// range included) and on the in-range key, appending after a non-empty
+// prefix without touching it.
 func FuzzDomainDecode(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(1))
@@ -13,6 +19,23 @@ func FuzzDomainDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key uint64) {
 		for _, shape := range []struct{ n, r int }{{10, 3}, {1000, 2}, {64, 4}} {
 			d := MustDomain(shape.n, shape.r)
+			for _, k := range []uint64{key, key % d.Size()} {
+				want, werr := d.Decode(k)
+				prefix := Hyperedge{7, 3}
+				got, gerr := d.AppendDecode(prefix, k)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("key %d: Decode err %v, AppendDecode err %v", k, werr, gerr)
+				}
+				if gerr != nil {
+					if got != nil {
+						t.Fatalf("key %d: AppendDecode returned %v with error %v", k, got, gerr)
+					}
+					continue
+				}
+				if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+					t.Fatalf("key %d: AppendDecode gave %v, want %v after %v", k, got, want, prefix)
+				}
+			}
 			e, err := d.Decode(key % d.Size())
 			if err != nil {
 				continue

@@ -126,6 +126,15 @@ func (h *Hypergraph) Edges() []Hyperedge {
 	return out
 }
 
+// EachEdge calls fn on every hyperedge in unspecified order — cheaper than
+// Edges when the caller's result does not depend on order. The hyperedges
+// alias internal storage; fn must not mutate them or h.
+func (h *Hypergraph) EachEdge(fn func(Hyperedge)) {
+	for _, en := range h.edges {
+		fn(en.e)
+	}
+}
+
 // WeightedEdge pairs a hyperedge with its weight.
 type WeightedEdge struct {
 	E Hyperedge

@@ -4,14 +4,16 @@ import "graphsketch/internal/graph"
 
 // ComponentsOf returns a DSU describing the connected components of h. Two
 // vertices are connected if some chain of hyperedges links them (a hyperedge
-// connects all of its endpoints).
+// connects all of its endpoints). The edges are walked unsorted: the
+// partition does not depend on order, but which member represents a set
+// does, so callers must use roots only as equality labels.
 func ComponentsOf(h *graph.Hypergraph) *DSU {
 	d := NewDSU(h.N())
-	for _, e := range h.Edges() {
+	h.EachEdge(func(e graph.Hyperedge) {
 		for i := 1; i < len(e); i++ {
 			d.Union(e[0], e[i])
 		}
-	}
+	})
 	return d
 }
 

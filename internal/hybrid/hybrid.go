@@ -31,9 +31,9 @@
 // update is a binary search plus an insert into a ≤B/2-entry array (tens of
 // nanoseconds, zero allocations in steady state) instead of Θ(rounds ×
 // rows) sampler cell updates, and a vertex of degree d costs 2d words
-// instead of the sampler stack's per-level cell blocks. Decoding bypasses
-// sampler draws entirely for components made of unspilled vertices: their
-// cut vector is computed exactly from the buffers (see decode.go).
+// instead of the sampler stack's per-level cell blocks. Decoding contracts
+// every edge the buffers know exactly first, then samples only the
+// components that contain a spilled vertex (see decode.go).
 //
 // Spilling is monotone: deletions that drop a vertex back below the budget
 // do not un-spill it. Un-spilling would require subtracting the vertex's

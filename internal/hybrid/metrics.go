@@ -15,7 +15,6 @@ var hm struct {
 	sketchRouted    *obs.Counter   // hybrid_sketch_routed_total
 	exactDecodes    *obs.Counter   // hybrid_exact_decodes_total
 	mixedDecodes    *obs.Counter   // hybrid_mixed_decodes_total
-	exactComponents *obs.Counter   // hybrid_exact_components_total
 	mixedComponents *obs.Counter   // hybrid_mixed_components_total
 	spilledVerts    *obs.Gauge     // hybrid_spilled_vertices
 	occupancy       *obs.Histogram // hybrid_buffer_occupancy
@@ -37,13 +36,11 @@ func init() {
 		hm.sketchRouted = r.Counter("hybrid_sketch_routed_total",
 			"Edge updates forwarded (at least partly) to the inner sketch")
 		hm.exactDecodes = r.Counter("hybrid_exact_decodes_total",
-			"Spanning decodes served fully from exact buffers (no sampler draws)")
+			"Spanning decodes with no sampler draw (at most one component held a spilled vertex)")
 		hm.mixedDecodes = r.Counter("hybrid_mixed_decodes_total",
-			"Spanning decodes that ran the mixed Boruvka process")
-		hm.exactComponents = r.Counter("hybrid_exact_components_total",
-			"Boruvka component cut queries answered exactly from buffers")
+			"Spanning decodes that ran Boruvka rounds over spilled components")
 		hm.mixedComponents = r.Counter("hybrid_mixed_components_total",
-			"Boruvka component cut queries that drew from summed samplers")
+			"Component cuts drawn from summed samplers during spanning decodes")
 		hm.spilledVerts = r.Gauge("hybrid_spilled_vertices",
 			"Spilled vertices observed at the most recent decode")
 		hm.occupancy = r.Histogram("hybrid_buffer_occupancy",
@@ -53,6 +50,6 @@ func init() {
 			"Exact-buffer fullness at the moment of spilling",
 			fractionBuckets())
 		hm.decodeSpan = r.Histogram("hybrid_mixed_decode_seconds",
-			"Mixed exact/sketch spanning decode latency", obs.LatencyBuckets())
+			"Spanning decode latency: exact contraction plus any sampler rounds", obs.LatencyBuckets())
 	})
 }

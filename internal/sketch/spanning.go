@@ -244,68 +244,104 @@ func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergrap
 	defer sp.End()
 	n := s.dom.N()
 	forest := graph.MustHypergraph(n, s.dom.R())
-	d := graphalg.NewDSU(n)
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	if _, err := s.Boruvka(sp, graphalg.NewDSU(n), forest, all, nil); err != nil {
+		return nil, err
+	}
+	return forest, nil
+}
+
+// CutTerm is one exactly known coordinate of a vertex's incidence vector:
+// Boruvka adds Delta at Key to every cut sampler the vertex is summed into.
+type CutTerm struct {
+	Key   uint64
+	Delta int64
+}
+
+// Boruvka completes forest by the Boruvka process over the components of d
+// that contain a vertex of verts (ascending), merging d as it goes. In each
+// round every such component sums its members' round-t samplers, plus
+// terms[i] for each member verts[i] when terms is non-nil, and merges along
+// the sampled edge; a component whose summed sampler is zero is certified
+// done. The caller guarantees every other component's cut is exactly empty
+// and that the summed samplers plus terms sketch each component's cut
+// vector, which holds for the pure sketch with verts = all vertices and no
+// terms.
+//
+// It returns the number of component cuts drawn, and ErrDecodeFailed if the
+// rounds run out while some component is uncertified. Every added edge is
+// fingerprint-certified real.
+func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm) (draws int, err error) {
 	// done[root] marks components whose cut was certified empty (no edges
 	// leave them): they can be skipped in later rounds.
 	done := make(map[int]bool)
-
 	for t := 0; t < s.cfg.Rounds; t++ {
-		groups := d.Groups()
-		active := 0
-		for root := range groups {
-			if !done[root] {
-				active++
-			}
-		}
-		if active <= 1 {
+		groups := activeGroups(d, verts, done)
+		if len(groups) <= 1 {
 			skm.peelRounds.Observe(float64(t))
-			sp.SetAttrs("n", n, "rounds", t)
-			return forest, nil
+			sp.SetAttrs("n", s.dom.N(), "rounds", t)
+			return draws, nil
 		}
-		s.peelRound(sp, t, d, groups, done, forest)
+		draws += s.peelRound(sp, t, d, forest, verts, terms, groups, done)
 	}
 
 	// Rounds exhausted. If every remaining component is certified done,
 	// the forest is complete; otherwise we may have missed connectivity.
-	for _, members := range d.Groups() {
-		root := d.Find(members[0])
-		if done[root] {
-			continue
-		}
-		sum := s.sumComponent(s.cfg.Rounds-1, members)
-		if !sum.IsZero() {
+	for _, g := range activeGroups(d, verts, done) {
+		if !s.cutSampler(s.cfg.Rounds-1, verts, terms, g).IsZero() {
 			skm.failures.Inc()
 			obs.RecordEvent("sketch.decode_failure",
-				"structure", "spanning", "n", n, "rounds", s.cfg.Rounds)
-			return nil, ErrDecodeFailed
+				"structure", "spanning", "n", s.dom.N(), "rounds", s.cfg.Rounds,
+				"verts", len(verts))
+			return draws, ErrDecodeFailed
 		}
 	}
 	skm.peelRounds.Observe(float64(s.cfg.Rounds))
-	sp.SetAttrs("n", n, "rounds", s.cfg.Rounds)
-	return forest, nil
+	sp.SetAttrs("n", s.dom.N(), "rounds", s.cfg.Rounds)
+	return draws, nil
 }
 
-// peelRound runs one Boruvka round: every live component samples a
-// hyperedge leaving it (summing its members' round-t samplers) and
-// components merge along the sampled edges. Certified-empty cuts are
-// marked in done. The round gets its own trace-only child span carrying
-// the samplers-drawn / edges-recovered attributes.
-func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, groups map[int][]int, done map[int]bool, forest *graph.Hypergraph) {
-	rsp := parent.Child("sketch.peel_round", nil)
-	defer rsp.End()
-	draws, recovered := 0, 0
-	var merges []graph.Hyperedge
-	for root, members := range groups {
+// activeGroups groups the positions of verts by component, skipping
+// certified-done components, in order of each component's first member.
+func activeGroups(d *graphalg.DSU, verts []int, done map[int]bool) [][]int {
+	at := make(map[int]int)
+	var groups [][]int
+	for i, v := range verts {
+		root := d.Find(v)
 		if done[root] {
 			continue
 		}
-		sum := s.sumComponent(t, members)
-		draws++
+		g, ok := at[root]
+		if !ok {
+			g = len(groups)
+			at[root] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// peelRound runs one Boruvka round: every live component samples a
+// hyperedge leaving it and components merge along the sampled edges.
+// Certified-empty cuts are marked in done. The round gets its own
+// trace-only child span carrying the samplers-drawn / edges-recovered
+// attributes. It returns the number of draws.
+func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm, groups [][]int, done map[int]bool) int {
+	rsp := parent.Child("sketch.peel_round", nil)
+	defer rsp.End()
+	recovered := 0
+	var merges []graph.Hyperedge
+	for _, g := range groups {
+		sum := s.cutSampler(t, verts, terms, g)
 		key, _, ok := sum.Sample()
 		if !ok {
 			if sum.IsZero() {
 				// Certified: nothing leaves this component.
-				done[root] = true
+				done[d.Find(verts[g[0]])] = true
 			}
 			continue
 		}
@@ -329,17 +365,25 @@ func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, gro
 			recovered++
 		}
 	}
-	rsp.SetAttrs("round", t, "draws", draws, "edges", recovered)
+	rsp.SetAttrs("round", t, "draws", len(groups), "edges", recovered)
+	return len(groups)
 }
 
-// sumComponent returns the round-t sampler of the cut vector of the given
-// component (the sum of its members' samplers).
-func (s *SpanningSketch) sumComponent(t int, members []int) *l0.Sampler {
-	sum := s.samplers[t][members[0]].Clone()
-	for _, v := range members[1:] {
+// cutSampler returns the round-t sampler of a component's cut vector: the
+// sum of the samplers of the members verts[i], i ∈ g, plus their terms.
+func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []int) *l0.Sampler {
+	sum := s.samplers[t][verts[g[0]]].Clone()
+	for _, i := range g[1:] {
 		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(s.samplers[t][v], 1); err != nil {
+		if err := sum.AddScaled(s.samplers[t][verts[i]], 1); err != nil {
 			panic(err)
+		}
+	}
+	if terms != nil {
+		for _, i := range g {
+			for _, c := range terms[i] {
+				sum.Update(c.Key, c.Delta)
+			}
 		}
 	}
 	return sum
@@ -370,12 +414,6 @@ func (s *SpanningSketch) Domain() graph.Domain { return s.dom }
 
 // Rounds returns the number of Boruvka rounds (independent sampler copies).
 func (s *SpanningSketch) Rounds() int { return s.cfg.Rounds }
-
-// SamplerAt returns vertex v's round-t L0 sampler. The adaptive hybrid
-// store (internal/hybrid) sums spilled members' samplers through this during
-// its mixed exact/sketch Boruvka decode. The sampler is the sketch's live
-// state: callers must Clone before mutating.
-func (s *SpanningSketch) SamplerAt(t, v int) *l0.Sampler { return s.samplers[t][v] }
 
 // Config returns the (defaulted) configuration.
 func (s *SpanningSketch) Config() SpanningConfig { return s.cfg }
