@@ -10,7 +10,9 @@ package graphsketch_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -20,6 +22,7 @@ import (
 	"graphsketch/internal/core/reconstruct"
 	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/core/vertexconn"
+	"graphsketch/internal/graph"
 	"graphsketch/internal/hybrid"
 	"graphsketch/internal/plan"
 	"graphsketch/internal/sketch"
@@ -254,6 +257,90 @@ func TestCheckpointDeterministic(t *testing.T) {
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("two WriteTo calls on the same sketch differ: %d vs %d bytes",
 					first.Len(), second.Len())
+			}
+		})
+	}
+}
+
+// frameDigestStream is a fixed dynamic stream on n vertices whose churn
+// edges are inserted and then deleted. Vertex n−1 sees only churn, so its
+// samplers end with levels that were allocated and then cancelled back to
+// zero — the state whose serialization the digests below pin.
+func frameDigestStream(n int) stream.Stream {
+	rng := rand.New(rand.NewPCG(0xd16e57, 0xf4a3e))
+	final := workload.ErdosRenyi(rng, n-1, 0.3)
+	churn := workload.ErdosRenyi(rng, n, 0.25)
+	for u := 0; u < n-1; u += 3 {
+		if err := churn.AddEdge(graph.Hyperedge{u, n - 1}, 1); err != nil {
+			panic(err)
+		}
+	}
+	lifted := graph.MustHypergraph(n, 2)
+	for _, e := range final.Edges() {
+		lifted.MustAddEdge(e, 1)
+	}
+	return stream.WithChurn(lifted, churn, rng)
+}
+
+// TestCheckpointFrameDigests pins the exact checkpoint bytes of four fixed
+// streams by SHA-256, so a change to the in-memory sampler layout cannot
+// silently change the wire format. The digests were recorded before
+// samplers became lazily allocated by-value rows; a mismatch means the
+// frame bytes changed, which breaks every checkpoint already on disk.
+func TestCheckpointFrameDigests(t *testing.T) {
+	const n = 16
+	st := frameDigestStream(n)
+	cases := []struct {
+		name  string
+		build func(t *testing.T) graphsketch.Checkpointer
+		check func(t *testing.T, c graphsketch.Checkpointer)
+		want  string
+	}{
+		{"spanning-cancelled", func(t *testing.T) graphsketch.Checkpointer {
+			return checkpointCases[0].build(t, n, plan.Balanced)
+		}, func(t *testing.T, c graphsketch.Checkpointer) {
+			if w := c.(*sketch.SpanningSketch).VertexWords(n - 1); w == 0 {
+				t.Fatal("churn-only vertex holds no allocated levels")
+			}
+		}, "1102df749f24528c209ee70beeece10e16f17ab1a7f1c5a607bc8cab8cf1d115"},
+		{"skeleton", func(t *testing.T) graphsketch.Checkpointer {
+			return checkpointCases[1].build(t, n, plan.Balanced)
+		}, nil, "c4b2b44a2c2f817a355b678817bbce62cd91eddb7ced623a304c8b1565a019f2"},
+		{"hybrid-spilled", func(t *testing.T) graphsketch.Checkpointer {
+			inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := hybrid.New(inner, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}, func(t *testing.T, c graphsketch.Checkpointer) {
+			h := c.(*hybrid.Sketch)
+			if s := h.SpilledCount(); s == 0 || s == n {
+				t.Fatalf("hybrid spilled %d of %d vertices; want some but not all", s, n)
+			}
+		}, "46ec8c88d6f5542cdfa1c2b61a9f5e249be4b889ae039fff116681b0af099dea"},
+		{"vertexconn", func(t *testing.T) graphsketch.Checkpointer {
+			return checkpointCases[3].build(t, n, plan.Balanced)
+		}, nil, "2f6318f83f0c2d14136956d561ff16ba647caabe6058012c2d95b0413d0db649"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+			if err := stream.Apply(st, s); err != nil {
+				t.Fatal(err)
+			}
+			if tc.check != nil {
+				tc.check(t, s)
+			}
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+				t.Fatalf("frame SHA-256 = %s (%d bytes), want %s", got, buf.Len(), tc.want)
 			}
 		})
 	}
