@@ -12,6 +12,7 @@ import (
 	"net"
 	"testing"
 
+	"graphsketch"
 	"graphsketch/internal/codec"
 	"graphsketch/internal/commsim"
 	"graphsketch/internal/core/edgeconn"
@@ -407,7 +408,10 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 
 // BenchmarkCheckpointRead times the restart path: codec.Open reconstructs
 // the sketch from the frame alone (header verification, params decode,
-// construction, state merge).
+// construction, state merge). skeleton-n64 restores an ingested k-skeleton;
+// empty-n16384 restores an empty spanning sketch, the hybrid inner's
+// common case, where every sampler stays absent and the cost is the
+// construction itself.
 func BenchmarkCheckpointRead(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -415,18 +419,40 @@ func BenchmarkCheckpointRead(b *testing.B) {
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := sk.WriteTo(&buf); err != nil {
+	empty, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: 16384, Seed: 3})
+	if err != nil {
 		b.Fatal(err)
 	}
-	frame := buf.Bytes()
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Open(bytes.NewReader(frame)); err != nil {
+	for _, c := range []struct {
+		name string
+		s    graphsketch.Checkpointer
+	}{{"skeleton-n64", sk}, {"empty-n16384", empty}} {
+		var buf bytes.Buffer
+		if _, err := c.s.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
+		frame := buf.Bytes()
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.Open(bytes.NewReader(frame)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkNewSpanning times constructing an empty spanning sketch. With
+// -benchmem it shows construction allocating per round, not per sampler.
+func BenchmarkNewSpanning(b *testing.B) {
+	b.Run("n16384", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: 16384, Seed: 3}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // sparseBatch builds the PR7 sparse workload: a power-law graph whose

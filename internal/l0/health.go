@@ -44,7 +44,7 @@ func (s *Sampler) Health() obs.Report {
 	return obs.Report{
 		Structure: "l0.sampler",
 		Metrics: map[string]float64{
-			"levels":           float64(len(s.levels)),
+			"levels":           float64(s.sh.cfg.MaxLevels),
 			"levels_allocated": float64(allocated),
 			"top_level":        float64(top),
 			"cell_fill":        fill,

@@ -18,12 +18,13 @@
 // All seed-derived public randomness — level hash, fingerprint ladder,
 // per-level bucket-hash coefficients — is interned in a package registry
 // keyed by (seed, domain, config), so the thousands of same-seed samplers a
-// spanning or skeleton sketch allocates share one copy instead of each
+// spanning or skeleton sketch holds share one copy instead of each
 // re-deriving and storing it.
 package l0
 
 import (
 	"math/bits"
+	"slices"
 
 	"graphsketch/internal/field"
 	"graphsketch/internal/hashutil"
@@ -59,12 +60,16 @@ func (c Config) withDefaults(domain uint64) Config {
 
 // Sampler is a linear L0-sampling sketch over [0, domain).
 //
-// Levels are allocated lazily: a level's recovery structure materializes on
-// the first update that reaches it. A coordinate reaches level l with
-// probability 2^-l, so a sampler that has seen d updates allocates about
-// log2(d) levels — this is what keeps a full graph sketch (one sampler per
-// vertex per round) proportional to the sketch's *information* content
-// rather than to the worst-case level count. An unallocated level is
+// Allocation is lazy at two grains. An absent sampler, one no update or
+// merge has reached, has a nil level slice and no heap object of its own
+// (NewRow lays a round's samplers out by value); queries, serialization,
+// Clone and merging in an absent source all leave it absent. After that, a
+// level's recovery structure materializes on the first update that reaches
+// it. A coordinate reaches level l with probability 2^-l, so a sampler
+// that has seen d updates allocates about log2(d) levels — this is what
+// keeps a full graph sketch (one sampler per vertex per round)
+// proportional to the sketch's *information* content rather than to n or
+// the worst-case level count. An absent sampler or unallocated level is
 // exactly a zero structure; linearity is unaffected.
 //
 // The sampler's own state is only the level slice; every derived constant
@@ -72,23 +77,34 @@ func (c Config) withDefaults(domain uint64) Config {
 // interned sharedRand, sized once from the domain at interning time.
 type Sampler struct {
 	sh     *sharedRand
-	levels []*recovery.SSparse // nil entries are implicitly zero
+	levels []*recovery.SSparse // nil while absent; nil entries are implicitly zero
 }
 
-// New returns a sampler for indices in [0, domain). Samplers with equal
-// seeds, domains and configs are compatible for AddScaled.
+// New returns an absent sampler for indices in [0, domain). Samplers with
+// equal seeds, domains and configs are compatible for AddScaled.
 func New(seed uint64, domain uint64, cfg Config) *Sampler {
-	cfg = cfg.withDefaults(domain)
-	return &Sampler{
-		sh:     internShared(seed, domain, cfg),
-		levels: make([]*recovery.SSparse, cfg.MaxLevels),
-	}
+	return &Sampler{sh: internShared(seed, domain, cfg.withDefaults(domain))}
 }
 
-// level returns the recovery structure for lv, allocating it if needed.
+// NewRow returns n absent, mutually compatible samplers stored by value:
+// one allocation for the row, and one registry lookup for its randomness.
+func NewRow(seed uint64, domain uint64, cfg Config, n int) []Sampler {
+	sh := internShared(seed, domain, cfg.withDefaults(domain))
+	row := make([]Sampler, n)
+	for i := range row {
+		row[i].sh = sh
+	}
+	return row
+}
+
+// level returns the recovery structure for lv, allocating it (and, on an
+// absent sampler, the level slice) if needed.
 // Allocation is three pointer-free slices over the interned shape — no
 // config re-derivation, no hash drawing.
 func (s *Sampler) level(lv int) *recovery.SSparse {
+	if s.levels == nil {
+		s.levels = make([]*recovery.SSparse, s.sh.cfg.MaxLevels)
+	}
 	t := s.levels[lv]
 	if t == nil {
 		t = recovery.NewSSparseFromShape(s.sh.shapes[lv])
@@ -125,6 +141,9 @@ func (s *Sampler) UpdateHashed(i uint64, delta int64, top int, zPow field.Elem) 
 	}
 	iRed := field.Reduce(i)
 	dMom, dFp := recovery.DeltaTerms(iRed, zPow, delta)
+	if s.levels == nil {
+		s.levels = make([]*recovery.SSparse, s.sh.cfg.MaxLevels)
+	}
 	levels := s.levels
 	for lv := 0; lv <= top; lv++ {
 		t := levels[lv]
@@ -136,7 +155,8 @@ func (s *Sampler) UpdateHashed(i uint64, delta int64, top int, zPow field.Elem) 
 	}
 }
 
-// AddScaled adds scale copies of o into s.
+// AddScaled adds scale copies of o into s. An absent o adds nothing and
+// leaves an absent s absent.
 func (s *Sampler) AddScaled(o *Sampler, scale int64) error {
 	if s.sh != o.sh && (s.sh.seed != o.sh.seed || s.sh.dom != o.sh.dom || s.sh.cfg != o.sh.cfg) {
 		return recovery.ErrIncompatible
@@ -153,20 +173,25 @@ func (s *Sampler) AddScaled(o *Sampler, scale int64) error {
 }
 
 // Clone returns a deep copy (the interned randomness is shared).
-func (s *Sampler) Clone() *Sampler {
-	cp := *s
-	cp.levels = make([]*recovery.SSparse, len(s.levels))
-	for lv := range s.levels {
-		if s.levels[lv] != nil {
-			cp.levels[lv] = s.levels[lv].Clone()
+func (s *Sampler) Clone() *Sampler { return &CloneRow([]Sampler{*s})[0] }
+
+// CloneRow deep-copies a row of samplers into a new by-value row.
+func CloneRow(row []Sampler) []Sampler {
+	cp := slices.Clone(row)
+	for i := range cp {
+		cp[i].levels = slices.Clone(cp[i].levels) // stays nil while absent
+		for lv, t := range cp[i].levels {
+			if t != nil {
+				cp[i].levels[lv] = t.Clone()
+			}
 		}
 	}
-	return &cp
+	return cp
 }
 
 // IsZero reports whether the sketch is consistent with the zero vector.
 func (s *Sampler) IsZero() bool {
-	return s.levels[0] == nil || s.levels[0].IsZero()
+	return s.levels == nil || s.levels[0] == nil || s.levels[0].IsZero()
 }
 
 // Sample returns an element (index, value) of the support of f, chosen
@@ -216,7 +241,7 @@ func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
 // support has at most S elements (level 0 decodes). This is what the
 // spanning-graph sketches use when a supernode has few incident edges.
 func (s *Sampler) Decode() (map[uint64]int64, bool) {
-	if s.levels[0] == nil {
+	if s.levels == nil || s.levels[0] == nil {
 		return map[uint64]int64{}, true
 	}
 	return s.levels[0].Decode()
@@ -227,17 +252,6 @@ func (s *Sampler) Domain() uint64 { return s.sh.dom }
 
 // Config returns the (defaulted) configuration.
 func (s *Sampler) Config() Config { return s.sh.cfg }
-
-// Words returns the memory footprint in 64-bit words: the allocated levels'
-// cells (unallocated levels carry no state) plus this sampler's amortized
-// share of the interned randomness — SharedWords divided across every
-// same-parameter sampler constructed so far. Summing Words over a family of
-// same-seed samplers therefore counts the shared state once (up to
-// rounding), which keeps the experiments' space tables honest now that the
-// randomness is stored once per family rather than once per sampler.
-func (s *Sampler) Words() int {
-	return s.sh.amortizedWords() + s.StateWords()
-}
 
 // StateWords returns the cells-only footprint in 64-bit words: exactly the
 // sampler's serialized content, and the message size of a vertex share in
@@ -255,7 +269,8 @@ func (s *Sampler) StateWords() int {
 	return w
 }
 
-// SharedWords returns the un-amortized size in 64-bit words of the interned
-// seed-derived randomness this sampler references (fingerprint ladder,
-// level hash, tie-break seed, and every level's bucket-hash coefficients).
+// SharedWords returns the size in 64-bit words of the interned seed-derived
+// randomness this sampler references (fingerprint ladder, level hash,
+// tie-break seed, and every level's bucket-hash coefficients). Every
+// same-parameter sampler references the same copy; count it once per family.
 func (s *Sampler) SharedWords() int { return s.sh.words }

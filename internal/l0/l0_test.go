@@ -228,11 +228,11 @@ func TestWordsAccounting(t *testing.T) {
 	if s.StateWords() != 0 {
 		t.Fatalf("fresh sampler allocated %d state words; levels should be lazy", s.StateWords())
 	}
-	// A fresh sampler still accounts for its (amortized) share of the
-	// interned randomness — Words is space, StateWords is message size.
-	base := s.Words()
-	if base <= 0 || base > s.SharedWords() {
-		t.Fatalf("fresh Words = %d, want in (0, %d]", base, s.SharedWords())
+	// The interned randomness is counted apart from the state: a fresh
+	// sampler references all of it and holds none of its own.
+	shared := s.SharedWords()
+	if shared <= 0 {
+		t.Fatalf("SharedWords = %d, want > 0", shared)
 	}
 	s.Update(12345, 1)
 	perLevel := 3 + 2*16*3
@@ -244,18 +244,18 @@ func TestWordsAccounting(t *testing.T) {
 	if w < perLevel || w > 33*perLevel {
 		t.Fatalf("StateWords = %d outside [%d, %d]", w, perLevel, 33*perLevel)
 	}
-	if s.Words() != base+w {
-		t.Fatalf("Words = %d, want shared %d + state %d", s.Words(), base, w)
+	if s.SharedWords() != shared {
+		t.Fatalf("SharedWords changed on update: %d -> %d", shared, s.SharedWords())
 	}
 }
 
-// TestSharedWordsAmortized pins the interning-aware accounting: every
-// same-parameter sampler shares one copy of the seed-derived randomness,
-// and Words divides that copy (rounding up) across the family so that
-// summing Words over the family counts it once.
-func TestSharedWordsAmortized(t *testing.T) {
+// TestSharedWordsInterned pins the family accounting: every same-parameter
+// sampler references one interned copy of the seed-derived randomness, so
+// SharedWords is the same full figure for each of them (containers count
+// it once per family), while a different seed gets its own copy.
+func TestSharedWordsInterned(t *testing.T) {
 	cfg := Config{S: 4, Rows: 2, BucketsPerS: 3, MaxLevels: 9}
-	const seed = 0xa11ce5eed // unique to this test: fresh registry entry
+	const seed = 0xa11ce5eed
 	s1 := New(seed, dom, cfg)
 	shared := s1.SharedWords()
 	// 64 ladder words + fingerprint point + level hash (2) + tie seed,
@@ -264,23 +264,18 @@ func TestSharedWordsAmortized(t *testing.T) {
 	if shared != want {
 		t.Fatalf("SharedWords = %d, want %d", shared, want)
 	}
-	if s1.Words() != shared {
-		t.Fatalf("single sampler Words = %d, want full shared %d", s1.Words(), shared)
-	}
 	s2 := New(seed, dom, cfg)
-	half := (shared + 1) / 2
-	if s1.Words() != half || s2.Words() != half {
-		t.Fatalf("family of two reports %d/%d words, want %d each",
-			s1.Words(), s2.Words(), half)
+	row := NewRow(seed, dom, cfg, 3)
+	if s2.sh != s1.sh || row[0].sh != s1.sh || row[2].sh != s1.sh {
+		t.Fatal("same-parameter samplers do not share one interned entry")
 	}
-	// Clones share the entry without deepening the amortization.
-	if c := s1.Clone(); c.Words() != half {
-		t.Fatalf("clone Words = %d, want %d", c.Words(), half)
+	if c := s1.Clone(); c.sh != s1.sh || c.SharedWords() != shared {
+		t.Fatalf("clone SharedWords = %d, want %d on the same entry", c.SharedWords(), shared)
 	}
-	// Different seed, same config: its own registry entry, full cost.
 	s3 := New(seed+1, dom, cfg)
-	if s3.Words() != shared {
-		t.Fatalf("distinct-seed sampler Words = %d, want %d", s3.Words(), shared)
+	if s3.sh == s1.sh || s3.SharedWords() != shared {
+		t.Fatalf("distinct-seed sampler: shared entry %v, SharedWords %d; want own entry of %d",
+			s3.sh == s1.sh, s3.SharedWords(), shared)
 	}
 }
 
@@ -295,9 +290,9 @@ func TestLazyLevelsGrowWithSupport(t *testing.T) {
 	for j := 0; j < 10000; j++ {
 		big.Update(rng.Uint64N(dom), 1)
 	}
-	if small.Words() >= big.Words() {
+	if small.StateWords() >= big.StateWords() {
 		t.Fatalf("small sampler (%d words) not smaller than big (%d words)",
-			small.Words(), big.Words())
+			small.StateWords(), big.StateWords())
 	}
 }
 

@@ -55,8 +55,8 @@ func (s *Sampler) AddBinary(b []byte) ([]byte, error) {
 		}
 		idx := int(b[0])
 		b = b[1:]
-		if idx >= len(s.levels) {
-			return nil, fmt.Errorf("l0: level %d out of range %d", idx, len(s.levels))
+		if idx >= s.sh.cfg.MaxLevels { // an absent s has no levels yet
+			return nil, fmt.Errorf("l0: level %d out of range %d", idx, s.sh.cfg.MaxLevels)
 		}
 		var err error
 		if b, err = s.level(idx).AddBinary(b); err != nil {

@@ -2,7 +2,6 @@ package l0
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"graphsketch/internal/field"
 	"graphsketch/internal/hashutil"
@@ -14,10 +13,11 @@ import (
 // and one recovery.Shape per subsampling level. Everything in it is
 // immutable after construction and determined entirely by (seed, domain,
 // config), so every sampler built from the same parameters can share one
-// instance. A spanning sketch allocates one sampler per vertex per round
-// with the round's seed — n samplers per round — and before interning each
-// re-derived and stored all of this privately; with the registry the round
-// pays for it once.
+// instance. A spanning sketch holds one sampler per vertex per round with
+// the round's seed — a NewRow of n samplers per round. The row looks its
+// entry up once, and each sampler, absent or not, holds only a pointer to
+// it, so the round pays for this randomness once and an untouched sampler
+// pays nothing beyond that pointer and its nil level slice.
 type sharedRand struct {
 	cfg    Config // defaulted
 	dom    uint64
@@ -27,8 +27,7 @@ type sharedRand struct {
 	z      field.Elem
 	ladder *field.Ladder
 	shapes []*recovery.Shape // per-level geometry and bucket hashes
-	words  int               // un-amortized derived-randomness words
-	refs   atomic.Int64      // samplers constructed against this entry
+	words  int               // derived-randomness words
 }
 
 type sharedKey struct {
@@ -55,7 +54,6 @@ func internShared(seed, dom uint64, cfg Config) *sharedRand {
 	key := sharedKey{seed: seed, dom: dom, cfg: cfg}
 	registryMu.Lock()
 	if sh, ok := registry[key]; ok {
-		sh.refs.Add(1)
 		registryMu.Unlock()
 		lm.internHits.Inc()
 		return sh
@@ -67,7 +65,6 @@ func internShared(seed, dom uint64, cfg Config) *sharedRand {
 	sh := newSharedRand(seed, dom, cfg)
 	registryMu.Lock()
 	if exist, ok := registry[key]; ok {
-		exist.refs.Add(1)
 		registryMu.Unlock()
 		return exist
 	}
@@ -75,7 +72,6 @@ func internShared(seed, dom uint64, cfg Config) *sharedRand {
 		registry = make(map[sharedKey]*sharedRand)
 	}
 	registry[key] = sh
-	sh.refs.Add(1)
 	registryMu.Unlock()
 	return sh
 }
@@ -105,15 +101,4 @@ func newSharedRand(seed, dom uint64, cfg Config) *sharedRand {
 	}
 	sh.words = words
 	return sh
-}
-
-// amortizedWords returns this entry's randomness cost divided (rounding up)
-// across every sampler constructed against it, so that summing Words over
-// a family of same-seed samplers counts the shared state once.
-func (sh *sharedRand) amortizedWords() int {
-	refs := int(sh.refs.Load())
-	if refs < 1 {
-		refs = 1
-	}
-	return (sh.words + refs - 1) / refs
 }

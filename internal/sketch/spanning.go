@@ -53,10 +53,13 @@ type SpanningSketch struct {
 	dom  graph.Domain
 	cfg  SpanningConfig
 	seed uint64
-	// samplers[t][v] is vertex v's sampler for round t. All samplers in a
-	// round share one seed (the same linear projection applied to every
-	// incidence vector); rounds are independent.
-	samplers [][]*l0.Sampler
+	// samplers[t][v] is vertex v's sampler for round t, stored by value in
+	// one row per round. All samplers in a round share one seed (the same
+	// linear projection applied to every incidence vector) and one interned
+	// copy of its randomness; rounds are independent. A sampler stays
+	// absent — no levels, no heap object of its own — until an update or
+	// merge reaches it, so a vertex no edge touches costs one row slot.
+	samplers [][]l0.Sampler
 }
 
 // SpanningParams configures a spanning-graph sketch, following the
@@ -101,14 +104,9 @@ func NewSpanning(seed uint64, dom graph.Domain, cfg SpanningConfig) *SpanningSke
 	cfg = cfg.withDefaults(dom.N())
 	ss := hashutil.NewSeedStream(seed)
 	s := &SpanningSketch{dom: dom, cfg: cfg, seed: seed}
-	s.samplers = make([][]*l0.Sampler, cfg.Rounds)
-	for t := 0; t < cfg.Rounds; t++ {
-		roundSeed := ss.At(uint64(t))
-		row := make([]*l0.Sampler, dom.N())
-		for v := range row {
-			row[v] = l0.New(roundSeed, dom.Size(), cfg.Sampler)
-		}
-		s.samplers[t] = row
+	s.samplers = make([][]l0.Sampler, cfg.Rounds)
+	for t := range s.samplers {
+		s.samplers[t] = l0.NewRow(ss.At(uint64(t)), dom.Size(), cfg.Sampler, dom.N())
 	}
 	return s
 }
@@ -199,7 +197,7 @@ func (s *SpanningSketch) AddScaled(o *SpanningSketch, scale int64) error {
 	}
 	for t := range s.samplers {
 		for v := range s.samplers[t] {
-			if err := s.samplers[t][v].AddScaled(o.samplers[t][v], scale); err != nil {
+			if err := s.samplers[t][v].AddScaled(&o.samplers[t][v], scale); err != nil {
 				return err
 			}
 		}
@@ -210,13 +208,9 @@ func (s *SpanningSketch) AddScaled(o *SpanningSketch, scale int64) error {
 // Clone returns a deep copy.
 func (s *SpanningSketch) Clone() *SpanningSketch {
 	cp := &SpanningSketch{dom: s.dom, cfg: s.cfg, seed: s.seed}
-	cp.samplers = make([][]*l0.Sampler, len(s.samplers))
+	cp.samplers = make([][]l0.Sampler, len(s.samplers))
 	for t := range s.samplers {
-		row := make([]*l0.Sampler, len(s.samplers[t]))
-		for v := range row {
-			row[v] = s.samplers[t][v].Clone()
-		}
-		cp.samplers[t] = row
+		cp.samplers[t] = l0.CloneRow(s.samplers[t])
 	}
 	return cp
 }
@@ -375,7 +369,7 @@ func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []i
 	sum := s.samplers[t][verts[g[0]]].Clone()
 	for _, i := range g[1:] {
 		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(s.samplers[t][verts[i]], 1); err != nil {
+		if err := sum.AddScaled(&s.samplers[t][verts[i]], 1); err != nil {
 			panic(err)
 		}
 	}
@@ -427,12 +421,10 @@ func (s *SpanningSketch) Seed() uint64 { return s.seed }
 // randomness privately; counting it once keeps the space tables aligned
 // with what the process actually holds.
 func (s *SpanningSketch) Words() int {
-	w := 0
+	w := s.SharedWords()
 	for t := range s.samplers {
-		row := s.samplers[t]
-		w += row[0].SharedWords()
-		for v := range row {
-			w += row[v].StateWords()
+		for v := range s.samplers[t] {
+			w += s.samplers[t][v].StateWords()
 		}
 	}
 	return w
