@@ -357,7 +357,108 @@ func BenchmarkParallelIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelDecode compares the serial skeleton peel against the
+// denseChurn builds gsbench vconn-dense's graph — a Harary H_{8,56} core
+// with 512 random churn edges, 4 pendants joined to 3 core vertices and 4
+// flicker vertices joined to 4 — as one bulk-load batch, and a cycle of
+// 128-update churn batches over it. The first half of the cycle deletes 64
+// live churn edges and inserts 64 fresh core edges per batch; the second
+// half undoes the first in reverse, so the cycle can repeat forever while
+// the sketch keeps the loaded graph's state size.
+func denseChurn(seed uint64) (load []graph.WeightedEdge, cycle [][]graph.WeightedEdge) {
+	const core, pendants, flickers, n = 56, 4, 4, 64
+	const churnLive, half, batches = 512, 64, 16
+	rng := rand.New(rand.NewPCG(seed, 7))
+	live := graph.NewGraph(n)
+	for _, e := range workload.MustHarary(core, 8).Edges() {
+		live.MustAddEdge(e, 1)
+	}
+	attach := func(v, k int) {
+		for added := 0; added < k; {
+			if e := graph.MustEdge(v, rng.IntN(core)); !live.Has(e) {
+				live.MustAddEdge(e, 1)
+				added++
+			}
+		}
+	}
+	for v := core; v < core+pendants; v++ {
+		attach(v, 3)
+	}
+	for v := core + pendants; v < n; v++ {
+		attach(v, 4)
+	}
+	freshCore := func() graph.Hyperedge {
+		for {
+			u, v := rng.IntN(core), rng.IntN(core)
+			if u == v {
+				continue
+			}
+			if e := graph.MustEdge(u, v); !live.Has(e) {
+				return e
+			}
+		}
+	}
+	var churn []graph.Hyperedge
+	for len(churn) < churnLive {
+		e := freshCore()
+		live.MustAddEdge(e, 1)
+		churn = append(churn, e)
+	}
+	load = live.WeightedEdges()
+	for i := 0; i < batches; i++ {
+		batch := make([]graph.WeightedEdge, 0, 2*half)
+		rng.Shuffle(len(churn), func(i, j int) { churn[i], churn[j] = churn[j], churn[i] })
+		for _, e := range churn[:half] {
+			batch = append(batch, graph.WeightedEdge{E: e, W: -1})
+			live.MustAddEdge(e, -1)
+		}
+		churn = churn[half:]
+		for j := 0; j < half; j++ {
+			e := freshCore()
+			live.MustAddEdge(e, 1)
+			batch = append(batch, graph.WeightedEdge{E: e, W: 1})
+			churn = append(churn, e)
+		}
+		cycle = append(cycle, batch)
+	}
+	for i := batches - 1; i >= 0; i-- {
+		fwd := cycle[i]
+		undo := make([]graph.WeightedEdge, len(fwd))
+		for j, we := range fwd {
+			undo[len(fwd)-1-j] = graph.WeightedEdge{E: we.E, W: -we.W}
+		}
+		cycle = append(cycle, undo)
+	}
+	return load, cycle
+}
+
+// BenchmarkVertexConnIngest is the ingest rung at real state size: serial
+// UpdateBatch of 128-update churn batches into a Theorem 4 sketch with
+// gsbench vconn-dense's shape (n = 64, K = 3, 48 subgraphs) after its dense
+// graph is loaded, so every sampler write lands in a sketch of the
+// workload's size rather than in one hot sampler.
+func BenchmarkVertexConnIngest(b *testing.B) {
+	b.Run("dense-n64", func(b *testing.B) {
+		load, cycle := denseChurn(1)
+		s, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.UpdateBatch(load); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.UpdateBatch(cycle[i%len(cycle)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ups := float64(b.N) * float64(len(cycle[0]))
+		b.ReportMetric(ups/b.Elapsed().Seconds(), "updates/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ups, "ns/update")
+	})
+}
+
+// BenchmarkParallelDecodecompares the serial skeleton peel against the
 // engine's fan-out decode (concurrent layer clones and forest broadcasts)
 // on a k-skeleton of the E1 workload graph.
 func BenchmarkParallelDecode(b *testing.B) {

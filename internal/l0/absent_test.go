@@ -52,10 +52,10 @@ func TestAbsentSampler(t *testing.T) {
 			}
 		}, true},
 		{"Clone", func(t *testing.T, s *Sampler) {
-			if c := s.Clone(); c.levels != nil || c.sh != s.sh {
+			if c := s.Clone(); c.cells != nil || c.sh != s.sh {
 				t.Fatal("clone of an absent sampler is not absent on the same randomness")
 			}
-			if row := CloneRow([]Sampler{*s}); row[0].levels != nil {
+			if row := CloneRow([]Sampler{*s}); row[0].cells != nil {
 				t.Fatal("CloneRow materialized an absent sampler")
 			}
 		}, true},
@@ -88,7 +88,7 @@ func TestAbsentSampler(t *testing.T) {
 		}, true},
 		{"AddBinary/top-level", func(t *testing.T, s *Sampler) {
 			share := New(0xab5e, dom, cfg)
-			share.level(cfg.MaxLevels - 1)
+			share.grow(cfg.MaxLevels)
 			if _, err := s.AddBinary(share.AppendBinary(nil)); err != nil {
 				t.Fatalf("a share at level %d rejected: %v", cfg.MaxLevels-1, err)
 			}
@@ -112,7 +112,7 @@ func TestAbsentSampler(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, s := range []*Sampler{New(0xab5e, dom, cfg), &NewRow(0xab5e, dom, cfg, 2)[1]} {
 				tc.run(t, s)
-				if got := s.levels == nil; got != tc.absent {
+				if got := s.cells == nil; got != tc.absent {
 					t.Fatalf("absent after %s = %v, want %v", tc.name, got, tc.absent)
 				}
 			}

@@ -9,31 +9,22 @@ import "graphsketch/internal/obs"
 // (per recovery.SSparse.MaybeDecodable) reached before a populated
 // decodable one is where Sample would fail.
 func (s *Sampler) Health() obs.Report {
-	allocated, cells, nonzero, top := 0, 0, 0, -1
-	for lv := len(s.levels) - 1; lv >= 0; lv-- {
-		t := s.levels[lv]
-		if t == nil {
-			continue
-		}
-		allocated++
-		if top < 0 {
-			top = lv
-		}
-		c, nz := t.CellStats()
+	allocated := s.levels()
+	cells, nonzero := 0, 0
+	for lv := 0; lv < allocated; lv++ {
+		level := s.level(lv)
+		c, nz := level.CellStats()
 		cells += c
 		nonzero += nz
 	}
 	atRisk := 0.0
-	for lv := len(s.levels) - 1; lv >= 0; lv-- {
-		t := s.levels[lv]
-		if t == nil {
-			continue
-		}
-		if !t.MaybeDecodable() {
+	for lv := allocated - 1; lv >= 0; lv-- {
+		level := s.level(lv)
+		if !level.MaybeDecodable() {
 			atRisk = 1
 			break
 		}
-		if _, nz := t.CellStats(); nz > 0 {
+		if _, nz := level.CellStats(); nz > 0 {
 			break // a decodable populated level: Sample succeeds here
 		}
 	}
@@ -46,7 +37,7 @@ func (s *Sampler) Health() obs.Report {
 		Metrics: map[string]float64{
 			"levels":           float64(s.sh.cfg.MaxLevels),
 			"levels_allocated": float64(allocated),
-			"top_level":        float64(top),
+			"top_level":        float64(allocated - 1),
 			"cell_fill":        fill,
 			"at_risk":          atRisk,
 		},

@@ -6,7 +6,8 @@
 // The construction layers geometric subsampling over certified s-sparse
 // recovery: coordinate i participates in levels 0..Level(i) where
 // P[Level(i) ≥ l] = 2^-l, and each level holds an s-sparse recovery
-// structure. Whatever the support size, some level whp holds between 1 and
+// structure; a sampler stores the cells of all its levels back to back in
+// one arena (see Sampler). Whatever the support size, some level whp holds between 1 and
 // s surviving coordinates and decodes exactly; the sampler returns the
 // minimum-hash element of that level for uniformity.
 //
@@ -60,24 +61,31 @@ func (c Config) withDefaults(domain uint64) Config {
 
 // Sampler is a linear L0-sampling sketch over [0, domain).
 //
-// Allocation is lazy at two grains. An absent sampler, one no update or
-// merge has reached, has a nil level slice and no heap object of its own
-// (NewRow lays a round's samplers out by value); queries, serialization,
-// Clone and merging in an absent source all leave it absent. After that, a
-// level's recovery structure materializes on the first update that reaches
-// it. A coordinate reaches level l with probability 2^-l, so a sampler
-// that has seen d updates allocates about log2(d) levels — this is what
-// keeps a full graph sketch (one sampler per vertex per round)
+// Its state is one pointer-free cell arena: levels 0..L back to back, each
+// laid out exactly like its wire bytes (the certification cell, then the
+// rows × buckets grid; see recovery.SSparse). An update therefore does one
+// dependent load — the arena base — and touches one cache line per row of
+// each level it reaches.
+//
+// Allocation is lazy. An absent sampler, one no update or merge has
+// reached, has a nil arena and no heap object of its own (NewRow lays a
+// round's samplers out by value); queries, serialization, Clone and
+// merging in an absent source all leave it absent. After that the
+// allocated levels are always a prefix 0..L: the first update that reaches
+// a level above L grows the arena once, to the exact size for levels up to
+// that one. A coordinate reaches level l with probability 2^-l, so a
+// sampler that has seen d updates allocates about log2(d) levels — this is
+// what keeps a full graph sketch (one sampler per vertex per round)
 // proportional to the sketch's *information* content rather than to n or
 // the worst-case level count. An absent sampler or unallocated level is
 // exactly a zero structure; linearity is unaffected.
 //
-// The sampler's own state is only the level slice; every derived constant
-// (hashes, ladder, per-level shapes, pre-defaulted config) lives in the
-// interned sharedRand, sized once from the domain at interning time.
+// Every derived constant (hashes, ladder, per-level shapes, pre-defaulted
+// config) lives in the interned sharedRand, sized once from the domain at
+// interning time.
 type Sampler struct {
-	sh     *sharedRand
-	levels []*recovery.SSparse // nil while absent; nil entries are implicitly zero
+	sh    *sharedRand
+	cells []recovery.Cell // levels 0..L, sh.stride cells each; nil while absent
 }
 
 // New returns an absent sampler for indices in [0, domain). Samplers with
@@ -97,20 +105,28 @@ func NewRow(seed uint64, domain uint64, cfg Config, n int) []Sampler {
 	return row
 }
 
-// level returns the recovery structure for lv, allocating it (and, on an
-// absent sampler, the level slice) if needed.
-// Allocation is three pointer-free slices over the interned shape — no
-// config re-derivation, no hash drawing.
-func (s *Sampler) level(lv int) *recovery.SSparse {
-	if s.levels == nil {
-		s.levels = make([]*recovery.SSparse, s.sh.cfg.MaxLevels)
+// levels returns the number of allocated levels.
+func (s *Sampler) levels() int { return len(s.cells) / s.sh.stride }
+
+// cellsOf returns level lv's cells, which must be allocated.
+func (s *Sampler) cellsOf(lv int) []recovery.Cell {
+	st := s.sh.stride
+	return s.cells[lv*st : (lv+1)*st]
+}
+
+// level returns a recovery view of allocated level lv.
+func (s *Sampler) level(lv int) recovery.SSparse {
+	return s.sh.shapes[lv].View(s.cellsOf(lv))
+}
+
+// grow extends the arena to hold levels 0..n-1, moving the allocated prefix
+// into one exact-size allocation. It is a no-op when they already exist.
+func (s *Sampler) grow(n int) {
+	if need := n * s.sh.stride; len(s.cells) < need {
+		cells := make([]recovery.Cell, need)
+		copy(cells, s.cells)
+		s.cells = cells
 	}
-	t := s.levels[lv]
-	if t == nil {
-		t = recovery.NewSSparseFromShape(s.sh.shapes[lv])
-		s.levels[lv] = t
-	}
-	return t
 }
 
 // Update applies f[i] += delta. One ladder evaluation of z^i serves every
@@ -141,17 +157,10 @@ func (s *Sampler) UpdateHashed(i uint64, delta int64, top int, zPow field.Elem) 
 	}
 	iRed := field.Reduce(i)
 	dMom, dFp := recovery.DeltaTerms(iRed, zPow, delta)
-	if s.levels == nil {
-		s.levels = make([]*recovery.SSparse, s.sh.cfg.MaxLevels)
-	}
-	levels := s.levels
-	for lv := 0; lv <= top; lv++ {
-		t := levels[lv]
-		if t == nil { // manual inline of level(): keep the hot loop call-free
-			t = recovery.NewSSparseFromShape(s.sh.shapes[lv])
-			levels[lv] = t
-		}
-		t.ApplyDelta(iRed, delta, dMom, dFp)
+	s.grow(top + 1)
+	st, cells := s.sh.stride, s.cells
+	for lv, shape := range s.sh.shapes[:top+1] {
+		shape.ApplyDelta(cells[lv*st:(lv+1)*st], iRed, delta, dMom, dFp)
 	}
 }
 
@@ -161,37 +170,28 @@ func (s *Sampler) AddScaled(o *Sampler, scale int64) error {
 	if s.sh != o.sh && (s.sh.seed != o.sh.seed || s.sh.dom != o.sh.dom || s.sh.cfg != o.sh.cfg) {
 		return recovery.ErrIncompatible
 	}
-	for lv := range o.levels {
-		if o.levels[lv] == nil {
-			continue // adding zero
-		}
-		if err := s.level(lv).AddScaled(o.levels[lv], scale); err != nil {
-			return err
-		}
-	}
+	// Compatible samplers share every level's geometry, so their arenas'
+	// allocated prefixes line up cell for cell.
+	s.grow(o.levels())
+	recovery.AddCells(s.cells, o.cells, scale)
 	return nil
 }
 
 // Clone returns a deep copy (the interned randomness is shared).
-func (s *Sampler) Clone() *Sampler { return &CloneRow([]Sampler{*s})[0] }
+func (s *Sampler) Clone() *Sampler { return &Sampler{sh: s.sh, cells: slices.Clone(s.cells)} }
 
 // CloneRow deep-copies a row of samplers into a new by-value row.
 func CloneRow(row []Sampler) []Sampler {
 	cp := slices.Clone(row)
 	for i := range cp {
-		cp[i].levels = slices.Clone(cp[i].levels) // stays nil while absent
-		for lv, t := range cp[i].levels {
-			if t != nil {
-				cp[i].levels[lv] = t.Clone()
-			}
-		}
+		cp[i].cells = slices.Clone(cp[i].cells) // stays nil while absent
 	}
 	return cp
 }
 
 // IsZero reports whether the sketch is consistent with the zero vector.
 func (s *Sampler) IsZero() bool {
-	return s.levels == nil || s.levels[0] == nil || s.levels[0].IsZero()
+	return len(s.cells) == 0 || s.cells[0].IsZero()
 }
 
 // Sample returns an element (index, value) of the support of f, chosen
@@ -204,18 +204,17 @@ func (s *Sampler) IsZero() bool {
 // support with its true value.
 func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
 	lm.draws.Inc()
-	// Scan from the sparsest level down; the first decodable level with
-	// nonempty support yields the sample.
-	for lv := len(s.levels) - 1; lv >= 0; lv-- {
-		if s.levels[lv] == nil {
-			continue // unallocated level is empty
-		}
-		vec, decoded := s.levels[lv].Decode()
+	// Scan from the sparsest allocated level down (the unallocated ones
+	// above it are empty); the first decodable level with nonempty support
+	// yields the sample.
+	for lv := s.levels() - 1; lv >= 0; lv-- {
+		level := s.level(lv)
+		vec, decoded := level.Decode()
 		if !decoded {
 			// This level is too dense; all sparser levels were empty,
 			// so the support-size transition skipped the window.
 			lm.failures.Inc()
-			obs.RecordEvent("l0.sample_failure", "level", lv, "max_levels", len(s.levels))
+			obs.RecordEvent("l0.sample_failure", "level", lv, "max_levels", s.sh.cfg.MaxLevels)
 			return 0, 0, false
 		}
 		if len(vec) == 0 {
@@ -241,10 +240,11 @@ func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
 // support has at most S elements (level 0 decodes). This is what the
 // spanning-graph sketches use when a supernode has few incident edges.
 func (s *Sampler) Decode() (map[uint64]int64, bool) {
-	if s.levels == nil || s.levels[0] == nil {
+	if len(s.cells) == 0 {
 		return map[uint64]int64{}, true
 	}
-	return s.levels[0].Decode()
+	level := s.level(0)
+	return level.Decode()
 }
 
 // Domain returns the exclusive index upper bound.
@@ -259,15 +259,7 @@ func (s *Sampler) Config() Config { return s.sh.cfg }
 // never transmitted). Containers that know their family structure — a
 // spanning sketch's n same-seed samplers per round — combine StateWords
 // with one SharedWords per family for exact deterministic accounting.
-func (s *Sampler) StateWords() int {
-	w := 0
-	for _, lv := range s.levels {
-		if lv != nil {
-			w += lv.Words()
-		}
-	}
-	return w
-}
+func (s *Sampler) StateWords() int { return 3 * len(s.cells) }
 
 // SharedWords returns the size in 64-bit words of the interned seed-derived
 // randomness this sampler references (fingerprint ladder, level hash,

@@ -17,7 +17,7 @@ import (
 // the round's seed — a NewRow of n samplers per round. The row looks its
 // entry up once, and each sampler, absent or not, holds only a pointer to
 // it, so the round pays for this randomness once and an untouched sampler
-// pays nothing beyond that pointer and its nil level slice.
+// pays nothing beyond that pointer and its nil cell arena.
 type sharedRand struct {
 	cfg    Config // defaulted
 	dom    uint64
@@ -27,6 +27,7 @@ type sharedRand struct {
 	z      field.Elem
 	ladder *field.Ladder
 	shapes []*recovery.Shape // per-level geometry and bucket hashes
+	stride int               // cells per level, equal for every level's shape
 	words  int               // derived-randomness words
 }
 
@@ -99,6 +100,7 @@ func newSharedRand(seed, dom uint64, cfg Config) *sharedRand {
 		sh.shapes[lv] = recovery.NewShape(ss.At(uint64(100+lv)), dom, rcfg, z)
 		words += sh.shapes[lv].RandWords()
 	}
+	sh.stride = sh.shapes[0].Cells()
 	sh.words = words
 	return sh
 }

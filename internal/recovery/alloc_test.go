@@ -6,8 +6,8 @@ import (
 	"graphsketch/internal/field"
 )
 
-// The SoA layout exists so the streaming hot path stays off the allocator:
-// every cell write lands in preallocated flat slices. Pin that property so a
+// The flat cell layout exists so the streaming hot path stays off the
+// allocator: every cell write lands in one preallocated slice. Pin that property so a
 // refactor cannot silently reintroduce per-update garbage.
 func TestSSparseUpdateZeroAllocs(t *testing.T) {
 	s := NewSSparse(0xa110c, 1<<20, SSparseConfig{S: 8})
@@ -29,11 +29,11 @@ func TestSSparseApplyDeltaZeroAllocs(t *testing.T) {
 	zPow := s.Z() // any field element works as a power
 	dMom, dFp := DeltaTerms(iRed, zPow, 1)
 	allocs := testing.AllocsPerRun(200, func() {
-		s.ApplyDelta(iRed, 1, dMom, dFp)
-		s.ApplyDelta(iRed, -1, field.Neg(dMom), field.Neg(dFp))
+		s.shape.ApplyDelta(s.cells, iRed, 1, dMom, dFp)
+		s.shape.ApplyDelta(s.cells, iRed, -1, field.Neg(dMom), field.Neg(dFp))
 	})
 	if allocs != 0 {
-		t.Fatalf("SSparse.ApplyDelta allocates %.1f objects per run; want 0", allocs)
+		t.Fatalf("Shape.ApplyDelta allocates %.1f objects per run; want 0", allocs)
 	}
 }
 

@@ -16,6 +16,12 @@
 // result behaves exactly as if the combined update stream had been fed to a
 // single instance. This linearity is what the paper's peeling constructions
 // (k-skeletons, light_k reconstruction, sparsifier levels) rely on.
+//
+// State is stored as flat runs of 24-byte Cells in wire order, so a
+// structure's state, its serialized bytes and a container's arena of many
+// structures are the same sequence: an SSparse is a (Shape, cells) view of
+// one run, and the L0 sampler keeps all its levels' runs in one slice and
+// updates them in place with Shape.ApplyDelta.
 package recovery
 
 import (
@@ -30,37 +36,94 @@ import (
 // created with identical seeds and shapes.
 var ErrIncompatible = errors.New("recovery: incompatible structures (different seed, domain, or shape)")
 
-// OneSparse is an exact 1-sparse recovery cell over the index domain
-// [0, Domain). It stores three words: the exact sum of deltas, the first
-// index moment mod p, and a polynomial fingerprint at a seeded evaluation
-// point. The moment is kept mod p (not exactly) so that arbitrarily long
-// update streams cannot overflow it; the index is recovered by division in
-// the field and then verified against the fingerprint.
-type OneSparse struct {
+// Cell is the state of one 1-sparse cell, 24 bytes in the order they
+// travel on the wire: the exact sum of deltas, the first index moment mod p,
+// and a polynomial fingerprint at the owner's evaluation point. The moment
+// is kept mod p (not exactly) so that arbitrarily long update streams cannot
+// overflow it; the index is recovered by division in the field and then
+// verified against the fingerprint. A Cell holds no pointers, so a slice of
+// them — an SSparse level, or an L0 sampler's whole level arena — is one
+// flat block the garbage collector never scans.
+type Cell struct {
 	count int64      // exact sum of deltas, assumed |count| < 2^61 (multigraph multiplicities are small)
 	mom   field.Elem // sum of delta * i mod p
 	fp    field.Elem // sum of delta * z^i mod p
-	z     field.Elem // fingerprint evaluation point, derived from the seed
-	dom   uint64     // exclusive upper bound on valid indices
+}
+
+// add applies one precomputed update (see DeltaTerms) to the cell.
+func (c *Cell) add(delta int64, dMom, dFp field.Elem) {
+	c.count += delta
+	c.mom = field.Add(c.mom, dMom)
+	c.fp = field.Add(c.fp, dFp)
+}
+
+// IsZero reports whether the cell is consistent with the zero vector. A
+// nonzero vector passes this test only with probability O(degree/p) over the
+// fingerprint point — about 2^-40 for the domains used here.
+func (c Cell) IsZero() bool {
+	return c.count == 0 && c.mom == 0 && c.fp == 0
+}
+
+// decode attempts 1-sparse recovery of the cell's vector with fingerprint
+// point z over indices [0, dom): (i, v, true) when exactly one coordinate i
+// is nonzero with value v, ok = false when the vector is zero or not
+// 1-sparse (up to a false positive of probability O(dom/p)).
+func (c Cell) decode(z field.Elem, dom uint64) (i uint64, v int64, ok bool) {
+	if c.count == 0 {
+		// A truly 1-sparse vector has count equal to its nonzero value,
+		// so count == 0 means "zero or not 1-sparse" either way.
+		return 0, 0, false
+	}
+	f := field.FromInt64(c.count)
+	if f == 0 {
+		return 0, 0, false
+	}
+	idx := field.Mul(c.mom, field.Inv(f))
+	if uint64(idx) >= dom {
+		rm.fpRejects.Inc()
+		return 0, 0, false
+	}
+	// Verify: a 1-sparse vector with value count at idx has fingerprint
+	// count * z^idx.
+	if field.Mul(f, field.Pow(z, uint64(idx))) != c.fp {
+		rm.fpRejects.Inc()
+		return 0, 0, false
+	}
+	return uint64(idx), c.count, true
+}
+
+// AddCells adds scale copies of src into dst[:len(src)], cell by cell. It
+// is the linear merge of two same-shape cell blocks: an SSparse level, or a
+// run of levels laid out back to back.
+func AddCells(dst, src []Cell, scale int64) {
+	dst = dst[:len(src)]
+	if scale == 1 {
+		// The common merge path (supernode sampler sums, skeleton layer
+		// merges) stays multiplication-free.
+		for i := range src {
+			dst[i].add(src[i].count, src[i].mom, src[i].fp)
+		}
+		return
+	}
+	s := field.FromInt64(scale)
+	for i := range src {
+		c := &src[i]
+		dst[i].add(scale*c.count, field.Mul(s, c.mom), field.Mul(s, c.fp))
+	}
+}
+
+// OneSparse is an exact 1-sparse recovery cell over the index domain
+// [0, Domain): a Cell together with its fingerprint point and domain.
+type OneSparse struct {
+	Cell
+	z   field.Elem // fingerprint evaluation point, derived from the seed
+	dom uint64     // exclusive upper bound on valid indices
 }
 
 // NewOneSparse returns a cell for indices in [0, domain). Cells created with
 // equal seeds and domains are compatible for AddScaled.
 func NewOneSparse(seed uint64, domain uint64) *OneSparse {
-	return NewOneSparseAt(fingerprintPoint(seed), domain)
-}
-
-// NewOneSparseAt returns a cell whose fingerprint is evaluated at the given
-// point. Containers that hold many cells use a shared point so that a
-// single z^i exponentiation per update serves every cell (see
-// SSparse.Update); sharing the point across cells is sound because the
-// cells' contents are determined by independent bucket hashes, and the
-// fingerprint's false-positive probability per decode stays O(domain/p).
-func NewOneSparseAt(z field.Elem, domain uint64) *OneSparse {
-	if z == 0 || z == 1 {
-		z = 2
-	}
-	return &OneSparse{dom: domain, z: z}
+	return &OneSparse{z: fingerprintPoint(seed), dom: domain}
 }
 
 // FingerprintPoint derives the fingerprint evaluation point a structure
@@ -84,38 +147,9 @@ func (c *OneSparse) Update(i uint64, delta int64) {
 	if i >= c.dom {
 		panic(fmt.Sprintf("recovery: index %d out of domain %d", i, c.dom))
 	}
-	c.updatePow(i, delta, field.Pow(c.z, i))
+	dMom, dFp := DeltaTerms(field.Reduce(i), field.Pow(c.z, i), delta)
+	c.add(delta, dMom, dFp)
 }
-
-// updatePow is Update with the fingerprint power z^i precomputed by the
-// caller, letting containers amortize the exponentiation across cells that
-// share the evaluation point.
-func (c *OneSparse) updatePow(i uint64, delta int64, zPow field.Elem) {
-	c.updatePowRed(field.Reduce(i), delta, zPow)
-}
-
-// updatePowRed is updatePow with the index also pre-reduced into the field
-// — containers hoist both the reduction and the exponentiation out of
-// their per-cell loops. Unit deltas (±1, the overwhelming common case for
-// edge streams) skip the generic scalar multiply entirely.
-func (c *OneSparse) updatePowRed(iRed field.Elem, delta int64, zPow field.Elem) {
-	c.count += delta
-	switch delta {
-	case 1:
-		c.mom = field.Add(c.mom, iRed)
-		c.fp = field.Add(c.fp, zPow)
-	case -1:
-		c.mom = field.Sub(c.mom, iRed)
-		c.fp = field.Sub(c.fp, zPow)
-	default:
-		d := field.FromInt64(delta)
-		c.mom = field.Add(c.mom, field.Mul(d, iRed))
-		c.fp = field.Add(c.fp, field.Mul(d, zPow))
-	}
-}
-
-// Z returns the fingerprint evaluation point (for containers that share it).
-func (c *OneSparse) Z() field.Elem { return c.z }
 
 // AddScaled adds scale copies of o into c: f_c += scale * f_o.
 func (c *OneSparse) AddScaled(o *OneSparse, scale int64) error {
@@ -123,28 +157,8 @@ func (c *OneSparse) AddScaled(o *OneSparse, scale int64) error {
 		return ErrIncompatible
 	}
 	s := field.FromInt64(scale)
-	c.count += scale * o.count
-	c.mom = field.Add(c.mom, field.Mul(s, o.mom))
-	c.fp = field.Add(c.fp, field.Mul(s, o.fp))
+	c.add(scale*o.count, field.Mul(s, o.mom), field.Mul(s, o.fp))
 	return nil
-}
-
-// Clone returns a deep copy.
-func (c *OneSparse) Clone() *OneSparse {
-	cp := *c
-	return &cp
-}
-
-// Reset returns the cell to the zero-vector state, keeping its randomness.
-func (c *OneSparse) Reset() {
-	c.count, c.mom, c.fp = 0, 0, 0
-}
-
-// IsZero reports whether the cell is consistent with the zero vector. A
-// nonzero vector passes this test only with probability O(degree/p) over the
-// fingerprint point — about 2^-40 for the domains used here.
-func (c *OneSparse) IsZero() bool {
-	return c.count == 0 && c.mom == 0 && c.fp == 0
 }
 
 // Decode attempts 1-sparse recovery. If the cell's vector has exactly one
@@ -152,27 +166,7 @@ func (c *OneSparse) IsZero() bool {
 // probability. If the vector is zero or not 1-sparse, ok is false (with
 // failure probability O(domain/p) of a false positive).
 func (c *OneSparse) Decode() (i uint64, v int64, ok bool) {
-	if c.IsZero() || c.count == 0 {
-		// A truly 1-sparse vector has count equal to its nonzero value,
-		// so count == 0 means "zero or not 1-sparse" either way.
-		return 0, 0, false
-	}
-	f := field.FromInt64(c.count)
-	if f == 0 {
-		return 0, 0, false
-	}
-	idx := field.Mul(c.mom, field.Inv(f))
-	if uint64(idx) >= c.dom {
-		rm.fpRejects.Inc()
-		return 0, 0, false
-	}
-	// Verify: a 1-sparse vector with value count at idx has fingerprint
-	// count * z^idx.
-	if field.Mul(f, field.Pow(c.z, uint64(idx))) != c.fp {
-		rm.fpRejects.Inc()
-		return 0, 0, false
-	}
-	return uint64(idx), c.count, true
+	return c.decode(c.z, c.dom)
 }
 
 // Domain returns the exclusive index upper bound.

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"bytes"
+	"errors"
 	"math/rand/v2"
 	"testing"
 )
@@ -88,6 +90,30 @@ func TestSSparseBinaryTruncated(t *testing.T) {
 	r := NewSSparse(1, testDomain, SSparseConfig{S: 4})
 	if _, err := r.AddBinary(data[:len(data)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
+	}
+}
+
+// A rejected merge must leave the target untouched: merging any strict
+// prefix of a one-entry level — e.g. 40 bytes, the certification cell and
+// part of the first grid cell — returns ErrShortBuffer, and the target's
+// bytes and decode stay exactly as they were.
+func TestSSparseTruncatedMergeIsNoOp(t *testing.T) {
+	src := NewSSparse(1, testDomain, SSparseConfig{S: 4})
+	src.Update(5, 1)
+	data := src.AppendBinary(nil)
+	for _, target := range []*SSparse{NewSSparse(1, testDomain, SSparseConfig{S: 4}), src.Clone()} {
+		before := target.AppendBinary(nil)
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := target.AddBinary(data[:cut]); !errors.Is(err, ErrShortBuffer) {
+				t.Fatalf("%d-byte prefix: err %v, want ErrShortBuffer", cut, err)
+			}
+			if !bytes.Equal(target.AppendBinary(nil), before) {
+				t.Fatalf("rejected %d-byte prefix changed the structure", cut)
+			}
+		}
+		if _, ok := target.Decode(); !ok {
+			t.Fatal("structure no longer decodes after rejected merges")
+		}
 	}
 }
 

@@ -129,9 +129,12 @@ func TestRouteZeroAllocs(t *testing.T) {
 
 // TestShardSkewMetrics checks the skew-detection pair on a pathological
 // star graph: every edge is incident to vertex 0, so shard 0 owns every
-// edge while the other shards split the far endpoints. The per-shard edge
-// counters must show the exact imbalance and shard 0's busy-time gauge must
-// dominate.
+// edge while the other shards split the far endpoints. The batch also holds
+// every edge inside shard 0's range, twice, which only shard 0 applies,
+// so the hub does over 30× a spoke's sampler work and its busy time stays
+// ahead even when preemption on a small, loaded host lands in the hub's
+// favour. The per-shard edge counters must show the exact imbalance and
+// shard 0's busy-time gauge must dominate.
 func TestShardSkewMetrics(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -154,10 +157,21 @@ func TestShardSkewMetrics(t *testing.T) {
 		busyBefore[i] = busy[i].Value()
 	}
 
-	// Star batch: {0, v} for v in the other three shards' ranges [16, 64).
+	// Star batch: {0, v} for v in the other three shards' ranges [16, 64),
+	// 16 edges per spoke, plus every hub-internal edge {u, v} with
+	// 0 <= u < v < 16, twice (240 updates). Per batch the hub applies
+	// 48 + 2·240 = 528 endpoint updates and each spoke 16.
 	var batch []graph.WeightedEdge
 	for v := n / shards; v < n; v++ {
 		batch = append(batch, graph.WeightedEdge{E: graph.MustEdge(0, v), W: 1})
+	}
+	star := len(batch)
+	for range 2 {
+		for u := 0; u < n/shards; u++ {
+			for v := u + 1; v < n/shards; v++ {
+				batch = append(batch, graph.WeightedEdge{E: graph.MustEdge(u, v), W: 1})
+			}
+		}
 	}
 	const reps = 50
 	for i := 0; i < reps; i++ {
@@ -176,7 +190,7 @@ func TestShardSkewMetrics(t *testing.T) {
 	}
 	for i := 1; i < shards; i++ {
 		spoke := edges[i].Value() - edgesBefore[i]
-		if want := int64(reps * len(batch) / (shards - 1)); spoke != want {
+		if want := int64(reps * star / (shards - 1)); spoke != want {
 			t.Fatalf("spoke shard %d owned %d edges, want %d", i, spoke, want)
 		}
 		if spokeBusy := busy[i].Value() - busyBefore[i]; spokeBusy >= hubBusy {

@@ -1,6 +1,7 @@
 package shardplane
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -94,4 +95,54 @@ func TestAckRoundTrip(t *testing.T) {
 	if err := parseAck(nil); !errors.Is(err, codec.ErrTruncated) {
 		t.Fatalf("empty ack: got %v, want ErrTruncated", err)
 	}
+}
+
+// FuzzWirePayloads feeds arbitrary bytes to the three payload parsers a
+// shard server and its coordinator read off the network. None may panic,
+// every rejection must be typed, and every accepted payload must survive
+// its encoder: hello and batch re-encode to the exact input bytes, and an
+// ack re-encodes to a payload that parses to the same outcome.
+func FuzzWirePayloads(f *testing.F) {
+	f.Add(appendHello(nil, helloPayload{Shard: 1, Shards: 3, Lo: 8, Hi: 16, Ckpt: []byte("GSKF")}))
+	f.Add(appendBatch(nil, []graph.WeightedEdge{
+		{E: graph.MustEdge(0, 7), W: 1},
+		{E: graph.Hyperedge{1, 4, 9}, W: -3},
+	}))
+	f.Add(appendBatch(nil, nil))
+	f.Add(appendAck(nil, nil))
+	f.Add(appendAck(nil, errors.New("shard: vertex 9 out of range")))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		typed := func(what string, err error) {
+			if !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s rejected with an untyped error: %v", what, err)
+			}
+		}
+		if h, err := parseHello(p); err != nil {
+			typed("hello", err)
+		} else if got := appendHello(nil, h); !bytes.Equal(got, p) {
+			t.Fatalf("hello %+v re-encodes to %x, want %x", h, got, p)
+		}
+		if batch, err := parseBatch(nil, p); err != nil {
+			typed("batch", err)
+		} else if got := appendBatch(nil, batch); !bytes.Equal(got, p) {
+			t.Fatalf("batch of %d edges re-encodes to %x, want %x", len(batch), got, p)
+		}
+		err := parseAck(p)
+		if len(p) < 4 {
+			typed("ack", err)
+			return
+		}
+		var again error
+		if err == nil {
+			again = parseAck(appendAck(nil, nil))
+		} else {
+			if !errors.Is(err, ErrRemote) {
+				t.Fatalf("error ack does not wrap ErrRemote: %v", err)
+			}
+			again = parseAck(appendAck(nil, errors.New(string(p[4:]))))
+		}
+		if (err == nil) != (again == nil) || (err != nil && err.Error() != again.Error()) {
+			t.Fatalf("ack %q re-parses as %v, want %v", p, again, err)
+		}
+	})
 }
