@@ -72,9 +72,10 @@ bench-check:
 
 # Wire-format gate: the codec corruption/round-trip suite and the root
 # checkpoint conformance harness under the race detector, plus a fuzz smoke
-# of both codec targets, the L0 sampler share parser, and the shard-plane
-# hello/batch/ack payload parsers (go test accepts one -fuzz pattern per
-# run, hence one invocation each). The payload target caps minimization at
+# of both codec targets, the L0 sampler share parser, the shard-plane
+# hello/batch/ack payload parsers, every structure's share-frame merge, the
+# hybrid state restore, and the edge-list parser (go test accepts one -fuzz
+# pattern per run, hence one invocation each). The payload target caps minimization at
 # 100 runs per input: with the default 60 s budget a 10 s smoke run from an
 # empty corpus spends most of its time minimizing instead of fuzzing.
 codec-check:
@@ -84,6 +85,9 @@ codec-check:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzSamplerAddBinary -fuzztime 10s ./internal/l0/
 	$(GO) test -run '^$$' -fuzz FuzzWirePayloads -fuzztime 10s -fuzzminimizetime 100x ./internal/shardplane/
+	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s ./internal/hybrid/
+	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/stream/
 
 # Race-enabled run of the concurrency-sensitive packages plus the obs
 # endpoint smoke test — the fast loop CI runs on every push (race over the

@@ -24,7 +24,8 @@ var ErrMergeMismatch = errors.New("graphsketch: cannot merge sketches of differe
 var ErrStaleDecode = errors.New("graphsketch: snapshot rebuild failed, serving would use a stale decode")
 
 // ErrVertexRange is returned by Querier and Oracle methods when a query
-// names a vertex outside the sketch's vertex space [0, n).
+// names a vertex outside the sketch's vertex space [0, n), and (wrapped) by
+// share-frame merges when a frame names such a vertex.
 var ErrVertexRange = errors.New("graphsketch: query vertex out of range")
 
 // Updater consumes weighted hyperedge updates. A deletion is an update with
@@ -60,43 +61,34 @@ type Mergeable interface {
 //     aggregation).
 //   - Words reports the memory footprint in 64-bit words (the paper's space
 //     measure).
-//   - Marshal emits the raw, unversioned state bytes — the legacy escape
-//     hatch. WARNING: raw state carries no identity: parameters and seeds
-//     are NOT serialized, there is no version, checksum, or mismatch
-//     detection, and bytes fed to Unmarshal on a differently-constructed
-//     instance silently decode to garbage. Durable or transported state
-//     should use the framed format instead: Checkpointer (WriteTo/ReadFrom)
-//     and codec.Open wrap exactly these bytes in a self-describing,
-//     checksummed envelope that verifies identity before merging. Marshal
-//     remains useful in-process, where both endpoints are known to share
-//     construction — it is the compact interior of a checkpoint frame.
-//   - Unmarshal restores (by linear addition) contents produced by Marshal
-//     on an identically-constructed sketch. Calling it on a non-empty
-//     sketch adds the two states, which is itself meaningful by linearity.
-//     The same no-identity warning as Marshal applies; prefer Checkpointer.
+//
+// State leaves a process only as a self-describing frame: a checkpoint
+// (Checkpointer) or, for the vertex-sharded sketches, one share frame per
+// vertex. Both carry an identity fingerprint the receiver verifies before
+// merging.
 type Sketch interface {
 	Updater
 	Mergeable
 	Words() int
-	Marshal() []byte
-	Unmarshal(data []byte) error
 }
 
 // Checkpointer is a Sketch that can durably checkpoint and restore itself
 // through the versioned wire format (internal/codec). WriteTo emits one
 // self-describing frame: magic, format version, structure type tag,
 // params+seed identity fingerprint, the construction parameters themselves,
-// the Marshal state, and a checksum. ReadFrom reads such a frame back,
-// verifying that the frame's fingerprint matches the receiver's before
-// merging the state linearly (an exact restore when the receiver is fresh);
-// a frame from a differently-constructed sketch fails with
-// codec.ErrFingerprint instead of silently mis-merging.
+// the sketch state (for a vertex-sharded sketch, its n vertex shares in
+// order), and a checksum. ReadFrom reads such a frame back, verifying that
+// the frame's fingerprint matches the receiver's before merging the state
+// linearly (an exact restore when the receiver is fresh); a frame from a
+// differently-constructed sketch fails with codec.ErrFingerprint instead of
+// silently mis-merging.
 //
 // Because checkpoint frames embed their parameters, codec.Open can
 // reconstruct the sketch from the frame alone — no out-of-band construction
 // — which is the intended restart path.
 //
-// All seven Sketch implementations satisfy Checkpointer.
+// All eight checkpointable sketches (the seven Sketch implementations above
+// plus hybrid.Sketch) satisfy Checkpointer.
 type Checkpointer interface {
 	Sketch
 	io.WriterTo

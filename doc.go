@@ -5,15 +5,15 @@
 // hyperedge insertions and deletions.
 //
 // This root package declares the interfaces every sketch in the library
-// satisfies: Updater (Update / UpdateBatch), Mergeable, Sketch (adds Words,
-// Marshal, and Unmarshal), and Sharded — the contract that lets
-// internal/engine ingest updates through a lock-free vertex-sharded worker
-// pool and decode with fan-out, with results byte-identical to serial
-// execution — plus the query-serving side: Querier (Connected(u,v) answered
-// from an epoch-cached snapshot in O(α(n))) and Oracle (adds vertex-cut
-// DisconnectedBy and the Epoch counter), implemented by internal/oracle
-// for the spanning, skeleton, vertex-connectivity, edge-connectivity, and
-// sparsifier sketches. Constructors across the library follow one
+// satisfies: Updater (Update / UpdateBatch), Mergeable, Sketch (adds
+// Words), Checkpointer (framed checkpoints), and Sharded — the contract
+// that lets internal/engine ingest updates through a lock-free
+// vertex-sharded worker pool and decode with fan-out, with results
+// byte-identical to serial execution — plus the query-serving side:
+// Querier (Connected(u,v) answered from an epoch-cached snapshot in
+// O(α(n))) and Oracle (adds vertex-cut DisconnectedBy and the Epoch
+// counter), implemented by internal/oracle for the spanning, skeleton,
+// vertex-connectivity, edge-connectivity, and sparsifier sketches. Constructors across the library follow one
 // convention: a Params struct whose zero fields receive sound defaults,
 // returning (*Sketch, error); incompatibilities and decode failures are
 // reported via sentinel errors (graphsketch.ErrMergeMismatch,
@@ -25,7 +25,7 @@
 //
 //	Updater    Update, UpdateBatch            one ±1 update / amortized batch
 //	Mergeable  Merge                          add an identically-parameterized sketch
-//	Sketch     Updater + Mergeable + Words, Marshal, Unmarshal
+//	Sketch     Updater + Mergeable + Words
 //	Sharded    Sketch + NumVertices, UpdateBatchRange   parallel-ingestion contract
 //	Checkpointer  Sketch + WriteTo, ReadFrom     framed wire-format checkpoints
 //	Querier    Connected                      pairwise reachability, epoch-cached

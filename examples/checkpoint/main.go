@@ -11,10 +11,9 @@
 //     fresh process resumes via codec.Open — the frame alone reconstructs
 //     the sketch, no out-of-band parameters;
 //
-//  2. the same stream is split across three "machines" whose states are
-//     merged by a coordinator — decoding the merged state gives exactly
-//     the single-machine answer. (In-process the raw State/AddState bytes
-//     suffice; anything durable or transported should be framed.)
+//  2. the same stream is split across three "machines" whose checkpoint
+//     frames are merged by a coordinator — decoding the merged state gives
+//     exactly the single-machine answer.
 //
 //     go run ./examples/checkpoint
 package main
@@ -54,8 +53,7 @@ func main() {
 	if _, err := first.WriteTo(&checkpoint); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint after %d updates: %d framed bytes (interior %d)\n",
-		half, checkpoint.Len(), len(first.State()))
+	fmt.Printf("checkpoint after %d updates: %d framed bytes\n", half, checkpoint.Len())
 
 	// A fresh process: the frame is self-describing, so codec.Open
 	// reconstructs the sketch — parameters, seed, and state — and verifies
@@ -87,15 +85,19 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Each shard ships its checkpoint frame; the coordinator's ReadFrom
+	// verifies the frame's identity fingerprint before adding the state.
 	coordinator := sketch.NewSpanning(seed, dom, cfg)
-	total := 0
 	for i, sh := range shards {
-		state := sh.State()
-		total += len(state)
-		if err := coordinator.AddState(state); err != nil {
+		var frame bytes.Buffer
+		if _, err := sh.WriteTo(&frame); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("merged shard %d (%d bytes)\n", i, len(state))
+		n, err := coordinator.ReadFrom(&frame)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("merged shard %d (%d framed bytes)\n", i, n)
 	}
 	fm, err := coordinator.SpanningGraph()
 	if err != nil {

@@ -5,6 +5,6 @@ package codec
 
 type Tag uint16
 
-type Opener func(params []byte) (any, error)
+type Opener func(params, state []byte) (any, error)
 
 func Register(tag Tag, open Opener) {}

@@ -26,6 +26,6 @@ func (l *Lit) WriteTo(w io.Writer) (int64, error) { return 0, nil }
 func (l *Lit) ReadFrom(r io.Reader) (int64, error) { return 0, nil }
 
 func init() {
-	codec.Register(1, func(p []byte) (any, error) { return newSk(p) })
-	codec.Register(2, func(p []byte) (any, error) { return &Lit{}, nil })
+	codec.Register(1, func(p, state []byte) (any, error) { return newSk(p) })
+	codec.Register(2, func(p, state []byte) (any, error) { return &Lit{}, nil })
 }

@@ -86,9 +86,7 @@ func printHealth(w io.Writer, i obs.Inspector) error {
 }
 
 // checkpointFlags registers the shared -checkpoint/-restore flags on a
-// tool's flag set. Both move framed, self-describing codec checkpoints
-// (unlike the raw-state -save/-load pair, which needs identical flags on
-// both runs and detects nothing on mismatch).
+// tool's flag set. Both move framed, self-describing codec checkpoints.
 func checkpointFlags(fs *flag.FlagSet) (ckpt, restore *string) {
 	ckpt = fs.String("checkpoint", "",
 		"write a framed checkpoint of the sketch to this file after consuming the stream")
@@ -243,8 +241,6 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	connected := fs.String("connected", "", "report whether the pair 'u,v' is connected, served from the oracle's cached decode")
 	estimate := fs.Bool("estimate", false, "estimate vertex connectivity (graphs only)")
 	file := fs.String("stream", "-", "stream file ('-' = stdin)")
-	save := fs.String("save", "", "write the raw sketch state to this file after consuming the stream (legacy; prefer -checkpoint)")
-	load := fs.String("load", "", "merge a previously saved raw sketch state before consuming the stream (legacy; prefer -restore)")
 	health := fs.Bool("health", false, "print the sketch's health introspection report as JSON after consuming the stream")
 	ckpt, restore := checkpointFlags(fs)
 	obsAddr := obsAddrFlag(fs)
@@ -263,8 +259,8 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *n < 2 {
 		return errors.New("need -n >= 2")
 	}
-	if *query == "" && *connected == "" && !*estimate && *save == "" && *ckpt == "" && !*health {
-		return errors.New("need -query, -connected, -estimate, -save, -checkpoint, or -health")
+	if *query == "" && *connected == "" && !*estimate && *ckpt == "" && !*health {
+		return errors.New("need -query, -connected, -estimate, -checkpoint, or -health")
 	}
 
 	var p vertexconn.Params
@@ -292,15 +288,6 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	obs.RegisterInspector("vertexconn", s)
 	defer obs.RegisterInspector("vertexconn", nil)
-	if *load != "" {
-		data, err := os.ReadFile(*load)
-		if err != nil {
-			return err
-		}
-		if err := s.AddState(data); err != nil {
-			return fmt.Errorf("loading state (parameters must match the saving run): %w", err)
-		}
-	}
 	st, err := readAndApply(*file, stdin, s)
 	if err != nil {
 		return err
@@ -308,7 +295,7 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if stats, err := stream.Summarize(st, *n, *r); err == nil {
 		fmt.Fprintf(stderr, "stream: %d updates (%d inserts, %d deletes); sketch: %d KiB over %d subgraphs\n",
 			stats.Updates, stats.Inserts, stats.Deletes, s.Words()*8/1024, s.Subgraphs())
-	} else if *restore != "" || *load != "" {
+	} else if *restore != "" {
 		// A resumed stream suffix may delete edges inserted before the
 		// checkpoint, so the live-edge materialization can fail without
 		// anything being wrong — the sketch itself is linear and absorbed
@@ -317,12 +304,6 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			len(st), s.Words()*8/1024, s.Subgraphs())
 	} else {
 		return err
-	}
-	if *save != "" {
-		if err := os.WriteFile(*save, s.State(), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "sketch state saved to %s\n", *save)
 	}
 	if *ckpt != "" {
 		if err := writeCheckpoint(*ckpt, s, stderr); err != nil {

@@ -76,30 +76,6 @@ func TestRunVconnValidation(t *testing.T) {
 	}
 }
 
-func TestRunVconnSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "state.bin")
-
-	// First half: a path 0-1-2.
-	var out, errOut bytes.Buffer
-	if err := RunVconn([]string{"-n", "6", "-k", "1", "-subgraphs", "24", "-save", ck},
-		strings.NewReader("+ 0 1\n+ 1 2\n"), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ck); err != nil {
-		t.Fatal(err)
-	}
-	// Second half resumes: extend to 0-1-2-3; vertex 1 is a cut vertex.
-	out.Reset()
-	if err := RunVconn([]string{"-n", "6", "-k", "1", "-subgraphs", "24", "-load", ck, "-query", "1"},
-		strings.NewReader("+ 2 3\n"), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "DISCONNECTS") {
-		t.Fatalf("resumed query wrong: %q", out.String())
-	}
-}
-
 func TestRunVconnCheckpointRestore(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "vconn.ckpt")

@@ -212,12 +212,25 @@ func clusterProto(kind string, n, k, budget int, seed uint64) (shardplane.Member
 
 // freshFrom reconstructs a pristine copy of proto from its own checkpoint
 // frame — the canonical gather destination and serial baseline.
-func freshFrom(proto shardplane.Member) (graphsketch.Sketch, error) {
+func freshFrom(proto shardplane.Member) (graphsketch.Checkpointer, error) {
 	var buf bytes.Buffer
 	if _, err := proto.WriteTo(&buf); err != nil {
 		return nil, err
 	}
-	return codec.Open(bytes.NewReader(buf.Bytes()))
+	s, err := codec.Open(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	// The frame came from a Checkpointer, and Open rebuilds the same type.
+	return s.(graphsketch.Checkpointer), nil
+}
+
+// frameOf returns s's checkpoint frame. Two sketches built from one
+// prototype hold the same state iff their frames are byte-identical.
+func frameOf(s graphsketch.Checkpointer) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := s.WriteTo(&buf)
+	return buf.Bytes(), err
 }
 
 // clusterDecode decodes the connectivity certificate of a gathered sketch.
@@ -251,11 +264,11 @@ func componentLabels(h *graph.Hypergraph) []int {
 
 // verifyCluster checks the coordinator's gathered state against a serial
 // baseline: a second sketch reconstructed from the same prototype frame
-// ingests the stream serially, and both the marshaled state and the decoded
-// component labels must match exactly. This is the linearity check that
+// ingests the stream serially, and both the checkpoint frames and the
+// decoded component labels must match exactly. This is the linearity check that
 // makes the cluster trustworthy — sharding and transport must be invisible
 // in the final state.
-func verifyCluster(st stream.Stream, proto shardplane.Member, gathered graphsketch.Sketch, out io.Writer) error {
+func verifyCluster(st stream.Stream, proto shardplane.Member, gathered graphsketch.Checkpointer, out io.Writer) error {
 	serial, err := freshFrom(proto)
 	if err != nil {
 		return err
@@ -263,7 +276,14 @@ func verifyCluster(st stream.Stream, proto shardplane.Member, gathered graphsket
 	if err := stream.Apply(st, serial); err != nil {
 		return err
 	}
-	want, got := serial.Marshal(), gathered.Marshal()
+	want, err := frameOf(serial)
+	if err != nil {
+		return err
+	}
+	got, err := frameOf(gathered)
+	if err != nil {
+		return err
+	}
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("gsd: verify FAILED: gathered state (%d bytes) differs from serial baseline (%d bytes)",
 			len(got), len(want))
@@ -283,7 +303,7 @@ func verifyCluster(st stream.Stream, proto shardplane.Member, gathered graphsket
 				v, sl[v], gl[v])
 		}
 	}
-	fmt.Fprintf(out, "verify: OK — coordinator state byte-matches serial baseline (%d sketch bytes, %d components)\n",
+	fmt.Fprintf(out, "verify: OK — coordinator state byte-matches serial baseline (%d frame bytes, %d components)\n",
 		len(got), graphalg.ComponentsOf(gh).Components())
 	return nil
 }

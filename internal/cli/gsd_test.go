@@ -13,6 +13,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/shardplane"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 )
 
 // TestMain doubles the test binary as the gsd executable: with GSD_HELPER
@@ -195,7 +196,7 @@ func TestGSDKillRestoreDrill(t *testing.T) {
 	if err := stream.Apply(st, serial); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gathered.Marshal(), serial.Marshal()) {
+	if !frametest.Equal(t, gathered, serial) {
 		t.Fatal("state after process kill-and-restore differs from serial baseline")
 	}
 }

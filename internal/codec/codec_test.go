@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/iotest"
+
+	"graphsketch"
 )
 
 func validFrame(t *testing.T) []byte {
@@ -187,7 +189,8 @@ func TestCorruptionViaOpen(t *testing.T) {
 	}
 
 	// A share frame where a checkpoint is required → ErrUnknownType.
-	share := AppendShareFrame(nil, TagSpanning, Fingerprint(TagSpanning, params), 0, []byte("x"))
+	share := AppendShareFrame(nil, TagSpanning, Fingerprint(TagSpanning, params), 0, 1,
+		func(b []byte) []byte { return append(b, 'x') })
 	if _, err := Open(bytes.NewReader(share)); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("share via Open: got %v, want ErrUnknownType", err)
 	}
@@ -230,11 +233,12 @@ func TestShareFrameRoundTrip(t *testing.T) {
 	params := AppendUint64s(nil, 8, 1, 3)
 	fp := Fingerprint(TagSkeleton, params)
 	interior := []byte{9, 8, 7, 6}
-	frame := AppendShareFrame(nil, TagSkeleton, fp, 5, interior)
+	frame := AppendShareFrame(nil, TagSkeleton, fp, 5, len(interior),
+		func(b []byte) []byte { return append(b, interior...) })
 	if len(frame) != ShareOverhead+len(interior) {
 		t.Fatalf("share frame length %d, want %d", len(frame), ShareOverhead+len(interior))
 	}
-	v, got, rest, err := DecodeShareFrame(frame, TagSkeleton, fp)
+	v, got, rest, err := DecodeShareFrame(frame, TagSkeleton, fp, 8)
 	if err != nil {
 		t.Fatalf("DecodeShareFrame: %v", err)
 	}
@@ -242,8 +246,12 @@ func TestShareFrameRoundTrip(t *testing.T) {
 		t.Fatalf("v=%d interior=%v rest=%d", v, got, len(rest))
 	}
 	// Cross-identity share → ErrFingerprint.
-	if _, _, _, err := DecodeShareFrame(frame, TagSkeleton, fp+1); !errors.Is(err, ErrFingerprint) {
+	if _, _, _, err := DecodeShareFrame(frame, TagSkeleton, fp+1, 8); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("cross-identity share: got %v, want ErrFingerprint", err)
+	}
+	// A share for a vertex the receiver does not have → ErrVertexRange.
+	if _, _, _, err := DecodeShareFrame(frame, TagSkeleton, fp, 5); !errors.Is(err, graphsketch.ErrVertexRange) || !IsDecodeError(err) {
+		t.Fatalf("share for vertex 5 of 5: got %v, want graphsketch.ErrVertexRange", err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package codec
 
-import "errors"
+import (
+	"errors"
+
+	"graphsketch"
+)
 
 // Typed sentinel errors for decode failures, following the repository's
 // per-package sentinel convention (sketch.ErrSeedMismatch,
@@ -35,9 +39,10 @@ var (
 )
 
 // IsDecodeError reports whether err is (or wraps) one of the package's
-// decode sentinels; the obs rejection counter uses it.
+// decode sentinels, or graphsketch.ErrVertexRange from a share frame naming
+// a vertex outside the receiver's range; the obs rejection counter uses it.
 func IsDecodeError(err error) bool {
-	for _, s := range []error{ErrBadMagic, ErrVersion, ErrUnknownType, ErrFingerprint, ErrChecksum, ErrTruncated} {
+	for _, s := range []error{ErrBadMagic, ErrVersion, ErrUnknownType, ErrFingerprint, ErrChecksum, ErrTruncated, graphsketch.ErrVertexRange} {
 		if errors.Is(err, s) {
 			return true
 		}

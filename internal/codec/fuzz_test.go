@@ -65,13 +65,13 @@ func FuzzCodecDecode(f *testing.F) {
 			t.Fatalf("DecodeFrame: untyped error %v", err)
 		}
 		if _, err := Open(bytes.NewReader(data)); err != nil && IsDecodeError(err) == false {
-			// Open may also fail inside a registered opener or Unmarshal on
-			// a frame that happens to validate; those errors wrap package
+			// Open may also fail inside a registered opener on a frame
+			// that happens to validate; those errors wrap package
 			// sentinels from the sketch packages, not ours, and are fine.
 			// What must never happen is a panic — reaching here proves that.
 			_ = err
 		}
-		if _, _, _, err := DecodeShareFrame(data, TagSkeleton, 12345); err != nil && !IsDecodeError(err) {
+		if _, _, _, err := DecodeShareFrame(data, TagSkeleton, 12345, 16); err != nil && !IsDecodeError(err) {
 			t.Fatalf("DecodeShareFrame: untyped error %v", err)
 		}
 		if _, _, err := ReadCheckpoint(bytes.NewReader(data), TagSpanning, 67890); err != nil && !IsDecodeError(err) {

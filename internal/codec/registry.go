@@ -11,11 +11,13 @@ import (
 	"graphsketch"
 )
 
-// Opener reconstructs an empty sketch from its decoded params encoding.
-// Each sketch package registers one per tag in an init function; the
+// Opener reconstructs a sketch from a checkpoint frame's params encoding
+// and restores the frame's state into it. Each sketch package registers one
+// per tag in an init function, backed by the same unexported state decoder
+// as its ReadFrom, so raw state never crosses a package boundary; the
 // registry is what lets Open rebuild a sketch from a checkpoint frame alone
 // without this package importing (and cycling with) the sketch packages.
-type Opener func(params []byte) (graphsketch.Sketch, error)
+type Opener func(params, state []byte) (graphsketch.Sketch, error)
 
 var (
 	regMu   sync.RWMutex
@@ -137,11 +139,11 @@ func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (int64, []byte, err
 }
 
 // Open reads one checkpoint frame from r, reconstructs the sketch it
-// describes from the embedded params via the registered opener, restores
-// the state, and returns the live sketch. This is the from-cold restore
-// path: nothing about the sketch needs to be known in advance — the frame
-// is self-describing. Decode failures are the package sentinels; opener
-// errors (e.g. params that fail constructor validation) are returned
+// describes and restores its state via the registered opener, and returns
+// the live sketch. This is the from-cold restore path: nothing about the
+// sketch needs to be known in advance — the frame is self-describing.
+// Decode failures are the package sentinels; opener errors (e.g. params
+// that fail constructor validation, or a malformed state) are returned
 // wrapped.
 func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	start := time.Now()
@@ -154,11 +156,8 @@ func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	if open == nil {
 		return nil, fmt.Errorf("codec: no decoder registered for %v: %w", h.Tag, ErrUnknownType)
 	}
-	if s, err = open(params); err != nil {
-		return nil, fmt.Errorf("codec: reconstructing %v: %w", h.Tag, err)
-	}
-	if err := s.Unmarshal(state); err != nil {
-		return nil, fmt.Errorf("codec: restoring %v state: %w", h.Tag, err)
+	if s, err = open(params, state); err != nil {
+		return nil, fmt.Errorf("codec: opening %v: %w", h.Tag, err)
 	}
 	cdm.ckptReads.Inc()
 	cdm.ckptReadBytes.Add(n)
@@ -166,23 +165,26 @@ func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	return s, nil
 }
 
-// AppendShareFrame frames one vertex's raw interior share for transport:
-// payload is the vertex index followed by the interior bytes, fingerprinted
-// with the sender's identity so a mismatched receiver rejects it typed.
-func AppendShareFrame(dst []byte, tag Tag, fp uint64, v int, interior []byte) []byte {
+// AppendShareFrame appends a share frame for vertex v to dst: the payload
+// is the vertex index followed by the interior share appendShare appends
+// in place, fingerprinted with the sender's identity so a mismatched
+// receiver rejects it typed. shareSize is the exact length appendShare
+// adds, as for AppendCheckpoint.
+func AppendShareFrame(dst []byte, tag Tag, fp uint64, v, shareSize int, appendShare func([]byte) []byte) []byte {
 	start := len(dst)
-	dst = beginFrame(grow(dst, ShareOverhead+len(interior)), Header{Kind: KindShare, Tag: tag, Fingerprint: fp})
+	dst = beginFrame(grow(dst, ShareOverhead+shareSize), Header{Kind: KindShare, Tag: tag, Fingerprint: fp})
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	cdm.shareFrames.Inc()
-	return finishFrame(append(dst, interior...), start)
+	return finishFrame(appendShare(dst), start)
 }
 
 // DecodeShareFrame reads a share frame from the front of b for a receiver
-// whose identity is (wantTag, wantFP) and returns the vertex, the interior
-// share bytes, and any remaining bytes. A frame from a sketch with
-// different parameters, profile, or seed fails with ErrFingerprint instead
-// of decoding to garbage.
-func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64) (v int, interior, rest []byte, err error) {
+// whose identity is (wantTag, wantFP) and whose vertex space is [0, n), and
+// returns the vertex, the interior share bytes, and any remaining bytes. A
+// frame from a sketch with different parameters, profile, or seed fails
+// with ErrFingerprint instead of decoding to garbage; a vertex index
+// outside [0, n) fails with graphsketch.ErrVertexRange.
+func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64, n int) (v int, interior, rest []byte, err error) {
 	defer func() { cdm.reject(err) }()
 	h, payload, rest, err := DecodeFrame(b)
 	switch {
@@ -196,5 +198,8 @@ func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64) (v int, interior, re
 	case len(payload) < 4:
 		return 0, nil, nil, fmt.Errorf("codec: share payload of %d bytes: %w", len(payload), ErrTruncated)
 	}
-	return int(binary.LittleEndian.Uint32(payload)), payload[4:], rest, nil
+	if v = int(binary.LittleEndian.Uint32(payload)); v >= n {
+		return 0, nil, nil, fmt.Errorf("codec: share for vertex %d, receiver has %d: %w", v, n, graphsketch.ErrVertexRange)
+	}
+	return v, payload[4:], rest, nil
 }

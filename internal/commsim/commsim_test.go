@@ -138,7 +138,7 @@ func TestFramedSizesIncludeEnvelope(t *testing.T) {
 	}
 	total := 0
 	for v := 0; v < h.N(); v++ {
-		total += len(direct.VertexShare(v))
+		total += direct.ShareSize(v)
 	}
 	if res.TotalBytes != total {
 		t.Fatalf("interior total %d, want raw share total %d", res.TotalBytes, total)
@@ -200,7 +200,7 @@ func TestMessageSizeTracksDegree(t *testing.T) {
 				}
 			}
 		}
-		sizes[v] = len(p.VertexShare(v))
+		sizes[v] = p.ShareSize(v)
 	}
 	for v := 1; v < n; v++ {
 		if sizes[0] < sizes[v] {

@@ -26,8 +26,10 @@ func (s *Sketch) Fingerprint() uint64 {
 }
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
+// The state is the skeleton's: its n vertex shares in order.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams(), s.skeleton.StateSize(), s.skeleton.AppendState)
+	st := sketch.Shares{Sharer: s.skeleton}
+	return codec.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams(), st.Size(), st.Append)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -38,26 +40,30 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, s.addState(state)
 }
 
-// VertexShareFrame frames vertex v's share for transport.
+// addState merges a state into the skeleton, dropping the decoded cache.
+func (s *Sketch) addState(state []byte) error {
+	s.decoded = nil
+	return sketch.Shares{Sharer: s.skeleton}.Add(state)
+}
+
+// VertexShareFrame frames vertex v's share — its skeleton share — for
+// transport in the simultaneous communication model.
 func (s *Sketch) VertexShareFrame(v int) []byte {
-	return codec.AppendShareFrame(nil, codec.TagEdgeConn, s.Fingerprint(), v, s.VertexShare(v))
+	return sketch.ShareFrame(s.skeleton, codec.TagEdgeConn, s.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	v, interior, rest, err := codec.DecodeShareFrame(data, codec.TagEdgeConn, s.Fingerprint())
-	if err != nil {
-		return nil, err
-	}
-	return rest, s.AddVertexShare(v, interior)
+	s.decoded = nil
+	return sketch.AddShareFrame(s.skeleton, codec.TagEdgeConn, s.Fingerprint(), data)
 }
 
 func init() {
-	codec.Register(codec.TagEdgeConn, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagEdgeConn, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 4+sketch.WireConfigWords)
 		if err != nil {
 			return nil, err
@@ -81,7 +87,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		s, err := New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.addState(state)
 	})
 }
 

@@ -184,16 +184,6 @@ func (s *Sketch) SharedWords() int { return s.skeleton.SharedWords() }
 // VertexWords returns vertex v's share (per-player message size).
 func (s *Sketch) VertexWords(v int) int { return s.skeleton.VertexWords(v) }
 
-// VertexShare serializes vertex v's share for the simultaneous
-// communication model.
-func (s *Sketch) VertexShare(v int) []byte { return s.skeleton.VertexShare(v) }
-
-// AddVertexShare merges a serialized vertex share (same seed/shape).
-func (s *Sketch) AddVertexShare(v int, data []byte) error {
-	s.decoded = nil
-	return s.skeleton.AddVertexShare(v, data)
-}
-
 // NumVertices returns n, the vertex space the sketch shards over.
 func (s *Sketch) NumVertices() int { return s.skeleton.NumVertices() }
 
@@ -206,16 +196,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	}
 	s.decoded = nil
 	return s.skeleton.AddScaled(so.skeleton, 1)
-}
-
-// Marshal serializes the sketch contents for checkpointing; parameters are
-// the structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte { return s.skeleton.State() }
-
-// Unmarshal merges serialized contents into the sketch (linearly).
-func (s *Sketch) Unmarshal(data []byte) error {
-	s.decoded = nil
-	return s.skeleton.AddState(data)
 }
 
 var _ graphsketch.Sharded = (*Sketch)(nil)

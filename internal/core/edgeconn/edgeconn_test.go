@@ -1,13 +1,13 @@
 package edgeconn
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
 )
 
@@ -194,7 +194,7 @@ func TestVertexShareRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if err := ref.AddVertexShare(v, p.VertexShare(v)); err != nil {
+		if _, err := ref.AddVertexShareFrame(p.VertexShareFrame(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestParamsConstruction(t *testing.T) {
 	if err := b.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Marshal(), b.Marshal()) {
+	if !frametest.Equal(t, a, b) {
 		t.Fatal("identical Params diverge: serialized state differs")
 	}
 	if _, err := New(Params{N: h.N(), K: 0}); err == nil {

@@ -184,19 +184,16 @@ func (b *BeckerSketch) SharedWords() int { return b.rows[0].Shape().RandWords() 
 // VertexWords returns one row's share (the per-player message size).
 func (b *BeckerSketch) VertexWords(v int) int { return b.rows[v].Words() }
 
-// VertexShare serializes row v — player P_v's message.
-func (b *BeckerSketch) VertexShare(v int) []byte {
-	return b.rows[v].AppendBinary(nil)
+// AppendShare appends row v — player P_v's message (sketch.Sharer).
+func (b *BeckerSketch) AppendShare(dst []byte, v int) []byte {
+	return b.rows[v].AppendBinary(dst)
 }
 
-// AddVertexShare merges a serialized row share (same seed/shape).
-func (b *BeckerSketch) AddVertexShare(v int, data []byte) error {
-	rest, err := b.rows[v].AddBinary(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errors.New("reconstruct: malformed vertex share")
-	}
-	return nil
+// ShareSize returns the length of row v's share.
+func (b *BeckerSketch) ShareSize(v int) int { return b.rows[v].BinarySize() }
+
+// AddShare merges a row share of vertex v from the front of src (same
+// seed/shape).
+func (b *BeckerSketch) AddShare(v int, src []byte) ([]byte, error) {
+	return b.rows[v].AddBinary(src)
 }

@@ -26,8 +26,10 @@ func (s *Sketch) Fingerprint() uint64 {
 }
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
+// The state is the skeleton's: its n vertex shares in order.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), s.StateSize(), s.AppendState)
+	st := sketch.Shares{Sharer: s.skeleton}
+	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), st.Size(), st.Append)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -38,22 +40,19 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, sketch.Shares{Sharer: s.skeleton}.Add(state)
 }
 
-// VertexShareFrame frames vertex v's share for transport.
+// VertexShareFrame frames vertex v's share of the underlying skeleton stack
+// (the per-player message in the simultaneous communication model).
 func (s *Sketch) VertexShareFrame(v int) []byte {
-	return codec.AppendShareFrame(nil, codec.TagReconstr, s.Fingerprint(), v, s.VertexShare(v))
+	return sketch.ShareFrame(s.skeleton, codec.TagReconstr, s.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	v, interior, rest, err := codec.DecodeShareFrame(data, codec.TagReconstr, s.Fingerprint())
-	if err != nil {
-		return nil, err
-	}
-	return rest, s.AddVertexShare(v, interior)
+	return sketch.AddShareFrame(s.skeleton, codec.TagReconstr, s.Fingerprint(), data)
 }
 
 // Fingerprint returns the Becker sketch's wire identity: n, d, the recovery
@@ -67,21 +66,17 @@ func (b *BeckerSketch) Fingerprint() uint64 {
 
 // VertexShareFrame frames row v — player P_v's message — for transport.
 func (b *BeckerSketch) VertexShareFrame(v int) []byte {
-	return codec.AppendShareFrame(nil, codec.TagBecker, b.Fingerprint(), v, b.VertexShare(v))
+	return sketch.ShareFrame(b, codec.TagBecker, b.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed row share from the
 // front of data, returning the remaining bytes.
 func (b *BeckerSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	v, interior, rest, err := codec.DecodeShareFrame(data, codec.TagBecker, b.Fingerprint())
-	if err != nil {
-		return nil, err
-	}
-	return rest, b.AddVertexShare(v, interior)
+	return sketch.AddShareFrame(b, codec.TagBecker, b.Fingerprint(), data)
 }
 
 func init() {
-	codec.Register(codec.TagReconstr, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagReconstr, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 4+sketch.WireConfigWords)
 		if err != nil {
 			return nil, err
@@ -105,7 +100,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		s, err := New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		if err != nil {
+			return nil, err
+		}
+		return s, sketch.Shares{Sharer: s.skeleton}.Add(state)
 	})
 }
 

@@ -121,19 +121,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	return s.AddScaled(so, 1)
 }
 
-// Marshal serializes the sketch contents for checkpointing; parameters are
-// the structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte { return s.skeleton.State() }
-
-// AppendState appends Marshal's bytes to dst; StateSize is their length.
-func (s *Sketch) AppendState(dst []byte) []byte { return s.skeleton.AppendState(dst) }
-
-// StateSize returns the length of Marshal.
-func (s *Sketch) StateSize() int { return s.skeleton.StateSize() }
-
-// Unmarshal merges serialized contents into the sketch (linearly).
-func (s *Sketch) Unmarshal(data []byte) error { return s.skeleton.AddState(data) }
-
 var _ graphsketch.Sharded = (*Sketch)(nil)
 
 // LightEdges recovers light_k(G) from the sketch. Each round decodes a
@@ -248,17 +235,7 @@ func (s *Sketch) SharedWords() int { return s.skeleton.SharedWords() }
 // size).
 func (s *Sketch) VertexWords(v int) int { return s.skeleton.VertexWords(v) }
 
-// VertexShare serializes vertex v's share of the underlying skeleton stack
-// (the per-player message in the simultaneous communication model).
-func (s *Sketch) VertexShare(v int) []byte { return s.skeleton.VertexShare(v) }
-
-// AddVertexShare merges a serialized vertex share (same seed/shape).
-func (s *Sketch) AddVertexShare(v int, data []byte) error {
-	return s.skeleton.AddVertexShare(v, data)
-}
-
-// AddVertexShareFrom merges a vertex share from the front of b and returns
-// the remaining bytes, for composition into larger protocol messages.
-func (s *Sketch) AddVertexShareFrom(v int, b []byte) ([]byte, error) {
-	return s.skeleton.AddVertexShareFrom(v, b)
-}
+// Skeleton returns the underlying (k+1)-skeleton sketch, whose vertex
+// shares are this sketch's state. It is the sketch's own store: callers
+// must treat it as read-only.
+func (s *Sketch) Skeleton() *sketch.SkeletonSketch { return s.skeleton }

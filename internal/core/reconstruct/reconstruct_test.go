@@ -1,7 +1,6 @@
 package reconstruct
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -9,6 +8,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
 )
 
@@ -244,7 +244,7 @@ func TestParamsConstruction(t *testing.T) {
 	if err := b.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Marshal(), b.Marshal()) {
+	if !frametest.Equal(t, a, b) {
 		t.Fatal("identical Params diverge: serialized state differs")
 	}
 	if _, err := New(Params{N: h.N(), K: 0}); err == nil {

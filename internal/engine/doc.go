@@ -16,7 +16,7 @@
 // updates are applied by a single worker in batch order, and sampler state
 // is a sum of field elements (commutative, exact), the final state equals
 // the serial state for the same seed — the equivalence the engine tests
-// assert byte-for-byte on Marshal output.
+// assert byte-for-byte on checkpoint frames.
 //
 // State not owned by any single vertex (e.g. a sketch's decoded-result
 // cache) is written only by the shard containing vertex 0, so the partition

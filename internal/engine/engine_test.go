@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"graphsketch/internal/l0"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
 )
 
@@ -71,7 +71,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d sketch %d: %v", workers, i, err)
 			}
 			eng.Close()
-			if !bytes.Equal(serial[i].Marshal(), s.Marshal()) {
+			if !frametest.Equal(t, serial[i], s) {
 				t.Errorf("workers=%d sketch %d: parallel state differs from serial", workers, i)
 			}
 		}
@@ -115,7 +115,7 @@ func TestConcurrentUpdateBatch(t *testing.T) {
 	}
 	wg.Wait()
 
-	if !bytes.Equal(serial.Marshal(), par.Marshal()) {
+	if !frametest.Equal(t, serial, par) {
 		t.Fatal("concurrent UpdateBatch state differs from serial ingestion")
 	}
 	got, err := engine.DecodeSkeletonWorkers(par, 4)

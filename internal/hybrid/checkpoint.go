@@ -11,7 +11,7 @@ import (
 // Wire format. A hybrid checkpoint frame's params are two words — the
 // exact-buffer budget and the inner sketch's own wire fingerprint — so the
 // hybrid's identity commits to the inner's full construction (seed, domain,
-// shape) without re-encoding it. The state (Marshal) carries everything
+// shape) without re-encoding it. The state (appendState) carries everything
 // params cannot reconstruct: the inner sketch's complete embedded
 // checkpoint frame, the spill bitmap, and the per-vertex exact buffers.
 // codec.Open on the embedded frame rebuilds the inner through its own
@@ -38,9 +38,6 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	if err := s.ready(); err != nil {
-		return 0, err
-	}
 	return codec.WriteCheckpoint(w, codec.TagHybrid, s.wireParams(), s.stateSize(), s.appendState)
 }
 
@@ -53,11 +50,11 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, s.addState(state)
 }
 
 func init() {
-	codec.Register(codec.TagHybrid, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagHybrid, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 2)
 		if err != nil {
 			return nil, err
@@ -73,8 +70,8 @@ func init() {
 			return nil, fmt.Errorf("hybrid: budget of %d words cannot hold one entry: %w", budget, codec.ErrUnknownType)
 		}
 		// The shell has no inner yet — params alone cannot build one; the
-		// state's embedded frame supplies it when Unmarshal runs (which
-		// codec.Open does immediately after calling this opener).
-		return &Sketch{budget: budget, maxEntries: budget / 2, wantInnerFP: vs[1]}, nil
+		// state's embedded frame supplies it.
+		s := &Sketch{budget: budget, maxEntries: budget / 2, wantInnerFP: vs[1]}
+		return s, s.addState(state)
 	})
 }

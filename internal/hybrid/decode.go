@@ -45,9 +45,6 @@ func (s *Sketch) SpanningGraph() (*graph.Hypergraph, error) {
 // SpanningGraphTraced is SpanningGraph with the decode span hung under
 // parent (nil starts a fresh trace).
 func (s *Sketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	sp, ok := s.inner.(*sketch.SpanningSketch)
 	if !ok {
 		return nil, fmt.Errorf("hybrid: SpanningGraph needs a *sketch.SpanningSketch inner, have %T", s.inner)
@@ -167,9 +164,6 @@ func (s *Sketch) Decode() (*graph.Hypergraph, error) {
 // DecodeTraced is Decode with the decode spans hung under parent (nil
 // starts a fresh trace).
 func (s *Sketch) DecodeTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	switch s.inner.(type) {
 	case *sketch.SpanningSketch:
 		return s.SpanningGraphTraced(parent)

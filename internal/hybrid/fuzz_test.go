@@ -2,12 +2,14 @@ package hybrid_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hybrid"
 	"graphsketch/internal/sketch"
+	"graphsketch/internal/testutil/frametest"
 )
 
 // fuzzHybrid builds a small populated hybrid over a spanning inner.
@@ -29,14 +31,28 @@ func fuzzHybrid(tb testing.TB) *hybrid.Sketch {
 	return hy
 }
 
-// FuzzHybridUnmarshal feeds arbitrary bytes to the hybrid state decoder —
-// both the constructed path (Unmarshal on a live sketch) and the shell path
-// (codec.Open on a full frame with fuzzed state). Neither may panic, and a
-// corrupted state must never be half-applied silently: every failure is an
-// error return.
+// hybridFrame wraps state in a well-formed hybrid checkpoint frame whose
+// params (budget 4, the inner's fingerprint) match fuzzHybrid's.
+func hybridFrame(hy *hybrid.Sketch, state []byte) []byte {
+	params := codec.AppendUint64s(nil, 4, hy.Inner().Fingerprint())
+	return codec.AppendCheckpoint(nil, codec.TagHybrid, params, len(state),
+		func(b []byte) []byte { return append(b, state...) })
+}
+
+// FuzzHybridUnmarshal feeds arbitrary state bytes, inside an otherwise
+// well-formed checkpoint frame, to both hybrid restore paths: ReadFrom into
+// a constructed sketch (a linear add) and codec.Open, which restores into
+// the opener's shell. Neither may panic; a rejected state must leave the
+// constructed sketch exactly as it was; an accepted one must write a frame
+// again.
 func FuzzHybridUnmarshal(f *testing.F) {
 	seedHy := fuzzHybrid(f)
-	good := seedHy.Marshal()
+	frame := frametest.Of(f, seedHy)
+	_, payload, _, err := codec.DecodeFrame(frame)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := payload[4+binary.LittleEndian.Uint32(payload):]
 	f.Add(good)
 	f.Add([]byte(nil))
 	f.Add(good[:len(good)/2])
@@ -46,15 +62,17 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, state []byte) {
 		hy := fuzzHybrid(t)
-		if err := hy.Unmarshal(state); err == nil {
-			// Accepted states must re-marshal without panicking.
-			_ = hy.Marshal()
+		frame := hybridFrame(hy, state)
+		before := frametest.Of(t, hy)
+		if _, err := hy.ReadFrom(bytes.NewReader(frame)); err != nil {
+			if !bytes.Equal(frametest.Of(t, hy), before) {
+				t.Fatalf("rejected state (%v) changed the sketch", err)
+			}
+		} else {
+			frametest.Of(t, hy)
 		}
-		// Shell path: the same bytes as the state of a well-formed frame.
-		frame := codec.AppendCheckpoint(nil, codec.TagHybrid, codec.AppendUint64s(nil, 4, 0),
-			len(state), func(b []byte) []byte { return append(b, state...) })
 		if s, err := codec.Open(bytes.NewReader(frame)); err == nil {
-			_ = s.Marshal()
+			frametest.Of(t, s)
 		}
 	})
 }

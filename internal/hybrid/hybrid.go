@@ -15,8 +15,8 @@
 // always equals what the pure sketch would hold, and spilling a vertex is a
 // semantic no-op: it moves mass from the exact term to the sketched term
 // without changing their sum. That is the spill invariant every operation
-// here preserves, and it is why Merge, checkpoint restore (linear
-// Unmarshal), skeleton peeling, and the engine's sharded ingestion all keep
+// here preserves, and it is why Merge, checkpoint restore (a linear
+// ReadFrom), skeleton peeling, and the engine's sharded ingestion all keep
 // working unchanged on the spilled part (the properties Theorems 2/13 of
 // the source paper need). SpillAll makes the invariant testable: after
 // spilling every vertex the inner sketch holds the same linear state as a
@@ -67,9 +67,6 @@ var (
 	// ErrInnerMismatch is returned when the two inner sketches were
 	// constructed differently (their wire fingerprints disagree).
 	ErrInnerMismatch = errors.New("hybrid: inner sketches constructed differently")
-	// ErrPending is returned by operations on a sketch reconstructed from a
-	// checkpoint frame's params before Unmarshal restored its state.
-	ErrPending = errors.New("hybrid: sketch opened from a frame but state not yet restored")
 )
 
 // Inner is the contract a wrapped sketch must satisfy: vertex-sharded
@@ -117,7 +114,7 @@ type Sketch struct {
 
 	// wantInnerFP is set only on shells built by the codec opener: the
 	// inner fingerprint recorded in the frame params, checked against the
-	// embedded inner frame when Unmarshal adopts it.
+	// embedded inner frame when addState adopts it.
 	wantInnerFP uint64
 }
 
@@ -147,13 +144,6 @@ func New(inner Inner, budget int) (*Sketch, error) {
 		keys:       make([][]uint64, n),
 		ws:         make([][]int64, n),
 	}, nil
-}
-
-func (s *Sketch) ready() error {
-	if s.inner == nil {
-		return ErrPending
-	}
-	return nil
 }
 
 // Inner returns the wrapped sketch. Its state is only the spilled part of
@@ -190,9 +180,6 @@ func (s *Sketch) BufferLen(v int) int { return len(s.keys[v]) }
 // Update applies the insertion (delta = +1) or deletion (delta = −1) of
 // hyperedge e, or a weighted variant (graphsketch.Updater).
 func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	return s.UpdateEdgeRange(e, delta, 0, s.dom.N())
 }
 
@@ -202,9 +189,6 @@ func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
 // and spilling), spilled endpoints forward to the inner sketch's share of
 // exactly that vertex.
 func (s *Sketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	if delta == 0 {
 		return nil
 	}
@@ -245,9 +229,6 @@ func (s *Sketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) err
 // UpdateBatch applies a slice of weighted updates in order
 // (graphsketch.Updater).
 func (s *Sketch) UpdateBatch(batch []graph.WeightedEdge) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	return s.UpdateBatchRange(batch, 0, s.dom.N())
 }
 
@@ -258,9 +239,6 @@ func (s *Sketch) UpdateBatch(batch []graph.WeightedEdge) error {
 // spilled hybrid therefore ingests dense batches at the inner sketch's
 // speed, which is what keeps the dense benchmarks regression-free.
 func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	run := 0
 	for i := range batch {
 		if s.allSpilled(batch[i].E, lo, hi) {
@@ -372,14 +350,11 @@ func (s *Sketch) replayExact(v int, ks []uint64, vs []int64) error {
 }
 
 // SpillAll spills every still-exact vertex. Afterwards the inner sketch
-// holds the whole stream: its state is byte-identical (Marshal equality) to
+// holds the whole stream: its checkpoint frame is byte-identical to that of
 // a pure sketch fed the same updates, which is how decode paths without a
 // mixed-mode implementation (skeleton peeling) reuse the inner machinery
 // unchanged, and how the property tests pin the spill invariant.
 func (s *Sketch) SpillAll() error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	for v := range s.spilled {
 		if !s.spilled[v] {
 			if err := s.spill(v); err != nil {
@@ -398,12 +373,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	ho, ok := o.(*Sketch)
 	if !ok {
 		return graphsketch.ErrMergeMismatch
-	}
-	if err := s.ready(); err != nil {
-		return err
-	}
-	if err := ho.ready(); err != nil {
-		return err
 	}
 	if s.budget != ho.budget {
 		return ErrBudgetMismatch
@@ -465,9 +434,6 @@ func (s *Sketch) addExact(v int, ks []uint64, vs []int64) error {
 
 // Clone returns a deep copy (buffers, spill flags, and inner sketch).
 func (s *Sketch) Clone() (*Sketch, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	in, err := cloneInner(s.inner)
 	if err != nil {
 		return nil, err
@@ -519,9 +485,6 @@ func cloneInner(in Inner) (Inner, error) {
 // two words per buffered entry plus the spill flags (one word per 64
 // vertices, as serialized).
 func (s *Sketch) Words() int {
-	if s.inner == nil {
-		return 0
-	}
 	w := s.inner.Words() + (len(s.spilled)+63)/64
 	for v := range s.keys {
 		w += 2 * len(s.keys[v])
@@ -534,9 +497,6 @@ func (s *Sketch) Words() int {
 // buffers and spill flags. This is the number the sparse-stream space
 // comparison against the pure sketch's StateWords uses.
 func (s *Sketch) StateWords() int {
-	if s.inner == nil {
-		return 0
-	}
 	w := s.inner.Words() - s.inner.SharedWords() + (len(s.spilled)+63)/64
 	for v := range s.keys {
 		w += 2 * len(s.keys[v])
@@ -544,21 +504,13 @@ func (s *Sketch) StateWords() int {
 	return w
 }
 
-// Marshal serializes the sketch contents (graphsketch.Sketch): a
-// length-prefixed embedded checkpoint frame of the inner sketch, the spill
-// bitmap, then each unspilled vertex's sorted buffer. Unlike the other
-// sketches' raw interiors this embeds the inner's full self-describing
-// frame — the hybrid's own params (budget, inner fingerprint) cannot
-// reconstruct the inner sketch, so the state must carry it.
-func (s *Sketch) Marshal() []byte {
-	if s.inner == nil {
-		return nil
-	}
-	return s.appendState(make([]byte, 0, s.stateSize()))
-}
-
-// appendState appends Marshal's bytes to dst, the inner frame built in
-// place; stateSize is their exact length.
+// appendState appends the sketch's state: a length-prefixed embedded
+// checkpoint frame of the inner sketch, built in place, then the spill
+// bitmap, then each unspilled vertex's sorted buffer; stateSize is its
+// exact length. Unlike the other sketches' states this embeds the inner's
+// full self-describing frame — the hybrid's own params (budget, inner
+// fingerprint) cannot reconstruct the inner sketch, so the state must
+// carry it.
 func (s *Sketch) appendState(b []byte) []byte {
 	at := len(b)
 	b = s.inner.AppendCheckpoint(binary.LittleEndian.AppendUint64(b, 0))
@@ -596,12 +548,13 @@ func (s *Sketch) stateSize() int {
 	return n
 }
 
-// Unmarshal restores contents produced by Marshal (graphsketch.Sketch). On
-// a shell reconstructed by the codec opener it adopts the embedded inner
-// frame (verifying it against the fingerprint the params recorded); on a
-// constructed sketch it adds linearly, resolving mixed exact/spilled
-// vertices exactly as Merge does.
-func (s *Sketch) Unmarshal(data []byte) error {
+// addState restores an appendState state; the codec opener and ReadFrom
+// both call it. On a shell built by the opener it adopts the embedded
+// inner frame (verifying it against the fingerprint the params recorded);
+// on a constructed sketch it adds linearly, resolving mixed exact/spilled
+// vertices exactly as Merge does. Either way the whole state — inner frame
+// and exact tail — is decoded and validated before the sketch changes.
+func (s *Sketch) addState(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("hybrid: state of %d bytes: %w", len(data), codec.ErrTruncated)
 	}
@@ -619,30 +572,30 @@ func (s *Sketch) Unmarshal(data []byte) error {
 	if !ok {
 		return fmt.Errorf("hybrid: embedded frame decodes to %T, which cannot back a hybrid sketch: %w", opened, codec.ErrUnknownType)
 	}
+	want := s.wantInnerFP
+	if s.inner != nil {
+		want = s.inner.Fingerprint()
+	}
+	if in.Fingerprint() != want {
+		return fmt.Errorf("hybrid: embedded inner frame is %016x, receiver's inner is %016x: %w",
+			in.Fingerprint(), want, codec.ErrFingerprint)
+	}
 	spilled, keys, ws, err := parseExactState(rest, in.Domain(), s.maxEntries)
 	if err != nil {
 		return err
 	}
 	if s.inner == nil {
-		if s.wantInnerFP != 0 && in.Fingerprint() != s.wantInnerFP {
-			return fmt.Errorf("hybrid: embedded inner frame is %016x, params recorded %016x: %w",
-				in.Fingerprint(), s.wantInnerFP, codec.ErrFingerprint)
-		}
 		s.inner, s.dom = in, in.Domain()
 		s.spilled, s.keys, s.ws = spilled, keys, ws
 		return nil
 	}
-	if in.Fingerprint() != s.inner.Fingerprint() {
-		return ErrInnerMismatch
-	}
 	if err := s.mergeParts(spilled, keys, ws); err != nil {
 		return err
 	}
-	// Fold the opened inner in by state, not by Merge: fingerprint equality
-	// (checked above) is the canonical compatibility test, whereas Merge
-	// compares raw in-memory configs, which may differ in defaulted fields
-	// between a constructor-built inner and its wire-roundtripped twin.
-	return s.inner.Unmarshal(in.Marshal())
+	// Equal fingerprints mean equal construction (the spanning sketches
+	// keep their configs canonical), so Merge adds the opened inner's
+	// samplers directly, with no second pass over the bytes.
+	return s.inner.Merge(in)
 }
 
 // parseExactState decodes and validates the bitmap+buffers tail of a

@@ -87,9 +87,9 @@ func decodeRouteFor(s graphsketch.Sketch) (func(*obs.Span) (*graph.Hypergraph, e
 
 // transportSketch adapts a shardplane.Transport to the mutation surface
 // Config.Sketch requires: updates route to the shards (and, via the
-// oracle, advance the epoch). The state lives on the shards, so the local
-// serialization surface is intentionally inert — merging or restoring a
-// coordinator proxy would silently bypass the plane.
+// oracle, advance the epoch). The state lives on the shards, so merging
+// into a coordinator proxy is refused — it would silently bypass the
+// plane.
 type transportSketch struct {
 	tr shardplane.Transport
 
@@ -112,9 +112,3 @@ func (t *transportSketch) Merge(o graphsketch.Sketch) error {
 }
 
 func (t *transportSketch) Words() int { return 0 }
-
-func (t *transportSketch) Marshal() []byte { return nil }
-
-func (t *transportSketch) Unmarshal(data []byte) error {
-	return fmt.Errorf("oracle: coordinator proxy holds no local state to restore: %w", ErrCoordinatorProxy)
-}

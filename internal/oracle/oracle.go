@@ -9,7 +9,7 @@
 // An Oracle wraps a sketch together with its decode routine and maintains
 //
 //   - a monotonic epoch counter, advanced by every mutation through the
-//     oracle (Update, UpdateBatch, Merge, Unmarshal, Invalidate), and
+//     oracle (Update, UpdateBatch, Merge, Invalidate), and
 //   - an immutable snapshot of the last decode — the decoded subgraph plus
 //     a flattened union–find labeling — tagged with the epoch it decoded.
 //
@@ -61,11 +61,6 @@ var ErrRemoveTooLarge = errors.New("oracle: removal set larger than the sketch's
 // ErrConfig is returned by New for an invalid Config; the wrapping message
 // names the failing field.
 var ErrConfig = errors.New("oracle: invalid configuration")
-
-// ErrCoordinatorProxy is returned by coordinator-proxy surfaces that hold
-// no local state: the plane's state lives on the shards, so merging into
-// or restoring the proxy would silently bypass the transport.
-var ErrCoordinatorProxy = errors.New("oracle: coordinator proxy state lives on the shards")
 
 // ErrNoDecodeRoute is returned when a coordinator oracle is asked to wrap
 // a sketch type it has no decode routine for.
@@ -347,22 +342,6 @@ func (o *Oracle) Merge(x graphsketch.Sketch) error {
 	defer o.mu.Unlock()
 	defer o.bumpEpoch()
 	return o.cfg.Sketch.Merge(x)
-}
-
-// Unmarshal merges serialized sketch contents (graphsketch.Sketch); the
-// raw-state no-identity warning of the Sketch interface applies.
-func (o *Oracle) Unmarshal(data []byte) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	defer o.bumpEpoch()
-	return o.cfg.Sketch.Unmarshal(data)
-}
-
-// Marshal serializes the wrapped sketch's contents (graphsketch.Sketch).
-func (o *Oracle) Marshal() []byte {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.cfg.Sketch.Marshal()
 }
 
 // Words reports the wrapped sketch's footprint in 64-bit words; the cached

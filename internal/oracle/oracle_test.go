@@ -304,17 +304,15 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
-	// Marshal/Unmarshal round-trip through the oracle: restoring the state
-	// into a fresh same-construction oracle doubles every cell (linearity),
-	// which for a {0,1} stream means decode still sees the same support.
-	blob := orc.Marshal()
+	// Oracle-to-oracle Merge: adding the state into a fresh
+	// same-construction oracle is a mutation and advances its epoch.
 	sp2 := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
 	orc2 := ForSpanning(sp2)
-	if err := orc2.Unmarshal(blob); err != nil {
+	if err := orc2.Merge(orc); err != nil {
 		t.Fatal(err)
 	}
 	if orc2.Epoch() == 0 {
-		t.Fatal("Unmarshal did not advance the epoch")
+		t.Fatal("Merge did not advance the epoch")
 	}
 
 	// Out-of-band mutation + Invalidate: the next query must rebuild.

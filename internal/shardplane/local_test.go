@@ -10,6 +10,7 @@ import (
 	"graphsketch/internal/shardplane"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 )
 
 func mustSpanning(t *testing.T, n int, seed uint64) *sketch.SpanningSketch {
@@ -51,7 +52,7 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 	if err := serial.UpdateBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	want := serial.Marshal()
+	want := frametest.Of(t, serial)
 
 	for _, shards := range []int{1, 2, 3, 5, 32} {
 		sp := mustSpanning(t, n, seed)
@@ -65,7 +66,7 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 		if err := tr.Gather(sp); err != nil {
 			t.Fatalf("shards=%d: gather: %v", shards, err)
 		}
-		if !bytes.Equal(sp.Marshal(), want) {
+		if !bytes.Equal(frametest.Of(t, sp), want) {
 			t.Fatalf("shards=%d: routed state differs from serial", shards)
 		}
 		if err := tr.Close(); err != nil {

@@ -16,6 +16,7 @@ import (
 	"graphsketch/internal/shardplane"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/frametest"
 )
 
 // testCluster runs in-process shard servers on loopback listeners, with
@@ -152,7 +153,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := serial.Marshal()
+			want := frametest.Of(t, serial)
 
 			local := mk(seed)
 			lt := shardplane.NewLocal(local, shardplane.Options{Shards: 4})
@@ -165,7 +166,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 			if err := lt.Gather(local); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(local.Marshal(), want) {
+			if !bytes.Equal(frametest.Of(t, local), want) {
 				t.Fatal("local transport state differs from serial")
 			}
 
@@ -182,7 +183,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, want) {
+			if !bytes.Equal(frametest.Of(t, gatherFresh(t, tr, proto)), want) {
 				t.Fatal("TCP cluster state differs from serial")
 			}
 		})
@@ -272,7 +273,7 @@ func TestTCPKillRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, serial.Marshal()) {
+	if !frametest.Equal(t, gatherFresh(t, tr, proto), serial) {
 		t.Fatal("state after kill-and-restore differs from serial")
 	}
 	if got := reconnects.Value() - before; got < 1 {
@@ -399,7 +400,7 @@ func TestTCPKillRestoreAfterGather(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, serial.Marshal()) {
+	if !frametest.Equal(t, gatherFresh(t, tr, proto), serial) {
 		t.Fatal("state after a gather, kill and restore differs from serial")
 	}
 }

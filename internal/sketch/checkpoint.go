@@ -19,9 +19,7 @@ import (
 // the domain size. Two sketches that behave identically — regardless of
 // which optional fields their constructors spelled out — have equal
 // WireConfigs, which is what makes fingerprints canonical.
-func (s *SpanningSketch) WireConfig() SpanningConfig {
-	return SpanningConfig{Rounds: s.cfg.Rounds, Sampler: s.samplers[0][0].Config()}
-}
+func (s *SpanningSketch) WireConfig() SpanningConfig { return s.cfg }
 
 func (s *SpanningSketch) wireParams() []byte {
 	b := codec.AppendUint64s(nil, uint64(s.dom.N()), uint64(s.dom.R()))
@@ -38,17 +36,19 @@ func (s *SpanningSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SpanningSketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), s.StateSize(), s.AppendState)
+	st := Shares{s}
+	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), st.Size(), st.Append)
 }
 
 // AppendCheckpoint appends the frame WriteTo writes to dst, in place.
 func (s *SpanningSketch) AppendCheckpoint(dst []byte) []byte {
-	return codec.AppendCheckpoint(dst, codec.TagSpanning, s.wireParams(), s.StateSize(), s.AppendState)
+	st := Shares{s}
+	return codec.AppendCheckpoint(dst, codec.TagSpanning, s.wireParams(), st.Size(), st.Append)
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.
 func (s *SpanningSketch) CheckpointSize() int {
-	return codec.CheckpointSize(s.wireParams(), s.StateSize())
+	return codec.CheckpointSize(s.wireParams(), Shares{s}.Size())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -60,24 +60,20 @@ func (s *SpanningSketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.AddState(state)
+	return n, Shares{s}.Add(state)
 }
 
-// VertexShareFrame frames vertex v's share for transport: the raw share
-// (VertexShare) becomes the interior of a codec share frame carrying the
-// sketch's fingerprint.
+// VertexShareFrame frames vertex v's share for transport: the share
+// (AppendShare) is built in place as the interior of a codec share frame
+// carrying the sketch's fingerprint.
 func (s *SpanningSketch) VertexShareFrame(v int) []byte {
-	return codec.AppendShareFrame(nil, codec.TagSpanning, s.Fingerprint(), v, s.VertexShare(v))
+	return ShareFrame(s, codec.TagSpanning, s.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *SpanningSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	v, interior, rest, err := codec.DecodeShareFrame(data, codec.TagSpanning, s.Fingerprint())
-	if err != nil {
-		return nil, err
-	}
-	return rest, s.AddVertexShare(v, interior)
+	return AddShareFrame(s, codec.TagSpanning, s.Fingerprint(), data)
 }
 
 // WireConfig returns the per-layer spanning configuration as the wire format
@@ -97,17 +93,19 @@ func (s *SkeletonSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SkeletonSketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), s.StateSize(), s.AppendState)
+	st := Shares{s}
+	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), st.Size(), st.Append)
 }
 
 // AppendCheckpoint appends the frame WriteTo writes to dst, in place.
 func (s *SkeletonSketch) AppendCheckpoint(dst []byte) []byte {
-	return codec.AppendCheckpoint(dst, codec.TagSkeleton, s.wireParams(), s.StateSize(), s.AppendState)
+	st := Shares{s}
+	return codec.AppendCheckpoint(dst, codec.TagSkeleton, s.wireParams(), st.Size(), st.Append)
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.
 func (s *SkeletonSketch) CheckpointSize() int {
-	return codec.CheckpointSize(s.wireParams(), s.StateSize())
+	return codec.CheckpointSize(s.wireParams(), Shares{s}.Size())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch;
@@ -117,22 +115,39 @@ func (s *SkeletonSketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.AddState(state)
+	return n, Shares{s}.Add(state)
 }
 
 // VertexShareFrame frames vertex v's share across all layers.
 func (s *SkeletonSketch) VertexShareFrame(v int) []byte {
-	return codec.AppendShareFrame(nil, codec.TagSkeleton, s.Fingerprint(), v, s.VertexShare(v))
+	return ShareFrame(s, codec.TagSkeleton, s.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed skeleton share from the
 // front of data, returning the remaining bytes.
 func (s *SkeletonSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	v, interior, rest, err := codec.DecodeShareFrame(data, codec.TagSkeleton, s.Fingerprint())
+	return AddShareFrame(s, codec.TagSkeleton, s.Fingerprint(), data)
+}
+
+// ShareFrame frames vertex v's share of s for transport under the identity
+// (tag, fp): a codec share frame whose interior AppendShare builds in
+// place.
+func ShareFrame(s Sharer, tag codec.Tag, fp uint64, v int) []byte {
+	return codec.AppendShareFrame(nil, tag, fp, v, s.ShareSize(v),
+		func(b []byte) []byte { return s.AppendShare(b, v) })
+}
+
+// AddShareFrame verifies one share frame from the front of data against
+// the identity (tag, fp) and s's vertex range, merges the share into s,
+// and returns the remaining bytes. A frame the codec rejects — corrupt,
+// from another identity, or naming a vertex outside [0, n) — leaves s
+// untouched.
+func AddShareFrame(s Sharer, tag codec.Tag, fp uint64, data []byte) ([]byte, error) {
+	v, interior, rest, err := codec.DecodeShareFrame(data, tag, fp, s.NumVertices())
 	if err != nil {
 		return nil, err
 	}
-	return rest, s.AddVertexShare(v, interior)
+	return rest, noTrailing(s.AddShare(v, interior))
 }
 
 // AppendWireConfig appends a SpanningConfig's five wire words (rounds plus
@@ -169,7 +184,7 @@ func paramWords(tag codec.Tag, params []byte, n int) ([]uint64, error) {
 }
 
 func init() {
-	codec.Register(codec.TagSpanning, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSpanning, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, err := paramWords(codec.TagSpanning, params, 8)
 		if err != nil {
 			return nil, err
@@ -182,9 +197,13 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSpanningSketch(SpanningParams{N: f[0], R: f[1], Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		s, err := NewSpanningSketch(SpanningParams{N: f[0], R: f[1], Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		if err != nil {
+			return nil, err
+		}
+		return s, Shares{s}.Add(state)
 	})
-	codec.Register(codec.TagSkeleton, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSkeleton, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, err := paramWords(codec.TagSkeleton, params, 9)
 		if err != nil {
 			return nil, err
@@ -197,7 +216,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSkeletonSketch(SkeletonParams{N: f[0], R: f[1], K: f[2], Spanning: cfg, Seed: vs[8]})
+		s, err := NewSkeletonSketch(SkeletonParams{N: f[0], R: f[1], K: f[2], Spanning: cfg, Seed: vs[8]})
+		if err != nil {
+			return nil, err
+		}
+		return s, Shares{s}.Add(state)
 	})
 }
 

@@ -226,14 +226,6 @@ func (s *SkeletonSketch) Merge(o graphsketch.Sketch) error {
 	return s.AddScaled(so, 1)
 }
 
-// Marshal serializes the sketch contents (graphsketch.Sketch); identical to
-// State.
-func (s *SkeletonSketch) Marshal() []byte { return s.State() }
-
-// Unmarshal merges serialized contents into the sketch; identical to
-// AddState.
-func (s *SkeletonSketch) Unmarshal(data []byte) error { return s.AddState(data) }
-
 var _ graphsketch.Sharded = (*SkeletonSketch)(nil)
 
 // Domain returns the hyperedge key domain.

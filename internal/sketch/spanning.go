@@ -108,6 +108,10 @@ func NewSpanning(seed uint64, dom graph.Domain, cfg SpanningConfig) *SpanningSke
 	for t := range s.samplers {
 		s.samplers[t] = l0.NewRow(ss.At(uint64(t)), dom.Size(), cfg.Sampler, dom.N())
 	}
+	// The sampler shape resolved against the domain: sketches that behave
+	// identically hold equal configs, however their constructors spelled
+	// the optional fields.
+	s.cfg.Sampler = s.samplers[0][0].Config()
 	return s
 }
 
@@ -129,6 +133,9 @@ func (s *SpanningSketch) Update(e graph.Hyperedge, delta int64) error {
 // endpoint (all samplers in a round share a seed), so the batched path also
 // amortizes hashing relative to per-endpoint Update calls.
 func (s *SpanningSketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) error {
+	if !s.owns(e, lo, hi) {
+		return nil
+	}
 	key, err := s.dom.Encode(e)
 	if err != nil {
 		return err
@@ -155,6 +162,19 @@ func (s *SpanningSketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi 
 		}
 	}
 	return nil
+}
+
+// owns reports whether the range [lo, hi) has work for e: an endpoint in
+// it. An edge naming no vertex, or a vertex outside [0, n), counts too —
+// every range of a partition would skip it, so each must let Encode reject
+// it. A well-formed edge some other range owns costs no hashing here.
+func (s *SpanningSketch) owns(e graph.Hyperedge, lo, hi int) bool {
+	for _, v := range e {
+		if (lo <= v && v < hi) || v < 0 || v >= s.dom.N() {
+			return true
+		}
+	}
+	return len(e) == 0
 }
 
 // UpdateBatch applies a slice of weighted updates in order; equivalent to
@@ -364,12 +384,25 @@ func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, for
 }
 
 // cutSampler returns the round-t sampler of a component's cut vector: the
-// sum of the samplers of the members verts[i], i ∈ g, plus their terms.
+// sum of the samplers of the members verts[i], i ∈ g, plus their terms. The
+// sum starts from a clone of the member with the most allocated cells, so
+// adding the others never regrows its arena; field addition commutes, so
+// the order does not change the sum.
 func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []int) *l0.Sampler {
-	sum := s.samplers[t][verts[g[0]]].Clone()
+	row := s.samplers[t]
+	first := g[0]
 	for _, i := range g[1:] {
+		if row[verts[i]].StateWords() > row[verts[first]].StateWords() {
+			first = i
+		}
+	}
+	sum := row[verts[first]].Clone()
+	for _, i := range g {
+		if i == first {
+			continue
+		}
 		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(&s.samplers[t][verts[i]], 1); err != nil {
+		if err := sum.AddScaled(&row[verts[i]], 1); err != nil {
 			panic(err)
 		}
 	}
@@ -408,9 +441,6 @@ func (s *SpanningSketch) Domain() graph.Domain { return s.dom }
 
 // Rounds returns the number of Boruvka rounds (independent sampler copies).
 func (s *SpanningSketch) Rounds() int { return s.cfg.Rounds }
-
-// Config returns the (defaulted) configuration.
-func (s *SpanningSketch) Config() SpanningConfig { return s.cfg }
 
 // Seed returns the master seed.
 func (s *SpanningSketch) Seed() uint64 { return s.seed }
@@ -465,13 +495,5 @@ func (s *SpanningSketch) Merge(o graphsketch.Sketch) error {
 	}
 	return s.AddScaled(so, 1)
 }
-
-// Marshal serializes the sketch contents (graphsketch.Sketch); identical to
-// State.
-func (s *SpanningSketch) Marshal() []byte { return s.State() }
-
-// Unmarshal merges serialized contents into the sketch; identical to
-// AddState.
-func (s *SpanningSketch) Unmarshal(data []byte) error { return s.AddState(data) }
 
 var _ graphsketch.Sharded = (*SpanningSketch)(nil)

@@ -18,11 +18,11 @@ func TestSpanningStateRoundTrip(t *testing.T) {
 	if err := a.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	state := a.State()
+	state := Shares{a}.Append(nil)
 
 	// Restore into a fresh sketch and continue streaming.
 	b := NewSpanning(seed, h.Domain(), SpanningConfig{})
-	if err := b.AddState(state); err != nil {
+	if err := (Shares{b}).Add(state); err != nil {
 		t.Fatal(err)
 	}
 	extra := graph.MustEdge(0, 19)
@@ -60,10 +60,10 @@ func TestSpanningStateMergesTwoStreams(t *testing.T) {
 		}
 	}
 	agg := NewSpanning(seed, h.Domain(), SpanningConfig{})
-	if err := agg.AddState(m1.State()); err != nil {
+	if err := (Shares{agg}).Add(Shares{m1}.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.AddState(m2.State()); err != nil {
+	if err := (Shares{agg}).Add(Shares{m2}.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := agg.SpanningGraph()
@@ -87,7 +87,7 @@ func TestSkeletonStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
-	if err := b.AddState(a.State()); err != nil {
+	if err := (Shares{b}).Add(Shares{a}.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	sa, errA := a.Skeleton()
@@ -106,12 +106,15 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 	if err := a.Update(graph.MustEdge(0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	state := a.State()
+	state := Shares{a}.Append(nil)
+	if len(state) != (Shares{a}).Size() {
+		t.Fatalf("state of %d bytes, Size says %d", len(state), Shares{a}.Size())
+	}
 	b := NewSpanning(1, dom, SpanningConfig{})
-	if err := b.AddState(state[:len(state)-3]); err == nil {
+	if err := (Shares{b}).Add(state[:len(state)-3]); err == nil {
 		t.Fatal("truncated state accepted")
 	}
-	if err := b.AddState(append(state, 0xff)); err == nil {
+	if err := (Shares{b}).Add(append(state, 0xff)); err == nil {
 		t.Fatal("over-long state accepted")
 	}
 }

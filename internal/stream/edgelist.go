@@ -33,11 +33,11 @@ import (
 // Every parse error carries the 1-based line number it occurred on.
 func ReadEdgeList(r io.Reader) (*graph.Hypergraph, error) {
 	type row struct {
-		u, v int
-		w    int64
+		u, v, line int
+		w          int64
 	}
 	var rows []row
-	maxID := -1
+	maxID, maxLine := -1, 0
 	loops := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -82,13 +82,10 @@ func ReadEdgeList(r io.Reader) (*graph.Hypergraph, error) {
 			sm.elLoops.Add(1)
 			continue
 		}
-		if u > maxID {
-			maxID = u
+		if m := max(u, v); m > maxID {
+			maxID, maxLine = m, lineNo
 		}
-		if v > maxID {
-			maxID = v
-		}
-		rows = append(rows, row{u, v, w})
+		rows = append(rows, row{u, v, lineNo, w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -99,9 +96,14 @@ func ReadEdgeList(r io.Reader) (*graph.Hypergraph, error) {
 		}
 		return nil, errors.New("stream: empty edge list")
 	}
-	h := graph.NewGraph(maxID + 1)
+	h, err := graph.NewHypergraph(maxID+1, 2)
+	if err != nil {
+		return nil, parseErr(maxLine, "vertex id %d: %v", maxID, err)
+	}
 	for _, e := range rows {
-		h.MustAddEdge(graph.MustEdge(e.u, e.v), e.w)
+		if err := h.AddEdge(graph.MustEdge(e.u, e.v), e.w); err != nil {
+			return nil, parseErr(e.line, "multiplicity overflows: %v", err)
+		}
 	}
 	return h, nil
 }
