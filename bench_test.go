@@ -512,7 +512,9 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // construction, state merge). skeleton-n64 restores an ingested k-skeleton;
 // empty-n16384 restores an empty spanning sketch, the hybrid inner's
 // common case, where every sampler stays absent and the cost is the
-// construction itself.
+// construction itself; hybrid-n16384 restores a budget-32 hybrid over the
+// power-law graph gsbench's hybrid-sparse workload starts from, whose
+// state embeds the inner's frame and spills the hubs.
 func BenchmarkCheckpointRead(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -524,10 +526,15 @@ func BenchmarkCheckpointRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	_, hy := sparseHybrid(b, 16384, 32)
+	base := workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), 16384, 3, 2.5)
+	if err := stream.Apply(stream.FromGraph(base), hy); err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		s    graphsketch.Checkpointer
-	}{{"skeleton-n64", sk}, {"empty-n16384", empty}} {
+	}{{"skeleton-n64", sk}, {"empty-n16384", empty}, {"hybrid-n16384", hy}} {
 		var buf bytes.Buffer
 		if _, err := c.s.WriteTo(&buf); err != nil {
 			b.Fatal(err)

@@ -542,3 +542,86 @@ func TestCheckpointMergeOpened(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointRejectedReadFromLeavesReceiver: a checkpoint frame whose
+// checksum and fingerprint are valid but whose state is cut short is
+// rejected by ReadFrom before the receiver changes, for every
+// implementation. States used to be merged vertex by vertex, so one cut in
+// its last shares failed only after the earlier vertices were added.
+func TestCheckpointRejectedReadFromLeavesReceiver(t *testing.T) {
+	const n, cut = 12, 100
+	st := checkpointStream(n)
+	for _, tc := range checkpointCases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st, src); err != nil {
+				t.Fatal(err)
+			}
+			frame := frametest.Of(t, src)
+			short := append(bytes.Clone(frame[:len(frame)-4-cut]), 0, 0, 0, 0)
+			binary.LittleEndian.PutUint64(short[16:], uint64(len(short)-codec.FrameOverhead))
+			dst := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st[:len(st)/2], dst); err != nil {
+				t.Fatal(err)
+			}
+			before := frametest.Of(t, dst)
+			if _, err := dst.ReadFrom(bytes.NewReader(fixCRC(short))); err == nil {
+				t.Fatalf("ReadFrom accepted a state cut %d bytes short", cut)
+			}
+			if !bytes.Equal(frametest.Of(t, dst), before) {
+				t.Fatal("a rejected ReadFrom changed the receiver")
+			}
+		})
+	}
+}
+
+// TestCheckpointOpenInPlace pins the copy-what-you-keep contract: Open and
+// ReadFrom read a frame held in a *bytes.Buffer where it lies, so no sketch
+// may keep a window into the caller's bytes. For every implementation the
+// frame is read from a buffer that holds it followed by trailing bytes; the
+// buffer must advance past exactly the frame, and once its backing array
+// is overwritten the sketch must still write the original frame.
+func TestCheckpointOpenInPlace(t *testing.T) {
+	const n = 12
+	st := checkpointStream(n)
+	trailing := []byte("trailing bytes")
+	readInPlace := func(t *testing.T, frame []byte, read func(*bytes.Buffer) error) {
+		t.Helper()
+		backing := append(bytes.Clone(frame), trailing...)
+		buf := bytes.NewBuffer(backing)
+		if err := read(buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), trailing) {
+			t.Fatalf("%d bytes left after the read, want the %d trailing ones", buf.Len(), len(trailing))
+		}
+		for i := range backing {
+			backing[i] = 0xA5
+		}
+	}
+	for _, tc := range checkpointCases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st, src); err != nil {
+				t.Fatal(err)
+			}
+			frame := frametest.Of(t, src)
+			var opened graphsketch.Sketch
+			readInPlace(t, frame, func(buf *bytes.Buffer) (err error) {
+				opened, err = codec.Open(buf)
+				return err
+			})
+			if !bytes.Equal(frametest.Of(t, opened), frame) {
+				t.Fatal("the opened sketch changed with the buffer it was read from")
+			}
+			dst := tc.build(t, n, plan.Balanced)
+			readInPlace(t, frame, func(buf *bytes.Buffer) error {
+				_, err := dst.ReadFrom(buf)
+				return err
+			})
+			if !bytes.Equal(frametest.Of(t, dst), frame) {
+				t.Fatal("the restored sketch changed with the buffer it was read from")
+			}
+		})
+	}
+}

@@ -217,7 +217,7 @@ func freshFrom(proto shardplane.Member) (graphsketch.Checkpointer, error) {
 	if _, err := proto.WriteTo(&buf); err != nil {
 		return nil, err
 	}
-	s, err := codec.Open(bytes.NewReader(buf.Bytes()))
+	s, err := codec.Open(&buf)
 	if err != nil {
 		return nil, err
 	}

@@ -193,11 +193,24 @@ func ReadFrame(r io.Reader) (Header, []byte, int64, error) {
 }
 
 // ReadFrameBytes is ReadFrame returning the complete verified frame, header
-// through checksum, in an exact-size buffer — the bytes the sender's
-// AppendFrame produced. When r reports its remaining length (Len() int, as
-// bytes.Reader and bytes.Buffer do) the declared length is checked against
-// it and the frame is read with one allocation.
+// through checksum — the bytes the sender's AppendFrame produced. When r is
+// a *bytes.Buffer the frame is verified where it lies and returned as a
+// window into the buffer's backing array (capacity clipped to the frame),
+// with no allocation or copy; the buffer advances past it only on success.
+// Callers that keep any of the frame's bytes past the buffer's next write
+// must copy them: every Opener and ReadFrom does. From any other reader the
+// frame is read into an exact-size buffer of its own; when r reports its
+// remaining length (Len() int, as bytes.Reader does) the declared length is
+// checked against it and the frame is read with one allocation.
 func ReadFrameBytes(r io.Reader) (Header, []byte, int64, error) {
+	if buf, ok := r.(*bytes.Buffer); ok {
+		h, payload, _, err := DecodeFrame(buf.Bytes())
+		if err != nil {
+			return Header{}, nil, 0, err
+		}
+		size := FrameOverhead + len(payload)
+		return h, buf.Next(size)[:size:size], int64(size), nil
+	}
 	var hdr [headerLen]byte
 	n, err := io.ReadFull(r, hdr[:])
 	read := int64(n)

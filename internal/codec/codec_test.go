@@ -352,3 +352,28 @@ func TestDecodeFrameZeroCopy(t *testing.T) {
 		t.Fatal("DecodeFrame copied the payload")
 	}
 }
+
+// TestReadFrameBytesInPlace pins the in-place read: a frame at the front of
+// a bytes.Buffer comes back as a window into the buffer, capacity clipped
+// so an append cannot overwrite what follows, and the buffer advances past
+// exactly the frame. A corrupt frame leaves the buffer unread.
+func TestReadFrameBytesInPlace(t *testing.T) {
+	frame := validFrame(t)
+	backing := append(bytes.Clone(frame), "next"...)
+	buf := bytes.NewBuffer(backing)
+	_, got, n, err := ReadFrameBytes(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &backing[0] || !bytes.Equal(got, frame) || cap(got) != len(frame) {
+		t.Fatalf("got %d bytes (cap %d), want a window onto the %d-byte frame", len(got), cap(got), len(frame))
+	}
+	if n != int64(len(frame)) || buf.String() != "next" {
+		t.Fatalf("consumed %d, left %q; want %d and \"next\"", n, buf.String(), len(frame))
+	}
+	backing[len(frame)-1] ^= 1
+	buf = bytes.NewBuffer(backing)
+	if _, _, n, err := ReadFrameBytes(buf); !errors.Is(err, ErrChecksum) || n != 0 || buf.Len() != len(backing) {
+		t.Fatalf("corrupt frame: got %v, consumed %d, %d bytes left; want ErrChecksum and the buffer unread", err, n, buf.Len())
+	}
+}

@@ -17,6 +17,11 @@ import (
 // as its ReadFrom, so raw state never crosses a package boundary; the
 // registry is what lets Open rebuild a sketch from a checkpoint frame alone
 // without this package importing (and cycling with) the sketch packages.
+//
+// params and state may be windows into the caller's buffer (ReadFrameBytes
+// reads a *bytes.Buffer in place), which the caller is free to overwrite
+// once Open returns: an opener, like every ReadFrom, must copy whatever it
+// keeps.
 type Opener func(params, state []byte) (graphsketch.Sketch, error)
 
 var (

@@ -6,6 +6,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/recovery"
+	"graphsketch/internal/sketch"
 )
 
 // BeckerSketch is the d-degenerate graph reconstruction of Becker,
@@ -192,8 +193,7 @@ func (b *BeckerSketch) AppendShare(dst []byte, v int) []byte {
 // ShareSize returns the length of row v's share.
 func (b *BeckerSketch) ShareSize(v int) int { return b.rows[v].BinarySize() }
 
-// AddShare merges a row share of vertex v from the front of src (same
-// seed/shape).
-func (b *BeckerSketch) AddShare(v int, src []byte) ([]byte, error) {
-	return b.rows[v].AddBinary(src)
+// WalkShare applies op to row v, the whole share (sketch.Sharer).
+func (b *BeckerSketch) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
+	return op(b.rows[v], src)
 }

@@ -279,10 +279,10 @@ func (ls levelShares) ShareSize(v int) int {
 	return n
 }
 
-func (ls levelShares) AddShare(v int, src []byte) ([]byte, error) {
+func (ls levelShares) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
 	var err error
 	for _, l := range ls {
-		if src, err = l.Skeleton().AddShare(v, src); err != nil {
+		if src, err = l.Skeleton().WalkShare(v, src, op); err != nil {
 			return nil, err
 		}
 	}

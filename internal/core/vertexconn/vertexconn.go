@@ -362,15 +362,17 @@ func (s *Sketch) ShareSize(v int) int {
 	return n
 }
 
-// AddShare merges a share of vertex v from the front of src (sketch.Sharer).
-func (s *Sketch) AddShare(v int, src []byte) ([]byte, error) {
+// WalkShare walks vertex v's share of every subgraph that sampled v
+// (sketch.Sharer). It drops the decoded-H cache, also on a validating
+// walk, which costs at most one re-decode.
+func (s *Sketch) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
 	s.decoded = nil
 	var err error
 	for i, sk := range s.sketches {
 		if !s.InSubgraph(i, v) {
 			continue
 		}
-		if src, err = sk.AddShare(v, src); err != nil {
+		if src, err = sk.WalkShare(v, src, op); err != nil {
 			return nil, err
 		}
 	}

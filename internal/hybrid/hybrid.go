@@ -564,7 +564,7 @@ func (s *Sketch) addState(data []byte) error {
 		return fmt.Errorf("hybrid: inner frame length %d exceeds state: %w", flen, codec.ErrTruncated)
 	}
 	frame, rest := rest[:flen], rest[flen:]
-	opened, err := codec.Open(bytes.NewReader(frame))
+	opened, err := codec.Open(bytes.NewBuffer(frame))
 	if err != nil {
 		return fmt.Errorf("hybrid: embedded inner frame: %w", err)
 	}

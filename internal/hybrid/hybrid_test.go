@@ -3,6 +3,7 @@ package hybrid_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"graphsketch"
@@ -16,6 +17,7 @@ import (
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/testutil/frametest"
+	"graphsketch/internal/workload"
 )
 
 // pair builds a pure spanning sketch and a hybrid wrapper over an
@@ -553,5 +555,36 @@ func TestHybridUpdateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state buffered Update allocates %v times", allocs)
+	}
+}
+
+// TestHybridOpenAllocation pins the in-place read of the embedded inner
+// frame: opening a hybrid checkpoint allocates the outer frame (read from
+// a bytes.Reader, 1×), the inner sketch's arenas and the exact buffers, but
+// no second copy of the inner frame, which is most of the outer one.
+// Copying it again measured about 3.3× the frame bytes.
+func TestHybridOpenAllocation(t *testing.T) {
+	const n, budget = 4096, 32
+	_, hy := pair(t, n, 2, budget, 47)
+	base := workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), n, 3, 2.5)
+	apply(t, stream.FromGraph(base), hy)
+	if hy.SpilledCount() == 0 {
+		t.Fatal("no vertex spilled; the frame embeds an empty inner")
+	}
+	frame := frametest.Of(t, hy)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	opened, err := codec.Open(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !frametest.Equal(t, opened, hy) {
+		t.Fatal("reopened state differs")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(frame))
+	t.Logf("Open allocated %.2f× its %d frame bytes (%d vertices spilled)", ratio, len(frame), hy.SpilledCount())
+	if ratio > 2.5 {
+		t.Fatalf("Open allocated %.2f× its %d frame bytes, want <= 2.5×", ratio, len(frame))
 	}
 }

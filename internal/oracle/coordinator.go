@@ -38,7 +38,7 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 	frame := buf.Bytes()
 	// Fail at construction, not first query, if the prototype's type has
 	// no decode route.
-	probe, err := codec.Open(bytes.NewReader(frame))
+	probe, err := codec.Open(bytes.NewBuffer(frame))
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reopening coordinator prototype: %w", err)
 	}
@@ -49,7 +49,7 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 		Sketch: &transportSketch{tr: tr},
 		N:      proto.NumVertices(),
 		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) {
-			fresh, err := codec.Open(bytes.NewReader(frame))
+			fresh, err := codec.Open(bytes.NewBuffer(frame))
 			if err != nil {
 				return nil, fmt.Errorf("oracle: opening gather destination: %w", err)
 			}

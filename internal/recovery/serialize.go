@@ -82,5 +82,14 @@ func (t *SSparse) AppendBinary(b []byte) []byte { return AppendCells(b, t.cells)
 // changes.
 func (t *SSparse) AddBinary(b []byte) ([]byte, error) { return AddCellsBinary(t.cells, b) }
 
+// CheckBinary validates a serialized structure at the front of b — its
+// length, the one check AddBinary makes — and returns the remaining bytes.
+func (t *SSparse) CheckBinary(b []byte) ([]byte, error) {
+	if len(b) < t.BinarySize() {
+		return nil, ErrShortBuffer
+	}
+	return b[t.BinarySize():], nil
+}
+
 // BinarySize returns the serialized size in bytes.
 func (t *SSparse) BinarySize() int { return CellBytes * len(t.cells) }

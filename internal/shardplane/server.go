@@ -168,7 +168,7 @@ func openHello(h codec.Header, payload []byte) (Member, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sk, err := codec.Open(bytes.NewReader(hello.Ckpt))
+	sk, err := codec.Open(bytes.NewBuffer(hello.Ckpt))
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("shardplane: opening hello checkpoint: %w", err)
 	}

@@ -237,8 +237,10 @@ func (t *TCPTransport) pullAll(rf io.ReaderFrom) error {
 	if rf == nil {
 		return nil
 	}
+	// ReadFrom reads each frame in place and copies what it keeps, so the
+	// frames stay intact as the shards' restore points.
 	for s, sc := range t.shards {
-		if _, err := rf.ReadFrom(bytes.NewReader(frames[s])); err != nil {
+		if _, err := rf.ReadFrom(bytes.NewBuffer(frames[s])); err != nil {
 			spm.gatherRejects.Inc()
 			return fmt.Errorf("shardplane: merging shard %d (%s): %w", s, sc.addr, err)
 		}

@@ -140,14 +140,14 @@ func ShareFrame(s Sharer, tag codec.Tag, fp uint64, v int) []byte {
 // AddShareFrame verifies one share frame from the front of data against
 // the identity (tag, fp) and s's vertex range, merges the share into s,
 // and returns the remaining bytes. A frame the codec rejects — corrupt,
-// from another identity, or naming a vertex outside [0, n) — leaves s
-// untouched.
+// from another identity, or naming a vertex outside [0, n) — or whose
+// share is malformed leaves s untouched.
 func AddShareFrame(s Sharer, tag codec.Tag, fp uint64, data []byte) ([]byte, error) {
 	v, interior, rest, err := codec.DecodeShareFrame(data, tag, fp, s.NumVertices())
 	if err != nil {
 		return nil, err
 	}
-	return rest, noTrailing(s.AddShare(v, interior))
+	return rest, AddShare(s, v, interior)
 }
 
 // AppendWireConfig appends a SpanningConfig's five wire words (rounds plus

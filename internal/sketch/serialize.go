@@ -24,12 +24,41 @@ type Sharer interface {
 	AppendShare(dst []byte, v int) []byte
 	// ShareSize returns the length AppendShare appends for v.
 	ShareSize(v int) int
-	// AddShare merges (linearly) a share of vertex v from the front of src
-	// and returns the rest. The share must come from an identically
-	// constructed structure — the protocol's shared public randomness.
-	// That invariant is unchecked here: transported shares travel as codec
-	// frames, which verify the identity fingerprint first.
-	AddShare(v int, src []byte) (rest []byte, err error)
+	// WalkShare applies op to the parts of vertex v's share in order, each
+	// reading its part's serialization from the front of the bytes the
+	// previous one left, and returns the rest; it stops at the first
+	// error. With SharePart.CheckBinary it validates a share, with
+	// SharePart.AddBinary it merges one (AddShare does both).
+	WalkShare(v int, src []byte, op PartOp) (rest []byte, err error)
+}
+
+// SharePart is one serialized piece of a share: an L0 sampler
+// (*l0.Sampler), or a Becker row (*recovery.SSparse).
+type SharePart interface {
+	// CheckBinary validates a serialized part at the front of src without
+	// changing anything and returns the rest.
+	CheckBinary(src []byte) ([]byte, error)
+	// AddBinary merges (linearly) a serialized part from the front of src
+	// and returns the rest.
+	AddBinary(src []byte) ([]byte, error)
+}
+
+// PartOp reads one part's serialization from the front of src and returns
+// the rest: SharePart.CheckBinary or SharePart.AddBinary.
+type PartOp func(p SharePart, src []byte) ([]byte, error)
+
+// AddShare merges (linearly) vertex v's share, which it must consume
+// exactly, into s. The whole share is validated before the first part
+// changes, so a rejected share leaves s as it was. The share must come
+// from an identically constructed structure — the protocol's shared public
+// randomness. That invariant is unchecked here: transported shares travel
+// as codec frames, which verify the identity fingerprint first.
+func AddShare(s Sharer, v int, share []byte) error {
+	if err := noTrailing(s.WalkShare(v, share, SharePart.CheckBinary)); err != nil {
+		return err
+	}
+	_, err := s.WalkShare(v, share, SharePart.AddBinary)
+	return err
 }
 
 // Shares is the full state of a Sharer: its shares 0..n−1 in vertex order.
@@ -58,11 +87,21 @@ func (s Shares) Append(dst []byte) []byte {
 // Add merges a state (linearly), which it must consume exactly. On a
 // freshly constructed structure this is an exact restore; on a non-empty
 // one it adds the two streams' contents, which is itself meaningful by
-// linearity.
+// linearity. The whole state is validated before the first merge, so a
+// rejected state leaves the structure as it was.
 func (s Shares) Add(b []byte) error {
+	if err := s.walk(b, SharePart.CheckBinary); err != nil {
+		return err
+	}
+	return s.walk(b, SharePart.AddBinary)
+}
+
+// walk applies op to every share in vertex order, which must consume b
+// exactly.
+func (s Shares) walk(b []byte, op PartOp) error {
 	var err error
 	for v, n := 0, s.NumVertices(); v < n && err == nil; v++ {
-		b, err = s.AddShare(v, b)
+		b, err = s.WalkShare(v, b, op)
 	}
 	return noTrailing(b, err)
 }
@@ -92,8 +131,18 @@ func (st Stack) Append(dst []byte) []byte {
 	return dst
 }
 
-// Add merges a state (linearly), which it must consume exactly.
+// Add merges a state (linearly), which it must consume exactly. Like
+// Shares.Add it validates the whole state first.
 func (st Stack) Add(b []byte) error {
+	if err := st.walk(b, SharePart.CheckBinary); err != nil {
+		return err
+	}
+	return st.walk(b, SharePart.AddBinary)
+}
+
+// walk applies op to every member's Shares in order, which must consume b
+// exactly.
+func (st Stack) walk(b []byte, op PartOp) error {
 	for _, s := range st {
 		if len(b) < 8 {
 			return recovery.ErrShortBuffer
@@ -102,7 +151,7 @@ func (st Stack) Add(b []byte) error {
 		if b = b[8:]; uint64(len(b)) < n {
 			return recovery.ErrShortBuffer
 		}
-		if err := (Shares{s}).Add(b[:n]); err != nil {
+		if err := (Shares{s}).walk(b[:n], op); err != nil {
 			return err
 		}
 		b = b[n:]
@@ -135,11 +184,11 @@ func (s *SpanningSketch) ShareSize(v int) int {
 	return n
 }
 
-// AddShare merges a share of vertex v from the front of src (Sharer).
-func (s *SpanningSketch) AddShare(v int, src []byte) ([]byte, error) {
+// WalkShare applies op to vertex v's sampler in every round (Sharer).
+func (s *SpanningSketch) WalkShare(v int, src []byte, op PartOp) ([]byte, error) {
 	var err error
 	for t := range s.samplers {
-		if src, err = s.samplers[t][v].AddBinary(src); err != nil {
+		if src, err = op(&s.samplers[t][v], src); err != nil {
 			return nil, err
 		}
 	}
@@ -163,11 +212,11 @@ func (s *SkeletonSketch) ShareSize(v int) int {
 	return n
 }
 
-// AddShare merges a share of vertex v from the front of src (Sharer).
-func (s *SkeletonSketch) AddShare(v int, src []byte) ([]byte, error) {
+// WalkShare walks vertex v's share of every layer (Sharer).
+func (s *SkeletonSketch) WalkShare(v int, src []byte, op PartOp) ([]byte, error) {
 	var err error
 	for _, l := range s.layers {
-		if src, err = l.AddShare(v, src); err != nil {
+		if src, err = l.WalkShare(v, src, op); err != nil {
 			return nil, err
 		}
 	}

@@ -519,7 +519,7 @@ func TestSkeletonVertexShareExact(t *testing.T) {
 		t.Fatal("share-merged skeleton differs")
 	}
 	// Malformed share rejected.
-	if err := noTrailing(ref.AddShare(0, []byte{1, 2, 3})); err == nil {
+	if err := AddShare(ref, 0, []byte{1, 2, 3}); err == nil {
 		t.Fatal("malformed share accepted")
 	}
 }
@@ -535,7 +535,7 @@ func TestSpanningAddVertexShareRejectsTrailing(t *testing.T) {
 		t.Fatalf("share of %d bytes, ShareSize says %d", len(share), a.ShareSize(0))
 	}
 	b := NewSpanning(1, dom, SpanningConfig{})
-	if err := noTrailing(b.AddShare(0, append(share, 0x00))); err == nil {
+	if err := AddShare(b, 0, append(share, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
