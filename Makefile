@@ -160,4 +160,7 @@ lint-govulncheck:
 		echo "lint: govulncheck $(GOVULNCHECK_VERSION) not installed and LINT_ONLINE != 1; skipping"; \
 	fi
 
-ci: fmt-check vet lint build test race codec-check cluster-check bench
+# Every gate the GitHub workflow runs. bench-check is the only one that
+# builds the separate gsbench/ module against the library, so it is what
+# catches a library rename that breaks the benchmark.
+ci: fmt-check vet lint build test race codec-check obs-check cluster-check bench-check bench

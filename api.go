@@ -121,11 +121,12 @@ type Sharded interface {
 }
 
 // Querier answers pairwise connectivity queries against the most recent
-// decoded snapshot of a sketch. Update is nanoseconds while decode (BuildH,
-// skeleton peeling) is milliseconds, so a serving layer must not decode per
-// query; implementations (internal/oracle) cache the decoded spanning
-// forest / H behind a monotonic epoch counter, invalidate lazily when
-// mutations advance the epoch, and rebuild at most once per dirty epoch.
+// decoded snapshot of a sketch. Update is nanoseconds while decode (the H
+// build, skeleton peeling) is milliseconds, so a serving layer must not
+// decode per query; implementations (internal/oracle) cache the decoded
+// spanning forest / H behind a monotonic epoch counter, invalidate lazily
+// when mutations advance the epoch, and rebuild at most once per dirty
+// epoch.
 //
 // Connected reports whether u and v are connected in the sketched
 // (hyper)graph, answered from the cached snapshot in O(α(n)) — a DSU

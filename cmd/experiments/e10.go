@@ -55,7 +55,7 @@ func runE10(cfg Config, out *os.File) error {
 			if err := sk.UpdateGraph(h, 1); err != nil {
 				return err
 			}
-			skel, err := sk.Skeleton()
+			skel, err := sk.Decode(nil)
 			outcome := "ok"
 			trueEdges, falseEdges := 0, 0
 			if err != nil {
@@ -84,7 +84,7 @@ func runE10(cfg Config, out *os.File) error {
 		outcome := "fully peeled"
 		extracted := graph.NewGraph(n)
 		for round := 0; round < n; round++ {
-			f, err := sp.SpanningGraph()
+			f, err := sp.Decode(nil)
 			if err != nil {
 				outcome = "decode failure (detected)"
 				break

@@ -43,7 +43,7 @@ func runE12(cfg Config, out *os.File) error {
 		}
 		ingest := time.Since(start)
 		start = time.Now()
-		if _, err := s.SpanningGraph(); err != nil {
+		if _, err := s.Decode(nil); err != nil {
 			return err
 		}
 		decode := time.Since(start)

@@ -59,7 +59,7 @@ func runE13(cfg Config, out *os.File) error {
 			if w := s.Words() / n; w > words {
 				words = w
 			}
-			f, err := s.SpanningGraph()
+			f, err := s.Decode(nil)
 			if err != nil {
 				ok.Observe(false)
 				exact.Observe(false)

@@ -56,7 +56,7 @@ func runE4(cfg Config, out *os.File) error {
 					return err
 				}
 				words = s.Words()
-				f, err := s.SpanningGraph()
+				f, err := s.Decode(nil)
 				if err != nil {
 					ok.Observe(false)
 					continue

@@ -43,7 +43,7 @@ func runE5(cfg Config, out *os.File) error {
 					return err
 				}
 				words = sk.Words()
-				skel, err := sk.Skeleton()
+				skel, err := sk.Decode(nil)
 				if err != nil {
 					return err
 				}

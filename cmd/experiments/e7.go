@@ -58,7 +58,7 @@ func runE7(cfg Config, out *os.File) error {
 			if err := stream.Apply(stream.WithChurn(final, churn, rng), s); err != nil {
 				return err
 			}
-			sp, err := s.Sparsifier()
+			sp, err := s.Decode(nil)
 			if err != nil {
 				return err
 			}

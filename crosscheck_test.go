@@ -73,7 +73,7 @@ func TestCrossCheckRandomizedStreams(t *testing.T) {
 		if err := stream.Apply(st, sp); err != nil {
 			t.Fatal(err)
 		}
-		f, err := sp.SpanningGraph()
+		f, err := sp.Decode(nil)
 		if err != nil {
 			t.Fatalf("iter %d: spanning decode: %v", iter, err)
 		}

@@ -8,7 +8,7 @@
 // satisfies: Updater (Update / UpdateBatch), Mergeable, Sketch (adds
 // Words), Checkpointer (framed checkpoints), and Sharded — the contract
 // that lets internal/engine ingest updates through a lock-free
-// vertex-sharded worker pool and decode with fan-out, with results
+// vertex-sharded worker pool, with results
 // byte-identical to serial execution — plus the query-serving side:
 // Querier (Connected(u,v) answered from an epoch-cached snapshot in
 // O(α(n))) and Oracle (adds vertex-cut DisconnectedBy and the Epoch
@@ -44,7 +44,7 @@
 //   - internal/oracle — the concurrent query-serving layer: epoch-cached
 //     decode, single-flight rebuild, DSU connectivity answers
 //   - internal/engine — parallel ingestion (vertex-sharded worker pool)
-//     and parallel skeleton decode
+//   - internal/par — the fan-out the parallel decodes share
 //   - internal/l0, internal/recovery, internal/field, internal/hashutil —
 //     the sparse-recovery substrate
 //   - internal/graph, internal/graphalg — hypergraph types and offline

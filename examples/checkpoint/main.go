@@ -68,7 +68,7 @@ func main() {
 	if err := stream.Apply(st[half:], resumed); err != nil {
 		log.Fatal(err)
 	}
-	f, err := resumed.SpanningGraph()
+	f, err := resumed.Decode(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 		}
 		fmt.Printf("merged shard %d (%d framed bytes)\n", i, n)
 	}
-	fm, err := coordinator.SpanningGraph()
+	fm, err := coordinator.Decode(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

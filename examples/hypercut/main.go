@@ -50,7 +50,7 @@ func main() {
 	if err := stream.Apply(st, sk); err != nil {
 		log.Fatal(err)
 	}
-	sp, err := sk.Sparsifier()
+	sp, err := sk.Decode(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func main() {
 	// every cut within the target factor, so a zero cut — disconnection —
 	// is preserved exactly, and the oracle's cached decode answers each
 	// pair without re-running the sparsifier pipeline.
-	orc := oracle.ForSparsify(sk)
+	orc := oracle.For(sk)
 	ok, err := orc.Connected(0, n-1)
 	if err != nil {
 		log.Fatal(err)

@@ -89,7 +89,7 @@ func main() {
 
 	// 3. Sparsifier: at K above the graph's strength it reproduces the
 	// graph exactly.
-	sparse, err := sp.Sparsifier()
+	sparse, err := sp.Decode(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

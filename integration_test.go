@@ -87,7 +87,7 @@ func TestFullPipelineAllSketches(t *testing.T) {
 	}
 
 	// Sparsifier: subgraph of final, bounded cut error on sampled cuts.
-	spg, err := sp.Sparsifier()
+	spg, err := sp.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStreamFileToSketchPipeline(t *testing.T) {
 	if err := stream.Apply(back, s); err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestDistributedMatchesStreaming(t *testing.T) {
 	if _, err := commsim.Run(h, func() commsim.Protocol { return sketch.NewSpanning(seed, dom, cfg) }, referee); err != nil {
 		t.Fatal(err)
 	}
-	fa, errA := single.SpanningGraph()
-	fb, errB := referee.SpanningGraph()
+	fa, errA := single.Decode(nil)
+	fb, errB := referee.Decode(nil)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

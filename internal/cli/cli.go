@@ -318,7 +318,7 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	// Queries serve through the oracle layer: one decode builds the cached
 	// H snapshot, and every query after it is answered from the cache.
-	orc := oracle.ForVertexConn(s)
+	orc := oracle.For(s)
 	if *query != "" {
 		set, err := parseVertexSet(*query, *n)
 		if err != nil {
@@ -427,7 +427,7 @@ func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 			return err
 		}
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
@@ -496,7 +496,7 @@ func RunReconstruct(args []string, stdin io.Reader, stdout, stderr io.Writer) er
 
 	var out *graph.Hypergraph
 	if *light {
-		out, err = s.LightEdges()
+		out, err = s.LightEdges(nil, nil)
 		if err != nil {
 			return err
 		}
@@ -586,7 +586,7 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ok, err := oracle.ForEdgeConn(s).Connected(u, v)
+		ok, err := oracle.For(s).Connected(u, v)
 		if err != nil {
 			return err
 		}

@@ -144,7 +144,7 @@ func runCoordinator(o coordOptions, stdin io.Reader, stdout, stderr io.Writer) e
 	if err := tr.Gather(gathered); err != nil {
 		return err
 	}
-	h, err := clusterDecode(gathered)
+	h, err := gathered.(oracle.Decoder).Decode(nil)
 	if err != nil {
 		return err
 	}
@@ -233,19 +233,6 @@ func frameOf(s graphsketch.Checkpointer) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// clusterDecode decodes the connectivity certificate of a gathered sketch.
-func clusterDecode(s graphsketch.Sketch) (*graph.Hypergraph, error) {
-	switch s := s.(type) {
-	case *sketch.SpanningSketch:
-		return s.SpanningGraph()
-	case *sketch.SkeletonSketch:
-		return engine.DecodeSkeleton(s)
-	case *hybrid.Sketch:
-		return engine.DecodeHybrid(s)
-	}
-	return nil, fmt.Errorf("gsd: no decode route for %T", s)
-}
-
 // componentLabels labels every vertex with the smallest vertex of its
 // connected component — a canonical form independent of DSU root choice.
 func componentLabels(h *graph.Hypergraph) []int {
@@ -288,11 +275,11 @@ func verifyCluster(st stream.Stream, proto shardplane.Member, gathered graphsket
 		return fmt.Errorf("gsd: verify FAILED: gathered state (%d bytes) differs from serial baseline (%d bytes)",
 			len(got), len(want))
 	}
-	sh, err := clusterDecode(serial)
+	sh, err := serial.(oracle.Decoder).Decode(nil)
 	if err != nil {
 		return err
 	}
-	gh, err := clusterDecode(gathered)
+	gh, err := gathered.(oracle.Decoder).Decode(nil)
 	if err != nil {
 		return err
 	}

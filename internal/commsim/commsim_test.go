@@ -35,11 +35,11 @@ func TestSpanningProtocolMatchesSingleMachine(t *testing.T) {
 	if err := direct.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	fRef, err := referee.SpanningGraph()
+	fRef, err := referee.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fDir, err := direct.SpanningGraph()
+	fDir, err := direct.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSkeletonProtocol(t *testing.T) {
 	if _, err := Run(h, func() Protocol { return sketch.NewSkeleton(seed, dom, 2, cfg) }, referee); err != nil {
 		t.Fatal(err)
 	}
-	skel, err := referee.Skeleton()
+	skel, err := referee.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"graphsketch"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
@@ -99,20 +98,13 @@ func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error 
 	return s.skeleton.UpdateBatchRange(batch, lo, hi)
 }
 
-// Skeleton decodes (and caches) the k-skeleton. The k layers are peeled
-// with the parallel engine — identical output to the serial decode, using
-// all CPUs.
-func (s *Sketch) Skeleton() (*graph.Hypergraph, error) {
-	return s.SkeletonTraced(nil)
-}
-
-// SkeletonTraced is Skeleton with the decode trace hung under parent (nil
-// starts a fresh trace); a cache hit opens no span.
-func (s *Sketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+// Decode decodes (and caches) the k-skeleton, with the decode trace hung
+// under parent (nil starts a fresh trace); a cache hit opens no span.
+func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded == nil {
 		sp := parent.Child("edgeconn.skeleton", em.skelSpan)
 		defer sp.End("k", s.skeleton.K())
-		skel, err := engine.DecodeSkeletonTraced(s.skeleton, sp)
+		skel, err := s.skeleton.Decode(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +117,7 @@ func (s *Sketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 // the value is below k (the side realizes a minimum cut of G; when the
 // returned value equals k the side is nil and λ(G) ≥ k).
 func (s *Sketch) EdgeConnectivity() (int64, []int, error) {
-	skel, err := s.Skeleton()
+	skel, err := s.Decode(nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -154,7 +146,7 @@ func (s *Sketch) IsKEdgeConnected() (bool, error) {
 // STCut returns min(λ(u,v), k): the minimum weight of hyperedges separating
 // u from v, capped at k. Cuts below k are preserved exactly by the skeleton.
 func (s *Sketch) STCut(u, v int) (int64, error) {
-	skel, err := s.Skeleton()
+	skel, err := s.Decode(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -164,7 +156,7 @@ func (s *Sketch) STCut(u, v int) (int64, error) {
 // Connected reports whether the sketched hypergraph is connected (the k = 1
 // question; any k-skeleton contains a spanning graph).
 func (s *Sketch) Connected() (bool, error) {
-	skel, err := s.Skeleton()
+	skel, err := s.Decode(nil)
 	if err != nil {
 		return false, err
 	}

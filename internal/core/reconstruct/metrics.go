@@ -13,7 +13,7 @@ var rm struct {
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
 		rm.lightSpan = r.Histogram("reconstruct_light_edges_seconds",
-			"LightEdges/LightEdgesMinus recovery latency", obs.LatencyBuckets())
+			"LightEdges recovery latency", obs.LatencyBuckets())
 		rm.peelRounds = r.Histogram("reconstruct_peel_rounds",
 			"Skeleton-peeling rounds per light-edge recovery",
 			obs.CountBuckets(1024))

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"graphsketch"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
@@ -123,27 +122,17 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 
 var _ graphsketch.Sharded = (*Sketch)(nil)
 
-// LightEdges recovers light_k(G) from the sketch. Each round decodes a
-// (k+1)-skeleton of G minus everything recovered so far, extracts its weak
-// edges (λ_e ≤ k, which Lemma 12 certifies equals the true E_i), subtracts
-// them, and repeats; at most n rounds are needed since every nonempty E_i
-// splits off components.
-func (s *Sketch) LightEdges() (*graph.Hypergraph, error) {
-	return s.LightEdgesMinus(nil)
-}
-
-// LightEdgesMinus recovers light_k(G − sub) for a known unit-weight
-// subgraph sub, peeled from the sketch by linearity. The sparsifier uses
-// this to compute F_i = light_k(G_i − F_0 − … − F_{i−1}) from the level-i
-// sketch. A nil sub means light_k(G).
-func (s *Sketch) LightEdgesMinus(sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	return s.LightEdgesMinusTraced(nil, sub)
-}
-
-// LightEdgesMinusTraced is LightEdgesMinus with the peel trace hung under
-// parent (nil starts a fresh trace): each round's skeleton decode becomes
-// a child subtree of the light_edges span.
-func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
+// LightEdges recovers light_k(G − sub) for a known unit-weight subgraph
+// sub, peeled from the sketch by linearity (a nil sub means light_k(G)).
+// Each round decodes a (k+1)-skeleton of the graph minus everything
+// recovered so far, extracts its weak edges (λ_e ≤ k, which Lemma 12
+// certifies equals the true E_i), subtracts them, and repeats; at most n
+// rounds are needed since every nonempty E_i splits off components. The
+// sparsifier uses sub to compute F_i = light_k(G_i − F_0 − … − F_{i−1})
+// from the level-i sketch. The peel trace hangs under parent (nil starts
+// a fresh trace): each round's skeleton decode becomes a child subtree of
+// the light_edges span.
+func (s *Sketch) LightEdges(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
 	sp := parent.Child("reconstruct.light_edges", rm.lightSpan)
 	defer sp.End("k", s.k)
 	dom := s.skeleton.Domain()
@@ -155,7 +144,7 @@ func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) 
 		}
 	}
 	for round := 0; round < dom.N(); round++ {
-		skel, err := engine.DecodeSkeletonTraced(work, sp)
+		skel, err := work.Decode(sp)
 		if err != nil {
 			return nil, fmt.Errorf("reconstruct: round %d: %w", round, err)
 		}
@@ -182,17 +171,13 @@ func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) 
 // recovered light set together with ErrIncomplete — detected via the
 // residual skeleton being nonempty.
 func (s *Sketch) Reconstruct() (*graph.Hypergraph, error) {
-	light, err := s.LightEdges()
+	light, err := s.LightEdges(nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	// Residual check: after peeling light_k, a skeleton of the remainder
 	// must be empty iff the reconstruction is complete.
-	work := s.skeleton.Clone()
-	if err := work.UpdateGraph(light, -1); err != nil {
-		return nil, err
-	}
-	rest, err := engine.DecodeSkeleton(work)
+	rest, err := s.SkeletonMinus(nil, light)
 	if err != nil {
 		return nil, err
 	}
@@ -203,22 +188,17 @@ func (s *Sketch) Reconstruct() (*graph.Hypergraph, error) {
 }
 
 // SkeletonMinus decodes a (k+1)-skeleton of G − sub for a known
-// unit-weight subgraph sub. The sparsifier's residual check uses this to
-// certify that nothing remains beyond the deepest level.
-func (s *Sketch) SkeletonMinus(sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	return s.SkeletonMinusTraced(nil, sub)
-}
-
-// SkeletonMinusTraced is SkeletonMinus with the decode trace hung under
-// parent (nil starts a fresh trace).
-func (s *Sketch) SkeletonMinusTraced(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
+// unit-weight subgraph sub (nil means G), with the decode trace hung under
+// parent (nil starts a fresh trace). The residual checks of Reconstruct
+// and the sparsifier use this to certify that nothing remains.
+func (s *Sketch) SkeletonMinus(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
 	work := s.skeleton.Clone()
 	if sub != nil {
 		if err := work.UpdateGraph(sub, -1); err != nil {
 			return nil, err
 		}
 	}
-	return engine.DecodeSkeletonTraced(work, parent)
+	return work.Decode(parent)
 }
 
 // K returns the degeneracy parameter.

@@ -24,7 +24,7 @@ func TestLightEdgesMatchesOffline(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.LightEdges()
+		got, err := s.LightEdges(nil, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -44,7 +44,7 @@ func TestLightEdgesRandomGraphs(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.LightEdges()
+		got, err := s.LightEdges(nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

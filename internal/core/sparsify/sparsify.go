@@ -138,17 +138,12 @@ func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
 // peeling — the sampling depth was insufficient (increase Levels).
 var ErrResidual = errors.New("sparsify: residual edges beyond the deepest level")
 
-// Sparsifier decodes the weighted sparsifier Σ 2^i·F_i. Every returned
-// edge is a true edge of G with weight 2^i for the level i at which it was
-// peeled.
-func (s *Sketch) Sparsifier() (*graph.Hypergraph, error) {
-	return s.SparsifierTraced(nil)
-}
-
-// SparsifierTraced is Sparsifier with the decode trace hung under parent
-// (nil starts a fresh trace): each level's light-edge peel becomes a child
-// subtree of the sparsify.decode span.
-func (s *Sketch) SparsifierTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+// Decode decodes the weighted sparsifier Σ 2^i·F_i, with the decode
+// trace hung under parent (nil starts a fresh trace): each level's
+// light-edge peel becomes a child subtree of the sparsify.decode span.
+// Every returned edge is a true edge of G with weight 2^i for the level i
+// at which it was peeled.
+func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	sp := parent.Child("sparsify.decode", nil)
 	defer sp.End("levels", s.p.Levels, "n", s.p.N)
 	out := graph.MustHypergraph(s.p.N, s.p.R) // weighted union
@@ -166,7 +161,7 @@ func (s *Sketch) SparsifierTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 				sub.MustAddEdge(e, 1)
 			}
 		}
-		fi, err := work.LightEdgesMinusTraced(sp, sub)
+		fi, err := work.LightEdges(sp, sub)
 		if err != nil {
 			return nil, fmt.Errorf("sparsify: level %d: %w", i, err)
 		}
@@ -191,7 +186,7 @@ func (s *Sketch) SparsifierTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 			sub.MustAddEdge(e, 1)
 		}
 	}
-	rest, err := s.levels[s.p.Levels].SkeletonMinusTraced(sp, sub)
+	rest, err := s.levels[s.p.Levels].SkeletonMinus(sp, sub)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +328,7 @@ type CutOracle struct {
 // oracle snapshots the decode; updates applied to the sketch afterwards
 // require a fresh Oracle call.
 func (s *Sketch) Oracle() (*CutOracle, error) {
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		return nil, err
 	}

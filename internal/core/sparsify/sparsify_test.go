@@ -72,7 +72,7 @@ func TestSparsifierPreservesCutsSmallGraph(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSparsifierDenseGraph(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSparsifierHypergraph(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSparsifierPlantedMinCut(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSparsifierWithDeletions(t *testing.T) {
 	if err := stream.Apply(stream.WithChurn(final, churn, rng), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSparsifierEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSparsifierErrorDecreasesWithK(t *testing.T) {
 		if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := s.Sparsifier()
+		sp, err := s.Decode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestSparsifierSizeSublinearInEdges(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSketchMatchesOfflineAlgorithm(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Sparsifier()
+	got, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

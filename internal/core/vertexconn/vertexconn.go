@@ -27,15 +27,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 
 	"graphsketch"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/obs"
+	"graphsketch/internal/par"
 	"graphsketch/internal/sketch"
 )
 
@@ -199,26 +198,21 @@ func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error 
 	return nil
 }
 
-// BuildH decodes every subgraph's spanning forest and returns their union
-// H = T_1 ∪ … ∪ T_R. The result is cached until the next update. Individual
-// forest decode failures are tolerated up to a small fraction (each forest
-// is one of R redundant witnesses); the count of failures is returned.
+// Decode builds H = T_1 ∪ … ∪ T_R, the union of every subgraph's decoded
+// spanning forest, with the decode trace hung under parent (nil starts a
+// fresh trace): each subgraph's spanning decode becomes a child subtree of
+// the build_h span, so a slow H rebuild attributes down to the subsampled
+// sketch (and peel round) that caused it. The result is cached until the
+// next update; a cache hit opens no span. Individual forest decode
+// failures are tolerated up to a small fraction (each forest is one of R
+// redundant witnesses) and counted in vertexconn_forest_failures_total.
 //
 // The R decodes are independent and run on all CPUs; the result is
 // deterministic regardless of scheduling (each decode reads only its own
 // sketch and the union is order-free).
-func (s *Sketch) BuildH() (*graph.Hypergraph, int, error) {
-	return s.BuildHTraced(nil)
-}
-
-// BuildHTraced is BuildH with the decode trace hung under parent (nil
-// starts a fresh trace): each subgraph's spanning decode becomes a child
-// subtree of the build_h span, so a slow H rebuild attributes down to the
-// subsampled sketch (and peel round) that caused it. A cache hit opens no
-// span.
-func (s *Sketch) BuildHTraced(parent *obs.Span) (*graph.Hypergraph, int, error) {
+func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded != nil {
-		return s.decoded, 0, nil
+		return s.decoded, nil
 	}
 	sp := parent.Child("vertexconn.build_h", vm.buildSpan)
 	defer sp.End("subgraphs", len(s.sketches))
@@ -228,8 +222,8 @@ func (s *Sketch) BuildHTraced(parent *obs.Span) (*graph.Hypergraph, int, error) 
 	// and record per-index results (failures are tolerated below, so fn
 	// itself never errors). Child spans are created concurrently, which is
 	// safe: each goroutine only reads the parent's immutable identity.
-	_ = engine.ForEach(runtime.GOMAXPROCS(0), len(s.sketches), func(i int) error {
-		forests[i], errs[i] = s.sketches[i].SpanningGraphTraced(sp)
+	_ = par.ForEach(0, len(s.sketches), func(i int) error {
+		forests[i], errs[i] = s.sketches[i].Decode(sp)
 		return nil
 	})
 
@@ -240,7 +234,7 @@ func (s *Sketch) BuildHTraced(parent *obs.Span) (*graph.Hypergraph, int, error) 
 			failures++
 			vm.failures.Inc()
 			if failures > len(s.sketches)/10+1 {
-				return nil, failures, fmt.Errorf("vertexconn: %d/%d forest decodes failed (subgraph %d): %w",
+				return nil, fmt.Errorf("vertexconn: %d/%d forest decodes failed (subgraph %d): %w",
 					failures, len(s.sketches), i, errs[i])
 			}
 			continue
@@ -253,8 +247,19 @@ func (s *Sketch) BuildHTraced(parent *obs.Span) (*graph.Hypergraph, int, error) 
 	}
 	s.decoded = h
 	sp.SetAttrs("failures", failures)
-	return h, failures, nil
+	return h, nil
 }
+
+// BuildHTraced is Decode with a second result that is always 0.
+//
+// Deprecated: gsbench/ calls this; ROADMAP item 1 deletes it.
+func (s *Sketch) BuildHTraced(parent *obs.Span) (*graph.Hypergraph, int, error) {
+	h, err := s.Decode(parent)
+	return h, 0, err
+}
+
+// MaxRemove is the largest removal set the Theorem 4 query answers: K.
+func (s *Sketch) MaxRemove() int { return s.p.K }
 
 // ErrQueryTooLarge is returned when a query set exceeds the sketch's K.
 var ErrQueryTooLarge = errors.New("vertexconn: query set larger than sketch parameter K")
@@ -268,7 +273,7 @@ func (s *Sketch) Disconnects(set map[int]bool) (bool, error) {
 	if len(set) > s.p.K {
 		return false, ErrQueryTooLarge
 	}
-	h, _, err := s.BuildH()
+	h, err := s.Decode(nil)
 	if err != nil {
 		return false, err
 	}
@@ -284,7 +289,7 @@ func (s *Sketch) EstimateConnectivity(limit int64) (int64, error) {
 	if s.p.R != 2 {
 		return 0, errors.New("vertexconn: connectivity estimation is defined for graphs (R = 2)")
 	}
-	h, _, err := s.BuildH()
+	h, err := s.Decode(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -413,7 +418,7 @@ var _ graphsketch.Sharded = (*Sketch)(nil)
 // so it is intended for small limit (the experiments use limit ≤ 4). As
 // with the graph estimator, H ⊆ G means the value never exceeds κ_drop(G).
 func (s *Sketch) EstimateConnectivityDrop(limit int64) (int64, error) {
-	h, _, err := s.BuildH()
+	h, err := s.Decode(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -430,7 +435,7 @@ func (s *Sketch) DisconnectsWitness(set map[int]bool) (bool, [][]int, error) {
 	if len(set) > s.p.K {
 		return false, nil, ErrQueryTooLarge
 	}
-	h, _, err := s.BuildH()
+	h, err := s.Decode(nil)
 	if err != nil {
 		return false, nil, err
 	}

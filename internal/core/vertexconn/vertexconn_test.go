@@ -315,22 +315,22 @@ func TestBuildHCached(t *testing.T) {
 	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 		t.Fatal(err)
 	}
-	h1, _, err := s.BuildH()
+	h1, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := s.BuildH()
+	h2, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
-		t.Fatal("BuildH not cached")
+		t.Fatal("Decode not cached")
 	}
 	// An update invalidates the cache.
 	if err := s.Update(graph.MustEdge(0, 2), 1); err != nil {
 		t.Fatal(err)
 	}
-	h3, _, err := s.BuildH()
+	h3, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,29 @@
-// Package engine is the ingestion policy layer over the shard plane
-// (internal/shardplane): batching, stream consumption, and parallel decode
-// pipelines. The shard routing itself — worker pools, vertex-range
-// partitioning, skew metrics, and the TCP cluster transport — lives in
-// shardplane; an Engine is a thin graphsketch.Updater/stream.Sink adapter
-// over any Transport, so the same ingest loop drives an in-process pool
-// and a gsd cluster.
+// Package engine is the ingestion layer over the shard plane
+// (internal/shardplane): batching and stream consumption. The shard
+// routing itself — worker pools, vertex-range partitioning, skew metrics,
+// and the TCP cluster transport — lives in shardplane; an Engine is a thin
+// graphsketch.Updater/stream.Sink adapter over any Transport, so the same
+// ingest loop drives an in-process pool and a gsd cluster. Decoding is
+// each sketch's own Decode method.
+//
+// # The vertex-sharding invariant
+//
+// Every sketch is vertex-based: vertex v's share (its L0 sampler stacks) is
+// written only by updates applied *at* v, and an edge update decomposes into
+// independent per-endpoint writes (graphsketch.Sharded). The plane
+// therefore partitions the vertex space [0, n) into contiguous ranges, one
+// per worker, and hands every worker the whole batch: worker w applies, for
+// each edge, only the endpoints inside its range (UpdateBatchRange). Since
+// the ranges are disjoint, no two workers ever write the same sampler and
+// no locks are needed; since each vertex's updates are applied by a single
+// worker in batch order, and sampler state is a sum of field elements
+// (commutative, exact), the final state equals the serial state for the
+// same seed — the equivalence the engine tests assert byte-for-byte on
+// checkpoint frames.
+//
+// State not owned by any single vertex (e.g. a sketch's decoded-result
+// cache) is written only by the shard containing vertex 0, so the partition
+// performs that write exactly once (see graphsketch.Sharded's contract).
 package engine
 
 import (
@@ -12,6 +31,7 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/graph"
+	"graphsketch/internal/obs"
 	"graphsketch/internal/shardplane"
 	"graphsketch/internal/stream"
 )
@@ -137,6 +157,15 @@ func (e *Engine) Consume(st stream.Stream, batchSize int) error {
 // running batch completes first, and later updates return ErrClosed.
 func (e *Engine) Close() {
 	e.tr.Close()
+}
+
+// DecodeHybridTraced returns h.Decode(parent).
+//
+// Deprecated: gsbench/ calls this; ROADMAP item 1 deletes it.
+func DecodeHybridTraced(h interface {
+	Decode(*obs.Span) (*graph.Hypergraph, error)
+}, parent *obs.Span) (*graph.Hypergraph, error) {
+	return h.Decode(parent)
 }
 
 var _ stream.Sink = (*Engine)(nil)

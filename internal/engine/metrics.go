@@ -10,9 +10,8 @@ import (
 // routing metrics (skew counters, route latency, queue wait) moved to the
 // shard plane with the routing itself: see the shardplane_* family.
 var em struct {
-	batches    *obs.Counter   // engine_batches_total
-	updates    *obs.Counter   // engine_updates_total
-	decodeSpan *obs.Histogram // engine_skeleton_decode_seconds
+	batches *obs.Counter // engine_batches_total
+	updates *obs.Counter // engine_updates_total
 }
 
 func init() {
@@ -21,7 +20,5 @@ func init() {
 			"Batches dispatched through the shard plane")
 		em.updates = r.Counter("engine_updates_total",
 			"Edge updates contained in dispatched batches")
-		em.decodeSpan = r.Histogram("engine_skeleton_decode_seconds",
-			"Wall time of the parallel skeleton decode pipeline", nil)
 	})
 }

@@ -30,25 +30,40 @@ import (
 // applies). With no spilled vertex — or only one component holding any —
 // the decode draws no sampler at all.
 
-// SpanningGraph decodes a spanning graph when the inner sketch is a
-// *sketch.SpanningSketch: a subgraph with the same connected components, at
-// most n−1 hyperedges. If at most one component holds a spilled vertex the
-// decode is fully exact — deterministic, no sampler draws, and it cannot
-// fail (with no spilled vertex at all the forest is the min-endpoint scan
-// of the buffers). Otherwise it returns sketch.ErrDecodeFailed if the
-// Boruvka rounds are exhausted before every spilled component is resolved
-// or certified.
-func (s *Sketch) SpanningGraph() (*graph.Hypergraph, error) {
-	return s.SpanningGraphTraced(nil)
+// Decode decodes whatever certificate the inner sketch type supports,
+// with the decode spans hung under parent (nil starts a fresh trace).
+//
+// A spanning inner gets the contract-then-sample spanning decode: a
+// subgraph with the same connected components, at most n−1 hyperedges. If
+// at most one component holds a spilled vertex the decode is fully exact —
+// deterministic, no sampler draws, and it cannot fail (with no spilled
+// vertex at all the forest is the min-endpoint scan of the buffers).
+// Otherwise it returns sketch.ErrDecodeFailed if the Boruvka rounds are
+// exhausted before every spilled component is resolved or certified.
+//
+// A skeleton inner gets the unchanged Theorem 14 peel
+// (sketch.SkeletonSketch.Decode), run on a clone with every buffer spilled
+// first: the spill invariant makes the clone's inner byte-identical to a
+// pure skeleton of the stream.
+func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
+	switch in := s.inner.(type) {
+	case *sketch.SpanningSketch:
+		return s.spanningGraph(parent, in)
+	case *sketch.SkeletonSketch:
+		cp, err := s.Clone()
+		if err != nil {
+			return nil, err
+		}
+		if err := cp.SpillAll(); err != nil {
+			return nil, err
+		}
+		return cp.inner.(*sketch.SkeletonSketch).Decode(parent)
+	}
+	return nil, fmt.Errorf("hybrid: no decoder for inner type %T", s.inner)
 }
 
-// SpanningGraphTraced is SpanningGraph with the decode span hung under
-// parent (nil starts a fresh trace).
-func (s *Sketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	sp, ok := s.inner.(*sketch.SpanningSketch)
-	if !ok {
-		return nil, fmt.Errorf("hybrid: SpanningGraph needs a *sketch.SpanningSketch inner, have %T", s.inner)
-	}
+// spanningGraph is Decode over a spanning inner sp.
+func (s *Sketch) spanningGraph(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	s.observeOccupancy()
 	span := parent.Child("hybrid.spanning_graph", hm.decodeSpan)
 	defer span.End()
@@ -131,53 +146,6 @@ func (s *Sketch) contract(d *graphalg.DSU, forest *graph.Hypergraph, spilled []i
 		}
 	}
 	return terms, nil
-}
-
-// Connected decodes and reports whether the sketched hypergraph is
-// connected over all n vertices.
-func (s *Sketch) Connected() (bool, error) {
-	f, err := s.SpanningGraph()
-	if err != nil {
-		return false, err
-	}
-	return graphalg.Connected(f), nil
-}
-
-// Components decodes and returns the connected components.
-func (s *Sketch) Components() (*graphalg.DSU, error) {
-	f, err := s.SpanningGraph()
-	if err != nil {
-		return nil, err
-	}
-	return graphalg.ComponentsOf(f), nil
-}
-
-// Decode decodes whatever certificate the inner sketch type supports: the
-// contract-then-sample spanning decode for a spanning inner, and — for a
-// skeleton inner — the unchanged Theorem 14 peeling, run on a clone with
-// every buffer spilled first (the spill invariant makes the clone's inner
-// byte-identical to a pure skeleton of the stream).
-func (s *Sketch) Decode() (*graph.Hypergraph, error) {
-	return s.DecodeTraced(nil)
-}
-
-// DecodeTraced is Decode with the decode spans hung under parent (nil
-// starts a fresh trace).
-func (s *Sketch) DecodeTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	switch s.inner.(type) {
-	case *sketch.SpanningSketch:
-		return s.SpanningGraphTraced(parent)
-	case *sketch.SkeletonSketch:
-		cp, err := s.Clone()
-		if err != nil {
-			return nil, err
-		}
-		if err := cp.SpillAll(); err != nil {
-			return nil, err
-		}
-		return cp.inner.(*sketch.SkeletonSketch).SkeletonTraced(parent)
-	}
-	return nil, fmt.Errorf("hybrid: no decoder for inner type %T", s.inner)
 }
 
 // observeOccupancy records the buffer-occupancy distribution and spill

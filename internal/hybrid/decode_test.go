@@ -170,7 +170,7 @@ func decode(t *testing.T, hy *hybrid.Sketch, final *graph.Hypergraph) (*graph.Hy
 	obs.Enable()
 	draws := obs.Default().Counter("hybrid_mixed_components_total", "")
 	before := draws.Value()
-	f, err := hy.SpanningGraph()
+	f, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

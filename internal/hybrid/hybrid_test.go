@@ -144,12 +144,12 @@ func TestHybridMatchesPure(t *testing.T) {
 			pure, hy := pair(t, tc.n, tc.r, tc.budget, 42+tc.seed)
 			apply(t, st, pure, hy)
 
-			got, err := hy.SpanningGraph()
+			got, err := hy.Decode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameComponents(t, final, got, "hybrid decode")
-			pf, err := pure.SpanningGraph()
+			pf, err := pure.Decode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,13 +172,13 @@ func TestHybridMatchesPure(t *testing.T) {
 			if !tc.churn && !frametest.Equal(t, cp.Inner(), pure) {
 				t.Fatal("SpillAll inner state differs from the pure sketch fed the same stream")
 			}
-			if f, err := cp.Inner().(*sketch.SpanningSketch).SpanningGraph(); err != nil {
+			if f, err := cp.Inner().(*sketch.SpanningSketch).Decode(nil); err != nil {
 				t.Fatal(err)
 			} else {
 				sameComponents(t, final, f, "spilled-clone decode")
 			}
 			// SpillAll on the clone must not have disturbed the original.
-			again, err := hy.SpanningGraph()
+			again, err := hy.Decode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestHybridBudgetBoundary(t *testing.T) {
 			t.Fatalf("vertex %d spilled at degree 1", i)
 		}
 	}
-	f, err := hy.SpanningGraph()
+	f, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 	if !hy.Spilled(0) {
 		t.Fatal("spilling must be monotone: deletions un-spilled vertex 0")
 	}
-	f, err := hy.SpanningGraph()
+	f, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 	if err := cp.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := cp.Inner().(*sketch.SpanningSketch).SpanningGraph()
+	fs, err := cp.Inner().(*sketch.SpanningSketch).Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 	if !ds.Same(0, 1) || ds.Same(0, 2) {
 		t.Fatal("spilled clone decode diverged from pure after churn")
 	}
-	pfs, err := pure.SpanningGraph()
+	pfs, err := pure.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +314,12 @@ func TestHybridMerge(t *testing.T) {
 	if !bytes.Equal(frametest.Of(t, b), bFrame) {
 		t.Fatal("Merge mutated its argument")
 	}
-	f, err := a.SpanningGraph()
+	f, err := a.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameComponents(t, final, f, "merged decode")
-	fw, err := whole.SpanningGraph()
+	fw, err := whole.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestHybridMergeBytes(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	f, err := a.SpanningGraph()
+	f, err := a.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +405,11 @@ func TestHybridEngineParallelSerial(t *testing.T) {
 		if !frametest.Equal(t, par, serial) {
 			t.Fatalf("workers=%d: parallel state differs from serial", workers)
 		}
-		f, err := engine.DecodeHybrid(par)
+		f, err := par.Decode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameComponents(t, final, f, "engine decode")
+		sameComponents(t, final, f, "decode after engine ingest")
 	}
 }
 
@@ -431,11 +431,11 @@ func TestHybridSkeletonDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply(t, st, purei, hy)
-	want, err := purei.Skeleton()
+	want, err := purei.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.DecodeHybrid(hy)
+	got, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestHybridSkeletonDecode(t *testing.T) {
 	if hy.SpilledCount() == len(make([]bool, n)) {
 		t.Fatal("decode spilled the original")
 	}
-	got2, err := hy.Decode()
+	got2, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestHybridOracle(t *testing.T) {
 	const n = 64
 	st, final := sparseChurnStream(t, n, 2, 2, 19)
 	_, hy := pair(t, n, 2, 16, 23)
-	or := oracle.ForHybrid(hy)
+	or := oracle.For(hy)
 	batch := make([]graph.WeightedEdge, len(st))
 	for i, u := range st {
 		batch[i] = graph.WeightedEdge{E: u.Edge, W: int64(u.Op)}
@@ -508,7 +508,7 @@ func TestHybridCheckpointRoundTrip(t *testing.T) {
 	if !frametest.Equal(t, re, hy) {
 		t.Fatal("reopened state differs byte-for-byte")
 	}
-	f, err := re.SpanningGraph()
+	f, err := re.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

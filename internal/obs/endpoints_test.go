@@ -24,17 +24,17 @@ func pathBatch(n int) []graph.WeightedEdge {
 	return batch
 }
 
-// TestTraceTreeDepth is the tentpole acceptance check: a skeleton decode
-// through the engine records a trace tree at least three levels deep
-// (decode_skeleton → decode_layer → spanning_graph → peel_round), and the
-// tree is retrievable from /debug/traces exactly as a scraper would see it.
+// TestTraceTreeDepth checks that a skeleton decode records one trace tree,
+// sketch.skeleton → sketch.skeleton_layer → sketch.spanning_graph →
+// sketch.peel_round, with one layer span per layer, and that the tree is
+// retrievable from /debug/traces exactly as a scraper would see it.
 func TestTraceTreeDepth(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	obs.SetTraceSampling(1)
 
-	const n = 16
-	sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: 7})
+	const n, k = 16, 2
+	sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: k, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTraceTreeDepth(t *testing.T) {
 	if err := eng.UpdateBatch(pathBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.DecodeSkeletonTraced(sk, nil); err != nil {
+	if _, err := sk.Decode(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,26 +65,57 @@ func TestTraceTreeDepth(t *testing.T) {
 	}
 
 	// Find the decode's trace (other tests in the package may have left
-	// trees in the ring) and assert its shape. The engine takes the
-	// parallel fan-out on multi-core machines (engine.decode_skeleton →
-	// engine.decode_layer) and the serial peel on one CPU (sketch.skeleton
-	// → sketch.skeleton_layer); both bottom out in spanning_graph →
-	// peel_round, so both trees are at least three levels deep.
+	// trees in the ring): the one whose root is sketch.skeleton. Every
+	// other span must hang exactly one level below its expected parent.
+	parentName := map[string]string{
+		"sketch.skeleton_layer": "sketch.skeleton",
+		"sketch.spanning_graph": "sketch.skeleton_layer",
+		"sketch.peel_round":     "sketch.spanning_graph",
+	}
 	for _, tr := range payload.Traces {
-		names := make(map[string]bool, len(tr.Spans))
+		byID := make(map[uint64]obs.SpanRecord, len(tr.Spans))
 		for _, s := range tr.Spans {
-			names[s.Name] = true
+			byID[s.Span] = s
 		}
-		if !names["engine.decode_skeleton"] && !names["sketch.skeleton"] {
+		roots := 0
+		for _, s := range tr.Spans {
+			if s.Parent == 0 && s.Name == "sketch.skeleton" {
+				roots++
+			}
+		}
+		if roots == 0 {
 			continue
 		}
-		if tr.Depth < 3 {
-			t.Fatalf("skeleton decode trace depth = %d, want >= 3 (spans: %v)", tr.Depth, names)
+		if roots != 1 {
+			t.Fatalf("trace holds %d sketch.skeleton roots, want 1", roots)
 		}
-		for _, want := range []string{"sketch.spanning_graph", "sketch.peel_round"} {
-			if !names[want] {
-				t.Errorf("skeleton decode trace is missing a %s span", want)
+		count := make(map[string]int)
+		for _, s := range tr.Spans {
+			count[s.Name]++
+			if s.Parent == 0 {
+				if s.Name != "sketch.skeleton" {
+					t.Errorf("root span %s, want sketch.skeleton", s.Name)
+				}
+				continue
 			}
+			want, ok := parentName[s.Name]
+			if !ok {
+				t.Errorf("unexpected span %s in the skeleton decode trace", s.Name)
+				continue
+			}
+			if got := byID[s.Parent].Name; got != want {
+				t.Errorf("span %s hangs under %q, want %s", s.Name, got, want)
+			}
+		}
+		if count["sketch.skeleton_layer"] != k || count["sketch.spanning_graph"] != k {
+			t.Errorf("trace has %d layer and %d spanning_graph spans, want %d each",
+				count["sketch.skeleton_layer"], count["sketch.spanning_graph"], k)
+		}
+		if count["sketch.peel_round"] == 0 {
+			t.Error("skeleton decode trace has no sketch.peel_round span")
+		}
+		if tr.Depth != 4 {
+			t.Errorf("skeleton decode trace depth = %d, want 4", tr.Depth)
 		}
 		return
 	}
@@ -113,7 +144,7 @@ func TestEndpointScrapeRace(t *testing.T) {
 	if err := querySketch.UpdateBatch(pathBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	orc := oracle.ForSkeleton(querySketch)
+	orc := oracle.For(querySketch)
 	obs.RegisterInspector("race_skeleton", querySketch)
 	defer obs.RegisterInspector("race_skeleton", nil)
 

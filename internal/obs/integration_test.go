@@ -42,7 +42,7 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 	if err := eng.UpdateBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.SpanningGraph(); err != nil {
+	if _, err := sp.Decode(nil); err != nil {
 		t.Fatal(err)
 	}
 

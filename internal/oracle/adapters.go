@@ -1,91 +1,49 @@
 package oracle
 
 import (
-	"graphsketch/internal/core/edgeconn"
-	"graphsketch/internal/core/sparsify"
+	"graphsketch"
 	"graphsketch/internal/core/vertexconn"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hybrid"
 	"graphsketch/internal/obs"
-	"graphsketch/internal/sketch"
 )
 
-// The adapters hang each structure's decode trace under the oracle's
-// rebuild span (the sp argument), so a recorded rebuild reads
+// Decoder is a sketch the oracle can serve from: every decodable
+// structure in the library (the spanning, skeleton and hybrid sketches,
+// vertexconn, edgeconn and sparsify) implements it. Decode hangs its trace
+// under the oracle's rebuild span, so a recorded rebuild reads
 // oracle.rebuild → <structure decode> → … → peel_round.
+type Decoder interface {
+	graphsketch.Sketch
+	NumVertices() int
+	Decode(parent *obs.Span) (*graph.Hypergraph, error)
+}
 
-// ForSpanning serves connectivity queries from a spanning-graph sketch:
-// the snapshot is the decoded spanning forest, so Connected answers are
+// For serves queries from d: the snapshot is d's decoded certificate (a
+// spanning forest, skeleton, H, or sparsifier), so Connected answers are
 // exactly the connectivity of the sketched graph (w.h.p.), and
-// DisconnectedBy is one-sided (the forest is a certificate, not G).
-func ForSpanning(s *sketch.SpanningSketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SpanningGraphTraced(sp) },
-	})
+// DisconnectedBy is one-sided (the certificate is not G) except for
+// vertexconn's H, where it is the paper's Theorem 4 query. A Decoder with
+// a MaxRemove() int method (vertexconn: its K) caps DisconnectedBy's
+// removal sets there, past which that guarantee lapses.
+func For(d Decoder) *Oracle {
+	cfg := Config{Sketch: d, N: d.NumVertices(), Decode: d.Decode}
+	if m, ok := d.(interface{ MaxRemove() int }); ok {
+		cfg.MaxRemove = m.MaxRemove()
+	}
+	o, err := New(cfg)
+	if err != nil {
+		panic(err) // a Decoder yields a valid Config by construction
+	}
+	return o
 }
 
-// ForSkeleton serves queries from a k-skeleton sketch. The rebuild routes
-// through the engine's parallel decode fan-out (engine.DecodeSkeleton), so
-// a dirty-epoch miss pays the multi-core peel, not the serial one.
-func ForSkeleton(s *sketch.SkeletonSketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) { return engine.DecodeSkeletonTraced(s, sp) },
-	})
-}
+// ForVertexConn is For(s).
+//
+// Deprecated: gsbench/ calls this; ROADMAP item 1 deletes it.
+func ForVertexConn(s *vertexconn.Sketch) *Oracle { return For(s) }
 
-// ForHybrid serves queries from a hybrid exact/sketch wrapper
-// (internal/hybrid) over a spanning or skeleton inner. Warm Connected
-// queries stay the O(α(n)) snapshot lookup; a dirty-epoch rebuild routes
-// through engine.DecodeHybrid, so components made only of unspilled
-// vertices decode exactly, with no sampler draws at all.
-func ForHybrid(s *hybrid.Sketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) { return engine.DecodeHybridTraced(s, sp) },
-	})
-}
-
-// ForVertexConn serves queries from a vertex-connectivity query structure
-// (Theorem 4). DisconnectedBy is the paper's query — exact w.h.p. for
-// removal sets up to the sketch's K, enforced via MaxRemove — answered
-// against the cached H (the union of the subsampled subgraphs' spanning
-// forests) instead of re-decoding per query as Sketch.Disconnects does.
-func ForVertexConn(s *vertexconn.Sketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) {
-			h, _, err := s.BuildHTraced(sp)
-			return h, err
-		},
-		MaxRemove: s.Params().K,
-	})
-}
-
-// ForEdgeConn serves queries from a hyperedge-connectivity sketch: the
-// snapshot is the decoded k-skeleton, which preserves connectivity (and
-// all cuts up to k) of the sketched hypergraph.
-func ForEdgeConn(s *edgeconn.Sketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SkeletonTraced(sp) },
-	})
-}
-
-// ForSparsify serves queries from a cut-sparsifier sketch: the snapshot is
-// the decoded sparsifier, whose cuts are (1±ε)-approximations of G's, so a
-// zero cut — connectivity — is preserved exactly w.h.p.
-func ForSparsify(s *sparsify.Sketch) *Oracle {
-	return mustNew(Config{
-		Sketch: s,
-		N:      s.NumVertices(),
-		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SparsifierTraced(sp) },
-	})
-}
+// ForHybrid is For(s).
+//
+// Deprecated: gsbench/ calls this; ROADMAP item 1 deletes it.
+func ForHybrid(s *hybrid.Sketch) *Oracle { return For(s) }

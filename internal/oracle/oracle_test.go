@@ -24,7 +24,7 @@ func TestConnectedMatchesGroundTruth(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		h := workload.ErdosRenyi(rng, 12, 0.15+0.1*float64(trial))
 		sp := sketch.NewSpanning(uint64(trial), h.Domain(), sketch.SpanningConfig{})
-		orc := ForSpanning(sp)
+		orc := For(sp)
 		if err := orc.Update(graph.MustEdge(0, 1), 1); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestVertexCutQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := ForVertexConn(vc)
+	orc := For(vc)
 	if err := orc.UpdateBatch(g.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEpochNeverServesPreMutationSnapshot(t *testing.T) {
 		path.AddSimple(i, i+1)
 	}
 	sp := sketch.NewSpanning(3, path.Domain(), sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := For(sp)
 	if err := orc.UpdateBatch(path.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSingleFlightRebuild(t *testing.T) {
 		N:      h.N(),
 		Decode: func(*obs.Span) (*graph.Hypergraph, error) {
 			decodes.Add(1)
-			return sp.SpanningGraph()
+			return sp.Decode(nil)
 		},
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestConcurrentQueryMutationStress(t *testing.T) {
 	h := workload.Cycle(12)
 	dom := h.Domain()
 	sp := sketch.NewSpanning(11, dom, sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := For(sp)
 	if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestDecodeFailureBranding(t *testing.T) {
 func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	h := workload.Cycle(8)
 	sp := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := For(sp)
 	if orc.Words() != sp.Words() || orc.NumVertices() != h.N() {
 		t.Fatal("pass-through accessors disagree with the wrapped sketch")
 	}
@@ -307,7 +307,7 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	// Oracle-to-oracle Merge: adding the state into a fresh
 	// same-construction oracle is a mutation and advances its epoch.
 	sp2 := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
-	orc2 := ForSpanning(sp2)
+	orc2 := For(sp2)
 	if err := orc2.Merge(orc); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	h := workload.Cycle(4)
 	sp := sketch.NewSpanning(1, h.Domain(), sketch.SpanningConfig{})
-	decode := func(*obs.Span) (*graph.Hypergraph, error) { return sp.SpanningGraph() }
+	decode := func(*obs.Span) (*graph.Hypergraph, error) { return sp.Decode(nil) }
 	for _, cfg := range []Config{
 		{Sketch: nil, N: 4, Decode: decode},
 		{Sketch: sp, N: 4, Decode: nil},
@@ -368,7 +368,7 @@ func TestOracleMetricsExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := ForVertexConn(s)
+	orc := For(s)
 	for _, e := range g.Edges() {
 		if err := orc.Update(e, 1); err != nil {
 			t.Fatal(err)

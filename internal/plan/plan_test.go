@@ -124,7 +124,7 @@ func TestSparsifyProfiles(t *testing.T) {
 		if err := stream.Apply(stream.FromGraph(h), s); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := s.Sparsifier()
+		sp, err := s.Decode(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

@@ -2,7 +2,7 @@ package sketch
 
 import "errors"
 
-// Sentinel errors for the sketch package. Callers (and the parallel engine)
+// Sentinel errors for the sketch package. Callers (and the oracle)
 // branch on these with errors.Is instead of matching message strings; the
 // recovery substrate has its own sentinels (recovery.ErrIncompatible,
 // recovery.ErrShortBuffer) which AddScaled and serialization errors may

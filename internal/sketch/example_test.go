@@ -20,7 +20,7 @@ func ExampleSpanningSketch() {
 	s.Update(graph.MustEdge(0, 2), 1)
 	s.Update(graph.MustEdge(0, 2), -1) // deleted again
 
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +40,7 @@ func ExampleSkeletonSketch() {
 			sk.Update(graph.MustEdge(u, v), 1)
 		}
 	}
-	skel, err := sk.Skeleton()
+	skel, err := sk.Decode(nil)
 	if err != nil {
 		panic(err)
 	}

@@ -29,7 +29,7 @@ func TestUndersizedSpanningFailsLoudly(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		f, err := s.SpanningGraph()
+		f, err := s.Decode(nil)
 		if err != nil {
 			continue // detected failure: the acceptable outcome
 		}
@@ -69,7 +69,7 @@ func TestUndersizedSpanningReportsError(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SpanningGraph(); err != nil {
+		if _, err := s.Decode(nil); err != nil {
 			fails++
 		}
 	}
@@ -86,7 +86,7 @@ func TestUndersizedSkeletonNeverFabricates(t *testing.T) {
 		if err := sk.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		skel, err := sk.Skeleton()
+		skel, err := sk.Decode(nil)
 		if err != nil {
 			continue // detected
 		}

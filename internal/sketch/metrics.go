@@ -21,8 +21,8 @@ func init() {
 		skm.failures = r.Counter("sketch_decode_failures_total",
 			"Spanning-forest decodes that exhausted their rounds uncertified")
 		skm.spanSpan = r.Histogram("sketch_spanning_decode_seconds",
-			"SpanningGraph decode latency", obs.LatencyBuckets())
+			"Spanning-forest decode latency", obs.LatencyBuckets())
 		skm.skelSpan = r.Histogram("sketch_skeleton_decode_seconds",
-			"Serial k-skeleton decode latency", obs.LatencyBuckets())
+			"k-skeleton decode latency", obs.LatencyBuckets())
 	})
 }

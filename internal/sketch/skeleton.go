@@ -7,6 +7,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/obs"
+	"graphsketch/internal/par"
 )
 
 // SkeletonSketch is the paper's Theorem 14 structure: k independent
@@ -158,50 +159,63 @@ func (s *SkeletonSketch) Clone() *SkeletonSketch {
 	return &SkeletonSketch{dom: s.dom, k: s.k, seed: s.seed, layers: layers}
 }
 
-// Skeleton decodes a k-skeleton of the sketched hypergraph: the union of
-// forests F_1 ∪ … ∪ F_k where F_i spans G − F_1 − … − F_{i−1}. Layer i's
-// sketch is peeled by linear subtraction of the already-decoded forests.
-func (s *SkeletonSketch) Skeleton() (*graph.Hypergraph, error) {
-	return s.SkeletonTraced(nil)
-}
-
-// SkeletonTraced is Skeleton with the decode span hung under parent; each
-// layer peel gets its own child span, under which the layer's spanning
-// decode (and its per-round spans) nest. A nil parent starts a fresh
-// trace.
-func (s *SkeletonSketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+// Decode decodes a k-skeleton of the sketched hypergraph, with the decode
+// span hung under parent (nil starts a fresh trace): the union of forests
+// F_1 ∪ … ∪ F_k where F_i spans G − F_1 − … − F_{i−1}. Layer i's sketch
+// is peeled by linear subtraction of the already-decoded forests.
+//
+// The layer decodes are the sequential critical path; the rest runs beside
+// them. While layer i decodes, a second goroutine clones layer i+1 and
+// subtracts F_1, …, F_{i−1} from it, so only F_i's subtraction waits for
+// the decode. At most two clones are live, and with one CPU the same work
+// runs in the serial order. Field addition commutes, so every clone's
+// state, and hence the skeleton, is exactly the serial peel's. Each layer
+// gets its own child span, under which its spanning decode and per-round
+// spans nest.
+func (s *SkeletonSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	sp := parent.Child("sketch.skeleton", skm.skelSpan)
 	defer sp.End("k", s.k, "n", s.dom.N())
 	skeleton := graph.MustHypergraph(s.dom.N(), s.dom.R())
-	var forests []*graph.Hypergraph
-	for i, layer := range s.layers {
-		f, err := s.peelLayer(sp, i, layer, forests)
+	// peeled holds every forest decoded so far, as unit deletions. Forests
+	// are edge-disjoint by construction (each layer spans the graph minus
+	// all earlier forests).
+	var peeled []graph.WeightedEdge
+	work := s.layers[0].Clone()
+	for i := range s.layers {
+		var f *graph.Hypergraph
+		var next *SpanningSketch
+		err := par.ForEach(0, 2, func(j int) (err error) {
+			if j == 0 {
+				f, err = decodeLayer(sp, i, work)
+			} else if i+1 < len(s.layers) {
+				next = s.layers[i+1].Clone()
+				err = next.UpdateBatch(peeled)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("sketch: skeleton layer %d: %w", i, err)
 		}
-		forests = append(forests, f)
 		for _, e := range f.Edges() {
-			// Forests are edge-disjoint by construction (each layer spans
-			// the graph minus all earlier forests).
 			skeleton.MustAddEdge(e, 1)
+			peeled = append(peeled, graph.WeightedEdge{E: e, W: -1})
 		}
+		if next != nil {
+			if err := next.UpdateGraph(f, -1); err != nil {
+				return nil, err
+			}
+		}
+		work = next
 	}
 	return skeleton, nil
 }
 
-// peelLayer decodes layer i of the skeleton: clone, subtract the already
-// decoded forests by linearity, and run the spanning decode, all under a
+// decodeLayer runs the spanning decode of one peeled layer under a
 // per-layer child span.
-func (s *SkeletonSketch) peelLayer(parent *obs.Span, i int, layer *SpanningSketch, forests []*graph.Hypergraph) (*graph.Hypergraph, error) {
+func decodeLayer(parent *obs.Span, i int, work *SpanningSketch) (*graph.Hypergraph, error) {
 	lsp := parent.Child("sketch.skeleton_layer", nil)
 	defer lsp.End("layer", i)
-	work := layer.Clone()
-	for _, f := range forests {
-		if err := work.UpdateGraph(f, -1); err != nil {
-			return nil, err
-		}
-	}
-	return work.SpanningGraphTraced(lsp)
+	return work.Decode(lsp)
 }
 
 // K returns the skeleton's connectivity parameter.
@@ -209,8 +223,7 @@ func (s *SkeletonSketch) K() int { return s.k }
 
 // Layers returns the k independent per-layer spanning sketches, in peeling
 // order. The slice is the sketch's own backing store — callers must treat
-// it as read-only (the parallel decode engine clones each layer before
-// subtracting forests).
+// it as read-only.
 func (s *SkeletonSketch) Layers() []*SpanningSketch { return s.layers }
 
 // NumVertices returns n, the vertex space the sketch shards over.

@@ -80,7 +80,7 @@ func TestSpanningGraphRandomGraphs(t *testing.T) {
 		h := randomGraph(rng, n, 3*n)
 		s := NewSpanning(uint64(trial), h.Domain(), SpanningConfig{})
 		streamInto(t, s, h)
-		f, err := s.SpanningGraph()
+		f, err := s.Decode(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -98,7 +98,7 @@ func TestSpanningGraphHypergraphs(t *testing.T) {
 		h := randomHypergraph(rng, n, 4, 2*n)
 		s := NewSpanning(uint64(100+trial), h.Domain(), SpanningConfig{})
 		streamInto(t, s, h)
-		f, err := s.SpanningGraph()
+		f, err := s.Decode(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -129,7 +129,7 @@ func TestSpanningWithDeletions(t *testing.T) {
 			}
 		}
 	}
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSpanningWithDeletions(t *testing.T) {
 func TestSpanningEmptyAndSingleEdge(t *testing.T) {
 	dom := graph.MustDomain(8, 2)
 	s := NewSpanning(1, dom, SpanningConfig{})
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSpanningEmptyAndSingleEdge(t *testing.T) {
 	if err := s.Update(graph.MustEdge(2, 5), 1); err != nil {
 		t.Fatal(err)
 	}
-	f, err = s.SpanningGraph()
+	f, err = s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSpanningLinearityAcrossSketches(t *testing.T) {
 	if err := a.AddScaled(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	f, err := a.SpanningGraph()
+	f, err := a.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSpanningSubtractGraph(t *testing.T) {
 	if err := rest.Subtract(removed); err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSkeletonCutPreservation(t *testing.T) {
 		if err := sk.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		skel, err := sk.Skeleton()
+		skel, err := sk.Decode(nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -312,7 +312,7 @@ func TestSkeletonHypergraph(t *testing.T) {
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	skel, err := sk.Skeleton()
+	skel, err := sk.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestSkeletonLemma12(t *testing.T) {
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	skel, err := sk.Skeleton()
+	skel, err := sk.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestSkeletonWithDeletionChurn(t *testing.T) {
 			}
 		}
 	}
-	skel, err := sk.Skeleton()
+	skel, err := sk.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func BenchmarkSpanningDecode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SpanningGraph(); err != nil {
+		if _, err := s.Decode(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,8 +470,8 @@ func TestSkeletonAccessorsAndLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := direct.Clone()
-	sa, errA := a.Skeleton()
-	sc, errC := cp.Skeleton()
+	sa, errA := a.Decode(nil)
+	sc, errC := cp.Decode(nil)
 	if errA != nil || errC != nil {
 		t.Fatal(errA, errC)
 	}
@@ -510,8 +510,8 @@ func TestSkeletonVertexShareExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sa, errA := direct.Skeleton()
-	sb, errB := ref.Skeleton()
+	sa, errA := direct.Decode(nil)
+	sb, errB := ref.Decode(nil)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

@@ -235,25 +235,18 @@ func (s *SpanningSketch) Clone() *SpanningSketch {
 	return cp
 }
 
-// SpanningGraph decodes a spanning graph of the sketched hypergraph: a
-// subgraph with the same connected components, at most n−1 hyperedges. The
+// Decode decodes a spanning graph of the sketched hypergraph, with the
+// decode span hung under parent (nil starts a fresh trace): a subgraph
+// with the same connected components, at most n−1 hyperedges. The
 // decoding is the Boruvka process of Ahn et al.: in each round, every
 // current component samples one hyperedge leaving it (by summing its
-// members' samplers for that round) and components merge along the sampled
-// edges.
+// members' samplers for that round) and components merge along the
+// sampled edges.
 //
 // It returns ErrDecodeFailed if the rounds are exhausted while some
 // component both fails to produce a sample and cannot be certified as
 // fully merged; every returned edge is fingerprint-certified real.
-func (s *SpanningSketch) SpanningGraph() (*graph.Hypergraph, error) {
-	return s.SpanningGraphTraced(nil)
-}
-
-// SpanningGraphTraced is SpanningGraph with the decode span hung under
-// parent, so callers that fan decodes out (skeleton layers, engine
-// workers) produce one causal trace tree. A nil parent starts a fresh
-// trace (exactly SpanningGraph).
-func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+func (s *SpanningSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
 	defer sp.End()
 	n := s.dom.N()
@@ -266,6 +259,13 @@ func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergrap
 		return nil, err
 	}
 	return forest, nil
+}
+
+// SpanningGraphTraced is Decode.
+//
+// Deprecated: gsbench/ calls this; ROADMAP item 1 deletes it.
+func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+	return s.Decode(parent)
 }
 
 // CutTerm is one exactly known coordinate of a vertex's incidence vector:
@@ -420,7 +420,7 @@ func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []i
 // connected over all n vertices. This is the paper's "first dynamic graph
 // algorithm for hypergraph connectivity" (Section 4.1).
 func (s *SpanningSketch) Connected() (bool, error) {
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		return false, err
 	}
@@ -429,7 +429,7 @@ func (s *SpanningSketch) Connected() (bool, error) {
 
 // Components decodes the sketch and returns the connected components.
 func (s *SpanningSketch) Components() (*graphalg.DSU, error) {
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,8 @@ func TestSpanningStateRoundTrip(t *testing.T) {
 	if err := b.Update(extra, 1); err != nil {
 		t.Fatal(err)
 	}
-	fa, errA := a.SpanningGraph()
-	fb, errB := b.SpanningGraph()
+	fa, errA := a.Decode(nil)
+	fb, errB := b.Decode(nil)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
@@ -66,7 +66,7 @@ func TestSpanningStateMergesTwoStreams(t *testing.T) {
 	if err := (Shares{agg}).Add(Shares{m2}.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := agg.SpanningGraph()
+	f, err := agg.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestSkeletonStateRoundTrip(t *testing.T) {
 	if err := (Shares{b}).Add(Shares{a}.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	sa, errA := a.Skeleton()
-	sb, errB := b.Skeleton()
+	sa, errA := a.Decode(nil)
+	sb, errB := b.Decode(nil)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

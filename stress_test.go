@@ -33,7 +33,7 @@ func TestStressSpanningLargeChurn(t *testing.T) {
 	if err := stream.Apply(st, s); err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.SpanningGraph()
+	f, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStressSparsifierMediumDense(t *testing.T) {
 	if err := stream.Apply(stream.WithChurn(final, churn, rng), s); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Sparsifier()
+	sp, err := s.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
