@@ -479,8 +479,12 @@ func BenchmarkParallelDecode(b *testing.B) {
 }
 
 // BenchmarkCheckpointWrite times emitting a framed checkpoint (params
-// encoding, state serialization, CRC) of an ingested k-skeleton — the write
-// half of the wire format added with the codec layer.
+// encoding, state serialization, CRC) to io.Discard: skeleton-n64 writes an
+// ingested k-skeleton; vconn-n64 writes a Theorem 4 sketch with gsbench
+// vconn-dense's shape (n = 64, K = 3, 48 subgraphs) after its dense churn,
+// a ~48 MB frame — the rung under vconn-dense's checkpoint_ms. B/op shows
+// that the frame streams through a small buffer instead of being built
+// whole.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -488,16 +492,34 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := sk.WriteTo(&buf); err != nil {
+	load, cycle := denseChurn(1)
+	vc, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.WriteTo(io.Discard); err != nil {
+	for _, batch := range append([][]graph.WeightedEdge{load}, cycle[:len(cycle)/2]...) {
+		if err := vc.UpdateBatch(batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, bc := range []struct {
+		name string
+		s    io.WriterTo
+	}{{"skeleton-n64", sk}, {"vconn-n64", vc}} {
+		b.Run(bc.name, func(b *testing.B) {
+			size, err := bc.s.WriteTo(io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.s.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

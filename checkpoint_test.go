@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"graphsketch"
@@ -623,5 +625,92 @@ func TestCheckpointOpenInPlace(t *testing.T) {
 				t.Fatal("the restored sketch changed with the buffer it was read from")
 			}
 		})
+	}
+}
+
+// failingWriter accepts k bytes, counting its Write calls, and then fails.
+type failingWriter struct{ k, writes int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if len(p) <= w.k {
+		w.k -= len(p)
+		return len(p), nil
+	}
+	n := w.k
+	w.k = 0
+	return n, errWriteFailed
+}
+
+// TestCheckpointWriteFailure: a writer that fails partway through a frame
+// makes every structure's WriteTo return that error with the bytes it
+// accepted — the receiver holds a truncated frame, as after one failed
+// Write. The frames at this n span several writes of the streaming writer.
+func TestCheckpointWriteFailure(t *testing.T) {
+	const n = 20
+	st := checkpointStream(n)
+	for _, tc := range checkpointCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st, s); err != nil {
+				t.Fatal(err)
+			}
+			var all failingWriter
+			all.k = 1 << 40
+			size, err := s.WriteTo(&all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d-byte frame in %d writes", size, all.writes)
+			for _, k := range []int64{0, 1, 100, size / 3, size / 2, size - 5, size - 1} {
+				n, err := s.WriteTo(&failingWriter{k: int(k)})
+				if !errors.Is(err, errWriteFailed) || n != k {
+					t.Fatalf("writer failing after %d of %d bytes: WriteTo = (%d, %v), want (%d, the write error)",
+						k, size, n, err, k)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointStreamAllocation pins the streaming writer at vconn-dense's
+// shape (vertexconn n = 64, K = 3, 48 subgraphs, after churn): WriteTo
+// passes the ~48 MB frame through one buffer of a few hundred KiB, about
+// one vertex share, so it allocates far less than the frame.
+func TestCheckpointStreamAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 48 MB sketch")
+	}
+	load, cycle := denseChurn(1)
+	s, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpdateBatch(load); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range cycle[:len(cycle)/2] {
+		if err := s.UpdateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := failingWriter{k: 1 << 40}
+	size, err := s.WriteTo(&count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := s.WriteTo(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != size {
+		t.Fatalf("WriteTo = (%d, %v), want (%d, nil)", n, err, size)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("WriteTo allocated %.4f× its %d-byte frame", ratio, n)
+	if ratio > 1.0/16 {
+		t.Fatalf("WriteTo allocated %.4f× its %d-byte frame, want <= 1/16", ratio, n)
 	}
 }

@@ -137,7 +137,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrame appends a complete frame for (h, payload) to dst.
 func AppendFrame(dst []byte, h Header, payload []byte) []byte {
 	start := len(dst)
-	dst = append(beginFrame(grow(dst, FrameOverhead+len(payload)), h), payload...)
+	dst = append(beginFrame(grow(dst, FrameOverhead+len(payload)), h, len(payload)), payload...)
 	return finishFrame(dst, start)
 }
 
@@ -150,18 +150,18 @@ func grow(dst []byte, n int) []byte {
 	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
-// beginFrame appends h's header with a zero payload length; the caller
-// appends the payload in place and finishFrame completes the frame.
-func beginFrame(dst []byte, h Header) []byte {
+// beginFrame appends h's header declaring a plen-byte payload.
+func beginFrame(dst []byte, h Header, plen int) []byte {
 	dst = append(dst, Magic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
 	dst = append(dst, byte(h.Kind), byte(h.Tag))
 	dst = binary.LittleEndian.AppendUint64(dst, h.Fingerprint)
-	return binary.LittleEndian.AppendUint64(dst, 0)
+	return binary.LittleEndian.AppendUint64(dst, uint64(plen))
 }
 
-// finishFrame completes the frame begun at dst[start:]: it patches the
-// payload length and appends the CRC, one pass over the frame.
+// finishFrame completes the frame begun at dst[start:], whose payload the
+// caller appended in place: it patches the payload length and appends the
+// CRC, one pass over the frame.
 func finishFrame(dst []byte, start int) []byte {
 	binary.LittleEndian.PutUint64(dst[start+16:], uint64(len(dst)-start-headerLen))
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
@@ -171,6 +171,116 @@ func finishFrame(dst []byte, start int) []byte {
 func WriteFrame(w io.Writer, h Header, payload []byte) (int64, error) {
 	n, err := w.Write(AppendFrame(nil, h, payload))
 	return int64(n), err
+}
+
+// flushAt is the FrameWriter's flush threshold. Once its buffer holds this
+// many bytes they are checksummed and handed to the underlying writer while
+// still in cache, and the buffer is reused; it never holds much more than
+// flushAt plus one append (one vertex share), however long the frame.
+const flushAt = 256 << 10
+
+// FrameWriter streams a frame whose header, with the payload length, has
+// already been written: it checksums the bytes on their way to the
+// underlying writer and holds the payload to its declared length, which
+// can no longer change. Errors are sticky: after the first one nothing
+// more is written, and Append no longer calls its function.
+type FrameWriter struct {
+	w    io.Writer
+	buf  []byte
+	crc  uint32
+	left int   // bytes before the CRC not yet taken, header included
+	n    int64 // bytes w accepted
+	err  error
+}
+
+// newFrameWriter begins a size-byte frame for h on w.
+func newFrameWriter(w io.Writer, h Header, size int) *FrameWriter {
+	buf := make([]byte, 0, min(size, flushAt))
+	return &FrameWriter{w: w, buf: beginFrame(buf, h, size-FrameOverhead), left: size - crcLen}
+}
+
+// Append lets f append to the frame in place, in the writer's buffer, and
+// flushes the buffer once it holds flushAt bytes.
+func (fw *FrameWriter) Append(f func([]byte) []byte) {
+	if fw.err != nil {
+		return
+	}
+	if fw.buf = f(fw.buf); len(fw.buf) >= flushAt {
+		fw.flush()
+	}
+}
+
+// Reserve readies the buffer for appends of up to n bytes each: it grows
+// the buffer now, if it must, so that no such Append grows it. Between
+// calls the buffer holds less than flushAt bytes, so flushAt+n suffices,
+// and never more than the rest of the frame.
+func (fw *FrameWriter) Reserve(n int) {
+	fw.buf = grow(fw.buf, min(flushAt+n, fw.left+crcLen)-len(fw.buf))
+}
+
+// Write appends p to the frame (io.Writer). A p of flushAt bytes or more
+// is checksummed and forwarded after the buffer, without being copied.
+func (fw *FrameWriter) Write(p []byte) (int, error) {
+	if len(p) < flushAt {
+		fw.Append(func(b []byte) []byte { return append(b, p...) })
+	} else if fw.flush(); fw.err == nil {
+		fw.emit(p)
+	}
+	if fw.err != nil {
+		return 0, fw.err
+	}
+	return len(p), nil
+}
+
+// flush checksums and writes the buffer and empties it.
+func (fw *FrameWriter) flush() {
+	fw.emit(fw.buf)
+	fw.buf = fw.buf[:0]
+}
+
+// emit checksums and writes p, which must fit the declared length: bytes
+// past it are never written.
+func (fw *FrameWriter) emit(p []byte) {
+	switch {
+	case fw.err != nil || len(p) == 0:
+		return
+	case len(p) > fw.left:
+		fw.err = overrun(len(p) - fw.left)
+		return
+	}
+	fw.left -= len(p)
+	fw.crc = crc32.Update(fw.crc, castagnoli, p)
+	fw.write(p)
+}
+
+func (fw *FrameWriter) write(p []byte) {
+	m, err := fw.w.Write(p)
+	fw.n += int64(m)
+	if err == nil && m < len(p) {
+		err = io.ErrShortWrite
+	}
+	fw.err = err
+}
+
+// finish writes what is buffered and the CRC, in one Write, and returns
+// the bytes w accepted. A payload that ends short of its declared length
+// gets no CRC: the receiver sees a truncated frame.
+func (fw *FrameWriter) finish() (int64, error) {
+	switch d := fw.left - len(fw.buf); {
+	case fw.err != nil:
+	case d < 0:
+		fw.err = overrun(-d)
+	case d > 0:
+		fw.err = fmt.Errorf("codec: payload ends %d bytes short: %w", d, ErrStateLength)
+	default:
+		fw.crc = crc32.Update(fw.crc, castagnoli, fw.buf)
+		fw.write(binary.LittleEndian.AppendUint32(fw.buf, fw.crc))
+	}
+	return fw.n, fw.err
+}
+
+func overrun(by int) error {
+	return fmt.Errorf("codec: payload runs %d bytes past its end: %w", by, ErrStateLength)
 }
 
 // readChunk is the first buffer for a frame from a reader that cannot
@@ -193,7 +303,7 @@ func ReadFrame(r io.Reader) (Header, []byte, int64, error) {
 }
 
 // ReadFrameBytes is ReadFrame returning the complete verified frame, header
-// through checksum — the bytes the sender's AppendFrame produced. When r is
+// through checksum, byte for byte as the sender wrote it. When r is
 // a *bytes.Buffer the frame is verified where it lies and returned as a
 // window into the buffer's backing array (capacity clipped to the frame),
 // with no allocation or copy; the buffer advances past it only on success.
@@ -202,14 +312,14 @@ func ReadFrame(r io.Reader) (Header, []byte, int64, error) {
 // frame is read into an exact-size buffer of its own; when r reports its
 // remaining length (Len() int, as bytes.Reader does) the declared length is
 // checked against it and the frame is read with one allocation.
+//
+// A Verified buffer is read in place the same way, without the checksum.
 func ReadFrameBytes(r io.Reader) (Header, []byte, int64, error) {
-	if buf, ok := r.(*bytes.Buffer); ok {
-		h, payload, _, err := DecodeFrame(buf.Bytes())
-		if err != nil {
-			return Header{}, nil, 0, err
-		}
-		size := FrameOverhead + len(payload)
-		return h, buf.Next(size)[:size:size], int64(size), nil
+	switch buf := r.(type) {
+	case *bytes.Buffer:
+		return readInPlace(buf, true)
+	case Verified:
+		return readInPlace(buf.Buffer, false)
 	}
 	var hdr [headerLen]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -255,6 +365,24 @@ func ReadFrameBytes(r io.Reader) (Header, []byte, int64, error) {
 	return h, frame, read, nil
 }
 
+// Verified marks a buffer of frames this process has already verified,
+// checksum included, and has kept in memory since: a frame the TCP gather
+// pulled with ReadFrameBytes, say. ReadFrameBytes still checks each
+// frame's magic, version and declared length but skips its CRC, which
+// would only recompute what was just checked. Bytes from outside the
+// process must never be wrapped.
+type Verified struct{ *bytes.Buffer }
+
+// readInPlace reads one frame from the front of buf without copying it.
+func readInPlace(buf *bytes.Buffer, checkCRC bool) (Header, []byte, int64, error) {
+	h, payload, _, err := decodeFrame(buf.Bytes(), checkCRC)
+	if err != nil {
+		return Header{}, nil, 0, err
+	}
+	size := FrameOverhead + len(payload)
+	return h, buf.Next(size)[:size:size], int64(size), nil
+}
+
 // frameSize validates a frame header's magic, version and declared length
 // and returns the length of the whole frame.
 func frameSize(hdr []byte) (int, error) {
@@ -275,6 +403,11 @@ func frameSize(hdr []byte) (int, error) {
 // the remaining bytes, for composing frames into larger messages. The
 // payload and the rest are windows into b: nothing is copied.
 func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
+	return decodeFrame(b, true)
+}
+
+// decodeFrame is DecodeFrame, checking the CRC only when checkCRC is set.
+func decodeFrame(b []byte, checkCRC bool) (Header, []byte, []byte, error) {
 	if len(b) < headerLen {
 		return Header{}, nil, nil, fmt.Errorf("codec: reading header: %w", ErrTruncated)
 	}
@@ -286,7 +419,7 @@ func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
 		return Header{}, nil, nil, fmt.Errorf("codec: payload short by %d bytes: %w", size-len(b), ErrTruncated)
 	}
 	end := size - crcLen
-	if crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
+	if checkCRC && crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
 		return Header{}, nil, nil, ErrChecksum
 	}
 	h := Header{Version: Version, Kind: Kind(b[6]), Tag: Tag(b[7]), Fingerprint: binary.LittleEndian.Uint64(b[8:16])}

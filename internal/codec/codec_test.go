@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -20,7 +21,19 @@ func validFrame(t *testing.T) []byte {
 
 // checkpointFrame builds a checkpoint frame around a literal state.
 func checkpointFrame(tag Tag, params, state []byte) []byte {
-	return AppendCheckpoint(nil, tag, params, len(state), func(b []byte) []byte { return append(b, state...) })
+	var buf bytes.Buffer
+	if _, err := WriteCheckpoint(&buf, tag, params, len(state), writeBytes(state)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// writeBytes is a state writer for a literal state.
+func writeBytes(state []byte) func(*FrameWriter) error {
+	return func(fw *FrameWriter) error {
+		_, err := fw.Write(state)
+		return err
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -375,5 +388,152 @@ func TestReadFrameBytesInPlace(t *testing.T) {
 	buf = bytes.NewBuffer(backing)
 	if _, _, n, err := ReadFrameBytes(buf); !errors.Is(err, ErrChecksum) || n != 0 || buf.Len() != len(backing) {
 		t.Fatalf("corrupt frame: got %v, consumed %d, %d bytes left; want ErrChecksum and the buffer unread", err, n, buf.Len())
+	}
+}
+
+// TestReadFrameBytesVerified: a Verified buffer is read in place like a
+// plain one, with the header checks but without the CRC.
+func TestReadFrameBytesVerified(t *testing.T) {
+	frame := validFrame(t)
+	backing := append(bytes.Clone(frame), "next"...)
+	buf := bytes.NewBuffer(backing)
+	h, got, n, err := ReadFrameBytes(Verified{buf})
+	if err != nil || &got[0] != &backing[0] || !bytes.Equal(got, frame) || n != int64(len(frame)) || buf.String() != "next" {
+		t.Fatalf("got (%v, %d bytes, n %d, %q left), want the frame in place", err, len(got), n, buf.String())
+	}
+	if want, _, _, _ := DecodeFrame(frame); h != want {
+		t.Fatalf("header %+v, want %+v", h, want)
+	}
+	backing[len(frame)-1] ^= 1
+	if _, _, _, err := ReadFrameBytes(Verified{bytes.NewBuffer(backing)}); err != nil {
+		t.Fatalf("Verified read checked the CRC: %v", err)
+	}
+	backing[0] ^= 1
+	if _, _, _, err := ReadFrameBytes(Verified{bytes.NewBuffer(backing)}); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("bad magic: got %v, want ErrBadMagic", err)
+	}
+	if _, _, _, err := ReadFrameBytes(Verified{bytes.NewBuffer(frame[:len(frame)-1])}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short frame: got %v, want ErrTruncated", err)
+	}
+}
+
+// writeLog records the length of every Write.
+type writeLog struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestCheckpointStreams: a state much longer than the flush threshold goes
+// out in several writes, none much longer than the threshold, and the
+// frame is byte for byte the one AppendFrame builds; an io.Writer write of
+// a long slice is forwarded whole.
+func TestCheckpointStreams(t *testing.T) {
+	params := AppendUint64s(nil, 1, 2, 3)
+	state := make([]byte, 3*flushAt+12345)
+	for i := range state {
+		state[i] = byte(i * 7)
+	}
+	payload := append(binary.LittleEndian.AppendUint32(nil, uint32(len(params))), params...)
+	want := AppendFrame(nil, Header{Kind: KindCheckpoint, Tag: TagSkeleton, Fingerprint: Fingerprint(TagSkeleton, params)},
+		append(payload, state...))
+	const piece = 1000
+	var w writeLog
+	n, err := WriteCheckpoint(&w, TagSkeleton, params, len(state), func(fw *FrameWriter) error {
+		for rest := state; len(rest) > 0; {
+			p := rest[:min(piece, len(rest))]
+			fw.Append(func(b []byte) []byte { return append(b, p...) })
+			rest = rest[len(p):]
+		}
+		return nil
+	})
+	if err != nil || n != int64(len(want)) || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("WriteCheckpoint: %d bytes, %v; want the %d-byte AppendFrame frame", n, err, len(want))
+	}
+	if len(w.writes) < 4 || slices.Max(w.writes) > flushAt+piece+crcLen {
+		t.Fatalf("writes of %v bytes, want at least 4, each at most %d", w.writes, flushAt+piece+crcLen)
+	}
+	w = writeLog{}
+	if _, err := WriteCheckpoint(&w, TagSkeleton, params, len(state), writeBytes(state)); err != nil || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("Write path: %v, or bytes differ", err)
+	}
+	if len(w.writes) != 3 || w.writes[1] != len(state) {
+		t.Fatalf("writes of %v bytes, want the header, the state whole, then the CRC", w.writes)
+	}
+}
+
+// TestCheckpointStateLengthMismatch: a state writer that writes fewer or
+// more bytes than it declared gets an error, and what reached the writer is
+// never a frame.
+func TestCheckpointStateLengthMismatch(t *testing.T) {
+	params := AppendUint64s(nil, 9)
+	for _, size := range []int{10, 2*flushAt + 5} {
+		state := bytes.Repeat([]byte{0x5a}, size)
+		for _, declared := range []int{size - 1, size + 1, 0, 2 * size} {
+			for _, via := range []string{"Append", "Write"} {
+				var w bytes.Buffer
+				_, err := WriteCheckpoint(&w, TagSpanning, params, declared, func(fw *FrameWriter) error {
+					if via == "Write" {
+						_, err := fw.Write(state)
+						return err
+					}
+					fw.Append(func(b []byte) []byte { return append(b, state...) })
+					return nil
+				})
+				if !errors.Is(err, ErrStateLength) {
+					t.Fatalf("%d-byte state declared as %d via %s: got %v, want ErrStateLength", size, declared, via, err)
+				}
+				if _, _, _, derr := DecodeFrame(w.Bytes()); derr == nil {
+					t.Fatalf("%d-byte state declared as %d via %s: wrote a valid frame", size, declared, via)
+				}
+				if w.Len() > CheckpointSize(params, declared) {
+					t.Fatalf("%d-byte state declared as %d via %s: wrote %d bytes, past the declared %d",
+						size, declared, via, w.Len(), CheckpointSize(params, declared))
+				}
+			}
+		}
+	}
+}
+
+// failAfter accepts k bytes and then fails.
+type failAfter struct{ k int }
+
+var errInjected = errors.New("injected write failure")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= w.k {
+		w.k -= len(p)
+		return len(p), nil
+	}
+	n := w.k
+	w.k = 0
+	return n, errInjected
+}
+
+// TestCheckpointWriterFailure: a writer that fails mid-frame gets its error
+// back with the bytes it accepted, and the state writer is not called
+// again after the failure.
+func TestCheckpointWriterFailure(t *testing.T) {
+	params := AppendUint64s(nil, 9)
+	state := bytes.Repeat([]byte{0xa5}, 3*flushAt)
+	size := CheckpointSize(params, len(state))
+	for _, k := range []int{0, 5, flushAt / 2, flushAt + 7, size - 1} {
+		calls := 0
+		n, err := WriteCheckpoint(&failAfter{k}, TagSpanning, params, len(state), func(fw *FrameWriter) error {
+			for i := 0; i < len(state); i += 1024 {
+				fw.Append(func(b []byte) []byte { calls++; return append(b, state[i:i+1024]...) })
+			}
+			return nil
+		})
+		if !errors.Is(err, errInjected) || n != int64(k) {
+			t.Fatalf("failing after %d bytes: got (%d, %v)", k, n, err)
+		}
+		if calls*1024 > k+flushAt+1024 {
+			t.Fatalf("failing after %d bytes: %d appends ran, past the failure", k, calls)
+		}
 	}
 }

@@ -36,6 +36,11 @@ var (
 
 	// ErrTruncated is returned when the input ends before the frame does.
 	ErrTruncated = errors.New("codec: truncated frame")
+
+	// ErrStateLength is returned by WriteCheckpoint when the state written
+	// is longer or shorter than the length its header declared. It is a
+	// write-side error: no frame is completed.
+	ErrStateLength = errors.New("codec: state length differs from the declared length")
 )
 
 // IsDecodeError reports whether err is (or wraps) one of the package's

@@ -67,6 +67,17 @@ func FuzzCodecDecode(f *testing.F) {
 				t.Fatalf("in-place read returned n = %d but advanced the buffer %d bytes", gn, len(data)-inPlace.Len())
 			}
 		}
+		// A Verified buffer skips only the CRC: on every input the checked
+		// path accepts it must read the same frame and advance as far.
+		if err == nil {
+			verified := bytes.NewBuffer(bytes.Clone(data))
+			vh, vp, vn, verr := ReadFrame(Verified{verified})
+			if verr != nil || vh != h || !bytes.Equal(vp, payload) || vn != int64(len(data)-verified.Len()) ||
+				verified.Len() != inPlace.Len() {
+				t.Fatalf("Verified: got (%+v, %d bytes, n %d, %v), checked path (%+v, %d bytes)",
+					vh, len(vp), vn, verr, h, len(payload))
+			}
+		}
 		if _, _, _, err := DecodeFrame(data); err != nil && !IsDecodeError(err) {
 			t.Fatalf("DecodeFrame: untyped error %v", err)
 		}

@@ -60,39 +60,41 @@ func opener(tag Tag) Opener {
 	return openers[tag]
 }
 
-// AppendCheckpoint appends a checkpoint frame to dst: the payload is the
-// length-prefixed params encoding followed by the state appendState
-// appends in place, and the header fingerprint commits to (tag, params).
-// stateSize is the exact length appendState adds; with it the frame is
-// built in one exact-size buffer and checksummed in one pass (a wrong size
-// costs a regrow, never a wrong frame).
-func AppendCheckpoint(dst []byte, tag Tag, params []byte, stateSize int, appendState func([]byte) []byte) []byte {
-	start := len(dst)
-	dst = grow(dst, CheckpointSize(params, stateSize))
-	dst = beginFrame(dst, Header{Kind: KindCheckpoint, Tag: tag, Fingerprint: Fingerprint(tag, params)})
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(params)))
-	dst = appendState(append(dst, params...))
-	return finishFrame(dst, start)
-}
-
-// CheckpointSize returns the length of the checkpoint frame AppendCheckpoint
-// builds for params and a stateSize-byte state.
+// CheckpointSize returns the length of the checkpoint frame WriteCheckpoint
+// writes for params and a stateSize-byte state.
 func CheckpointSize(params []byte, stateSize int) int {
 	return FrameOverhead + 4 + len(params) + stateSize
 }
 
-// WriteCheckpoint writes the checkpoint frame AppendCheckpoint builds to w
-// in one Write and records the write in the codec metrics. It is the
-// single implementation behind every sketch's WriteTo method.
-func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, appendState func([]byte) []byte) (int64, error) {
+// WriteCheckpoint writes a checkpoint frame to w and records the write in
+// the codec metrics. It is the single implementation behind every sketch's
+// WriteTo method. The payload is the length-prefixed params encoding
+// followed by the state writeState writes into fw, and the header
+// fingerprint commits to (tag, params).
+//
+// The frame streams: the header goes out first, declaring a stateSize-byte
+// state, and the state follows through fw's small buffer, checksummed a
+// chunk at a time, so no frame-sized buffer exists. The declared length is
+// therefore a promise. A state of any other length is an error, and no
+// frame is completed: bytes past the declared length are never written,
+// and a short state gets no CRC. A w.Write error is returned with the
+// bytes w accepted, leaving the receiver a truncated frame.
+func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, writeState func(fw *FrameWriter) error) (int64, error) {
 	start := time.Now()
-	n, err := w.Write(AppendCheckpoint(nil, tag, params, stateSize, appendState))
+	fw := newFrameWriter(w, Header{Kind: KindCheckpoint, Tag: tag, Fingerprint: Fingerprint(tag, params)},
+		CheckpointSize(params, stateSize))
+	fw.buf = binary.LittleEndian.AppendUint32(fw.buf, uint32(len(params)))
+	fw.buf = append(fw.buf, params...)
+	if err := writeState(fw); err != nil && fw.err == nil {
+		fw.err = err
+	}
+	n, err := fw.finish()
 	if err == nil {
 		cdm.ckptWrites.Inc()
-		cdm.ckptWriteBytes.Add(int64(n))
+		cdm.ckptWriteBytes.Add(n)
 		cdm.ckptWriteSeconds.Observe(time.Since(start).Seconds())
 	}
-	return int64(n), err
+	return n, err
 }
 
 // readCheckpoint reads a checkpoint frame from r and splits its payload
@@ -174,10 +176,10 @@ func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 // is the vertex index followed by the interior share appendShare appends
 // in place, fingerprinted with the sender's identity so a mismatched
 // receiver rejects it typed. shareSize is the exact length appendShare
-// adds, as for AppendCheckpoint.
+// adds; a wrong size costs a regrow, never a wrong frame.
 func AppendShareFrame(dst []byte, tag Tag, fp uint64, v, shareSize int, appendShare func([]byte) []byte) []byte {
 	start := len(dst)
-	dst = beginFrame(grow(dst, ShareOverhead+shareSize), Header{Kind: KindShare, Tag: tag, Fingerprint: fp})
+	dst = beginFrame(grow(dst, ShareOverhead+shareSize), Header{Kind: KindShare, Tag: tag, Fingerprint: fp}, 4+shareSize)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	cdm.shareFrames.Inc()
 	return finishFrame(appendShare(dst), start)

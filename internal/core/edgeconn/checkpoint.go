@@ -29,7 +29,7 @@ func (s *Sketch) Fingerprint() uint64 {
 // The state is the skeleton's: its n vertex shares in order.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 	st := sketch.Shares{Sharer: s.skeleton}
-	return codec.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams(), st.Size(), st.Write)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch

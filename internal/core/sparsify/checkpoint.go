@@ -29,7 +29,7 @@ func (s *Sketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 	st := s.state()
-	return codec.WriteCheckpoint(w, codec.TagSparsify, s.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagSparsify, s.wireParams(), st.Size(), st.Write)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch

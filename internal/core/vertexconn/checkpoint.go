@@ -30,7 +30,7 @@ func (s *Sketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 	st := sketch.Shares{Sharer: s}
-	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), st.Size(), st.Write)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -76,7 +76,7 @@ func (e *Estimator) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
 	st := e.state()
-	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), st.Size(), st.Write)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the estimator

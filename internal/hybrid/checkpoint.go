@@ -11,7 +11,7 @@ import (
 // Wire format. A hybrid checkpoint frame's params are two words — the
 // exact-buffer budget and the inner sketch's own wire fingerprint — so the
 // hybrid's identity commits to the inner's full construction (seed, domain,
-// shape) without re-encoding it. The state (appendState) carries everything
+// shape) without re-encoding it. The state (writeState) carries everything
 // params cannot reconstruct: the inner sketch's complete embedded
 // checkpoint frame, the spill bitmap, and the per-vertex exact buffers.
 // codec.Open on the embedded frame rebuilds the inner through its own
@@ -38,7 +38,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagHybrid, s.wireParams(), s.stateSize(), s.appendState)
+	return codec.WriteCheckpoint(w, codec.TagHybrid, s.wireParams(), s.stateSize(), s.writeState)
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch

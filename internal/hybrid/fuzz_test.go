@@ -35,8 +35,14 @@ func fuzzHybrid(tb testing.TB) *hybrid.Sketch {
 // params (budget 4, the inner's fingerprint) match fuzzHybrid's.
 func hybridFrame(hy *hybrid.Sketch, state []byte) []byte {
 	params := codec.AppendUint64s(nil, 4, hy.Inner().Fingerprint())
-	return codec.AppendCheckpoint(nil, codec.TagHybrid, params, len(state),
-		func(b []byte) []byte { return append(b, state...) })
+	var buf bytes.Buffer
+	if _, err := codec.WriteCheckpoint(&buf, codec.TagHybrid, params, len(state), func(fw *codec.FrameWriter) error {
+		_, err := fw.Write(state)
+		return err
+	}); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzHybridUnmarshal feeds arbitrary state bytes, inside an otherwise

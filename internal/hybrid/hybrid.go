@@ -82,9 +82,8 @@ type Inner interface {
 	Domain() graph.Domain
 	Fingerprint() uint64
 	SharedWords() int
-	// AppendCheckpoint appends the frame WriteTo writes, whose length is
-	// CheckpointSize; the hybrid state embeds it in place.
-	AppendCheckpoint(dst []byte) []byte
+	// CheckpointSize is the length of the frame WriteTo writes; the hybrid
+	// state embeds that frame behind its length.
 	CheckpointSize() int
 }
 
@@ -504,38 +503,46 @@ func (s *Sketch) StateWords() int {
 	return w
 }
 
-// appendState appends the sketch's state: a length-prefixed embedded
-// checkpoint frame of the inner sketch, built in place, then the spill
-// bitmap, then each unspilled vertex's sorted buffer; stateSize is its
-// exact length. Unlike the other sketches' states this embeds the inner's
-// full self-describing frame — the hybrid's own params (budget, inner
+// writeState streams the sketch's state into fw: the inner sketch's
+// checkpoint frame behind its 8-byte length, then the spill bitmap, then
+// each unspilled vertex's sorted buffer; stateSize is its exact length.
+// Unlike the other sketches' states this embeds the inner's full
+// self-describing frame — the hybrid's own params (budget, inner
 // fingerprint) cannot reconstruct the inner sketch, so the state must
 // carry it.
-func (s *Sketch) appendState(b []byte) []byte {
-	at := len(b)
-	b = s.inner.AppendCheckpoint(binary.LittleEndian.AppendUint64(b, 0))
-	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
-	n := len(s.spilled)
-	for w := 0; w < (n+63)/64; w++ {
-		var word uint64
-		for bit := 0; bit < 64 && w*64+bit < n; bit++ {
-			if s.spilled[w*64+bit] {
-				word |= 1 << bit
-			}
-		}
-		b = binary.LittleEndian.AppendUint64(b, word)
+func (s *Sketch) writeState(fw *codec.FrameWriter) error {
+	flen := uint64(s.inner.CheckpointSize())
+	fw.Append(func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, flen) })
+	if _, err := s.inner.WriteTo(fw); err != nil {
+		return err
 	}
+	n := len(s.spilled)
+	fw.Append(func(b []byte) []byte {
+		for w := 0; w < (n+63)/64; w++ {
+			var word uint64
+			for bit := 0; bit < 64 && w*64+bit < n; bit++ {
+				if s.spilled[w*64+bit] {
+					word |= 1 << bit
+				}
+			}
+			b = binary.LittleEndian.AppendUint64(b, word)
+		}
+		return b
+	})
 	for v := 0; v < n; v++ {
 		if s.spilled[v] {
 			continue
 		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.keys[v])))
-		for i, key := range s.keys[v] {
-			b = binary.LittleEndian.AppendUint64(b, key)
-			b = binary.LittleEndian.AppendUint64(b, uint64(s.ws[v][i]))
-		}
+		fw.Append(func(b []byte) []byte {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(s.keys[v])))
+			for i, key := range s.keys[v] {
+				b = binary.LittleEndian.AppendUint64(b, key)
+				b = binary.LittleEndian.AppendUint64(b, uint64(s.ws[v][i]))
+			}
+			return b
+		})
 	}
-	return b
+	return nil
 }
 
 func (s *Sketch) stateSize() int {
@@ -548,7 +555,7 @@ func (s *Sketch) stateSize() int {
 	return n
 }
 
-// addState restores an appendState state; the codec opener and ReadFrom
+// addState restores a writeState state; the codec opener and ReadFrom
 // both call it. On a shell built by the opener it adopts the embedded
 // inner frame (verifying it against the fingerprint the params recorded);
 // on a constructed sketch it adds linearly, resolving mixed exact/spilled

@@ -39,7 +39,7 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 	if _, ok := probe.(Decoder); !ok {
 		return nil, fmt.Errorf("oracle: no coordinator decode route for %T: %w", probe, ErrNoDecodeRoute)
 	}
-	return New(Config{
+	cfg := Config{
 		Sketch: &transportSketch{tr: tr},
 		N:      proto.NumVertices(),
 		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) {
@@ -52,7 +52,12 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 			}
 			return fresh.(Decoder).Decode(sp)
 		},
-	})
+	}
+	// The removal cap is For's: the gathered sketch is the probe's twin.
+	if m, ok := probe.(interface{ MaxRemove() int }); ok {
+		cfg.MaxRemove = m.MaxRemove()
+	}
+	return New(cfg)
 }
 
 // transportSketch adapts a shardplane.Transport to the mutation surface

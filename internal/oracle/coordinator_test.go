@@ -162,6 +162,25 @@ func TestForCoordinatorEveryType(t *testing.T) {
 	if _, err := ForCoordinator(tr, proto); !errors.Is(err, ErrNoDecodeRoute) {
 		t.Fatalf("ForCoordinator over a reconstruct member: got %v, want ErrNoDecodeRoute", err)
 	}
+
+	// A vertexconn coordinator caps DisconnectedBy's removal sets at K, as
+	// For does on the same sketch.
+	vc := must(vertexconn.New(vertexconn.Params{N: n, K: 1, Subgraphs: 8, Seed: seed}))
+	vtr, err := shardplane.DialTCP(vc, addrs, shardplane.TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vtr.Close()
+	coord, err := ForCoordinator(vtr, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.UpdateBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.DisconnectedBy([]int{0, 1, 2}); !errors.Is(err, ErrRemoveTooLarge) {
+		t.Fatalf("K=1 vertexconn coordinator, DisconnectedBy of 3 vertices: got %v, want ErrRemoveTooLarge", err)
+	}
 }
 
 // withGOMAXPROCS runs f with GOMAXPROCS set to procs, restoring it after.

@@ -238,9 +238,10 @@ func (t *TCPTransport) pullAll(rf io.ReaderFrom) error {
 		return nil
 	}
 	// ReadFrom reads each frame in place and copies what it keeps, so the
-	// frames stay intact as the shards' restore points.
+	// frames stay intact as the shards' restore points. pullOnce verified
+	// them, CRC included, so the merge skips a second checksum pass.
 	for s, sc := range t.shards {
-		if _, err := rf.ReadFrom(bytes.NewBuffer(frames[s])); err != nil {
+		if _, err := rf.ReadFrom(codec.Verified{Buffer: bytes.NewBuffer(frames[s])}); err != nil {
 			spm.gatherRejects.Inc()
 			return fmt.Errorf("shardplane: merging shard %d (%s): %w", s, sc.addr, err)
 		}

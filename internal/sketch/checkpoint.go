@@ -37,13 +37,7 @@ func (s *SpanningSketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SpanningSketch) WriteTo(w io.Writer) (int64, error) {
 	st := Shares{s}
-	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), st.Size(), st.Append)
-}
-
-// AppendCheckpoint appends the frame WriteTo writes to dst, in place.
-func (s *SpanningSketch) AppendCheckpoint(dst []byte) []byte {
-	st := Shares{s}
-	return codec.AppendCheckpoint(dst, codec.TagSpanning, s.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), st.Size(), st.Write)
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.
@@ -94,13 +88,7 @@ func (s *SkeletonSketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SkeletonSketch) WriteTo(w io.Writer) (int64, error) {
 	st := Shares{s}
-	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), st.Size(), st.Append)
-}
-
-// AppendCheckpoint appends the frame WriteTo writes to dst, in place.
-func (s *SkeletonSketch) AppendCheckpoint(dst []byte) []byte {
-	st := Shares{s}
-	return codec.AppendCheckpoint(dst, codec.TagSkeleton, s.wireParams(), st.Size(), st.Append)
+	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), st.Size(), st.Write)
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.

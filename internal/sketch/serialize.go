@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"graphsketch/internal/codec"
 	"graphsketch/internal/recovery"
 )
 
@@ -63,11 +64,11 @@ func AddShare(s Sharer, v int, share []byte) error {
 
 // Shares is the full state of a Sharer: its shares 0..n−1 in vertex order.
 // Parameters and seeds are the structure's identity and are not part of
-// it; the checkpoint frame around the state carries them. Size and Append
-// are the (size, append) pair codec.WriteCheckpoint takes.
+// it; the checkpoint frame around the state carries them. Size and Write
+// are the (size, writer) pair codec.WriteCheckpoint takes.
 type Shares struct{ Sharer }
 
-// Size returns the length Append appends.
+// Size returns the length Write writes.
 func (s Shares) Size() int {
 	size := 0
 	for v, n := 0, s.NumVertices(); v < n; v++ {
@@ -76,12 +77,19 @@ func (s Shares) Size() int {
 	return size
 }
 
-// Append appends the state to dst; a dst presized by Size never regrows.
-func (s Shares) Append(dst []byte) []byte {
-	for v, n := 0, s.NumVertices(); v < n; v++ {
-		dst = s.AppendShare(dst, v)
+// Write streams the state into a checkpoint frame one vertex share at a
+// time, each appended in place in fw's buffer, which is first made room
+// for the largest share.
+func (s Shares) Write(fw *codec.FrameWriter) error {
+	n, largest := s.NumVertices(), 0
+	for v := 0; v < n; v++ {
+		largest = max(largest, s.ShareSize(v))
 	}
-	return dst
+	fw.Reserve(largest)
+	for v := 0; v < n; v++ {
+		fw.Append(func(b []byte) []byte { return s.AppendShare(b, v) })
+	}
+	return nil
 }
 
 // Add merges a state (linearly), which it must consume exactly. On a
@@ -112,7 +120,7 @@ func (s Shares) walk(b []byte, op PartOp) error {
 // back.
 type Stack []Sharer
 
-// Size returns the length Append appends.
+// Size returns the length Write writes.
 func (st Stack) Size() int {
 	n := 0
 	for _, s := range st {
@@ -121,14 +129,18 @@ func (st Stack) Size() int {
 	return n
 }
 
-// Append appends the state to dst.
-func (st Stack) Append(dst []byte) []byte {
+// Write streams the state into a checkpoint frame: each member's length,
+// then its shares.
+func (st Stack) Write(fw *codec.FrameWriter) error {
 	for _, s := range st {
 		sh := Shares{s}
-		dst = binary.BigEndian.AppendUint64(dst, uint64(sh.Size()))
-		dst = sh.Append(dst)
+		size := uint64(sh.Size())
+		fw.Append(func(b []byte) []byte { return binary.BigEndian.AppendUint64(b, size) })
+		if err := sh.Write(fw); err != nil {
+			return err
+		}
 	}
-	return dst
+	return nil
 }
 
 // Add merges a state (linearly), which it must consume exactly. Like

@@ -7,6 +7,7 @@ import (
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/testutil/frametest"
 )
 
 // streamInto applies h's edges to the sketch as unit insertions.
@@ -547,11 +548,11 @@ func TestSpanningAddVertexShareRejectsTrailing(t *testing.T) {
 func TestUpdateEdgeRangeSkipsUnownedEdges(t *testing.T) {
 	dom := graph.MustDomain(8, 2)
 	s := NewSpanning(3, dom, SpanningConfig{})
-	empty := s.AppendCheckpoint(nil)
+	empty := frametest.Of(t, s)
 	if err := s.UpdateEdgeRange(graph.MustEdge(5, 6), 1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(s.AppendCheckpoint(nil), empty) {
+	if !bytes.Equal(frametest.Of(t, s), empty) {
 		t.Fatal("an update with no endpoint in range changed the sketch")
 	}
 	for _, r := range [][2]int{{0, 4}, {4, 8}} {

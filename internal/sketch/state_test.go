@@ -10,6 +10,16 @@ import (
 	"graphsketch/internal/graph"
 )
 
+// stateOf returns s's state, the interior of its checkpoint frame: its
+// shares in vertex order.
+func stateOf(s Sharer) []byte {
+	var b []byte
+	for v := 0; v < s.NumVertices(); v++ {
+		b = s.AppendShare(b, v)
+	}
+	return b
+}
+
 func TestSpanningStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 1))
 	h := randomGraph(rng, 20, 50)
@@ -18,7 +28,7 @@ func TestSpanningStateRoundTrip(t *testing.T) {
 	if err := a.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	state := Shares{a}.Append(nil)
+	state := stateOf(a)
 
 	// Restore into a fresh sketch and continue streaming.
 	b := NewSpanning(seed, h.Domain(), SpanningConfig{})
@@ -60,10 +70,10 @@ func TestSpanningStateMergesTwoStreams(t *testing.T) {
 		}
 	}
 	agg := NewSpanning(seed, h.Domain(), SpanningConfig{})
-	if err := (Shares{agg}).Add(Shares{m1}.Append(nil)); err != nil {
+	if err := (Shares{agg}).Add(stateOf(m1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Shares{agg}).Add(Shares{m2}.Append(nil)); err != nil {
+	if err := (Shares{agg}).Add(stateOf(m2)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := agg.Decode(nil)
@@ -87,7 +97,7 @@ func TestSkeletonStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
-	if err := (Shares{b}).Add(Shares{a}.Append(nil)); err != nil {
+	if err := (Shares{b}).Add(stateOf(a)); err != nil {
 		t.Fatal(err)
 	}
 	sa, errA := a.Decode(nil)
@@ -106,7 +116,7 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 	if err := a.Update(graph.MustEdge(0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	state := Shares{a}.Append(nil)
+	state := stateOf(a)
 	if len(state) != (Shares{a}).Size() {
 		t.Fatalf("state of %d bytes, Size says %d", len(state), Shares{a}.Size())
 	}
@@ -119,9 +129,10 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 	}
 }
 
-// TestSpanningWriteToAllocation pins the one-pass checkpoint writer: WriteTo
-// builds the frame in one exact-size buffer, so it allocates about the
-// frame's own bytes.
+// TestSpanningWriteToAllocation pins the streaming checkpoint writer: WriteTo
+// passes the frame through one buffer no longer than the frame (and a few
+// hundred KiB for a long one), so it allocates at most about the frame's
+// own bytes.
 func TestSpanningWriteToAllocation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 1))
 	h := randomGraph(rng, 64, 400)
@@ -138,8 +149,8 @@ func TestSpanningWriteToAllocation(t *testing.T) {
 	if err != nil || n != int64(frame.Len()) {
 		t.Fatalf("WriteTo: %d bytes, %v; want %d", n, err, frame.Len())
 	}
-	if s.CheckpointSize() != frame.Len() || !bytes.Equal(s.AppendCheckpoint(nil), frame.Bytes()) {
-		t.Fatal("AppendCheckpoint/CheckpointSize disagree with WriteTo")
+	if s.CheckpointSize() != frame.Len() {
+		t.Fatalf("CheckpointSize = %d, WriteTo wrote %d bytes", s.CheckpointSize(), frame.Len())
 	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	t.Logf("WriteTo allocated %.3f× its %d-byte frame", ratio, n)
