@@ -42,11 +42,10 @@ func isPlanePath(path string) bool {
 
 // planeResources are the closable named types of the shard plane.
 var planeResources = map[string]bool{
-	"Transport":       true,
-	"TCPTransport":    true,
-	"LocalTransport":  true,
-	"MemberTransport": true,
-	"Server":          true,
+	"Transport":      true,
+	"TCPTransport":   true,
+	"LocalTransport": true,
+	"Server":         true,
 }
 
 // isResourceType reports whether t is (a pointer to) a closable transport

@@ -111,6 +111,13 @@ func runCoordinator(o coordOptions, stdin io.Reader, stdout, stderr io.Writer) e
 	if o.n < 2 {
 		return errors.New("coordinator mode needs -n >= 2")
 	}
+	var u, v int
+	if o.connected != "" {
+		var err error
+		if u, v, err = parsePair(o.connected, o.n); err != nil {
+			return err
+		}
+	}
 	addrs := splitAddrs(o.shards)
 	if len(addrs) == 0 {
 		return errors.New("coordinator mode needs -shards host:port[,host:port...]")
@@ -128,22 +135,12 @@ func runCoordinator(o coordOptions, stdin io.Reader, stdout, stderr io.Writer) e
 	if err != nil {
 		return err
 	}
-	tr, err := shardplane.DialTCP(proto, addrs, shardplane.TCPOptions{CheckpointEvery: o.ckptEvery})
+	tr, gathered, err := ingestCluster(st, proto, addrs,
+		shardplane.TCPOptions{CheckpointEvery: o.ckptEvery}, o.batch, o.verify, stdout)
 	if err != nil {
 		return err
 	}
-	eng := engine.NewWithTransport(tr)
-	defer eng.Close()
-	if err := eng.Consume(st, o.batch); err != nil {
-		return err
-	}
-	gathered, err := freshFrom(proto)
-	if err != nil {
-		return err
-	}
-	if err := tr.Gather(gathered); err != nil {
-		return err
-	}
+	defer tr.Close()
 	h, err := gathered.(oracle.Decoder).Decode(nil)
 	if err != nil {
 		return err
@@ -152,16 +149,7 @@ func runCoordinator(o coordOptions, stdin io.Reader, stdout, stderr io.Writer) e
 	fmt.Fprintf(stderr, "gsd: %d updates over %d shards (%s); certificate: %d edges\n",
 		len(st), tr.Shards(), o.kind, h.EdgeCount())
 	fmt.Fprintf(stdout, "components: %d\n", comps)
-	if o.verify {
-		if err := verifyCluster(st, proto, gathered, stdout); err != nil {
-			return err
-		}
-	}
 	if o.connected != "" {
-		u, v, err := parsePair(o.connected, o.n)
-		if err != nil {
-			return err
-		}
 		orc, err := oracle.ForCoordinator(tr, proto)
 		if err != nil {
 			return err
@@ -177,6 +165,34 @@ func runCoordinator(o coordOptions, stdin io.Reader, stdout, stderr io.Writer) e
 		}
 	}
 	return nil
+}
+
+// ingestCluster is the coordinator pipeline gsd and genstream's loadgen
+// share: dial one TCP shard per address, stream st through the plane in
+// batches of batch updates, and gather the shards' state into a fresh copy
+// of proto. With verify set, the gathered state must also match a serial
+// replay of st (verifyCluster). On success the caller closes the returned
+// transport.
+func ingestCluster(st stream.Stream, proto shardplane.Member, addrs []string, opt shardplane.TCPOptions, batch int, verify bool, stdout io.Writer) (*shardplane.TCPTransport, graphsketch.Checkpointer, error) {
+	tr, err := shardplane.DialTCP(proto, addrs, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	gathered, err := freshFrom(proto)
+	if err == nil {
+		err = engine.NewWithTransport(tr).Consume(st, batch)
+	}
+	if err == nil {
+		err = tr.Gather(gathered)
+	}
+	if err == nil && verify {
+		err = verifyCluster(st, proto, gathered, stdout)
+	}
+	if err != nil {
+		tr.Close()
+		return nil, nil, err
+	}
+	return tr, gathered, nil
 }
 
 // splitAddrs parses a comma-separated address list, dropping empty entries.
@@ -332,25 +348,11 @@ func runLoadgen(st stream.Stream, n, shards int, gsdBin, kind string, k int, see
 	if err != nil {
 		return err
 	}
-	tr, err := shardplane.DialTCP(proto, addrs, shardplane.TCPOptions{})
+	tr, _, err := ingestCluster(st, proto, addrs, shardplane.TCPOptions{}, engine.DefaultBatchSize, true, stdout)
 	if err != nil {
 		return err
 	}
-	eng := engine.NewWithTransport(tr)
-	defer eng.Close()
-	if err := eng.Consume(st, engine.DefaultBatchSize); err != nil {
-		return err
-	}
-	gathered, err := freshFrom(proto)
-	if err != nil {
-		return err
-	}
-	if err := tr.Gather(gathered); err != nil {
-		return err
-	}
-	if err := verifyCluster(st, proto, gathered, stdout); err != nil {
-		return err
-	}
+	tr.Close()
 	fmt.Fprintf(stdout, "loadgen: %d updates over %d TCP shards match the serial decode\n", len(st), shards)
 	return nil
 }

@@ -131,6 +131,21 @@ func TestGSDClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGSDBadPairUpFront checks that a malformed -connected pair fails
+// before the coordinator dials a shard or ingests anything: the shard
+// address here is unreachable, so only an up-front check names the pair.
+func TestGSDBadPairUpFront(t *testing.T) {
+	streamPath, _ := gsdStream(t, 32)
+	var stdout, stderr bytes.Buffer
+	err := RunGSD([]string{
+		"-coordinator", "-n", "32", "-shards", "127.0.0.1:1",
+		"-stream", streamPath, "-connected", "0,99",
+	}, nil, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "bad pair") {
+		t.Fatalf("got %v, want a bad pair error", err)
+	}
+}
+
 // TestGSDKillRestoreDrill is the cluster failure drill with real processes:
 // one shard process is SIGKILLed mid-stream, a fresh process rebinds its
 // address, and the coordinator's checkpoint-restore + replay must land the

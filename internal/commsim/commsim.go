@@ -5,21 +5,20 @@
 // sketch seed); each player sends one message to Q, and Q must compute the
 // answer from the n messages alone.
 //
-// The simulation is the shard plane (internal/shardplane) in its
-// finest-grained configuration: a MemberTransport with one width-1 shard
-// per vertex routes each hyperedge to exactly its endpoints' players, and
-// the share-framed gather delivers each player's one message to the
-// referee. Because every sketch in this repository is vertex-based, player
-// P_v evaluates exactly vertex v's share of the sketch from its own input,
-// and the referee reassembles the full sketch by linear merging. Messages
-// travel as codec share frames — the envelope's fingerprint is how the
-// referee detects a player operating under different public randomness
-// (codec.ErrFingerprint) instead of merging garbage — and the run reports
-// both the paper-faithful interior sizes (the share bytes the
-// communication bounds are stated in) and the framed totals including
-// envelope overhead. The same Transport contract scaled the other way
-// (vertex ranges over TCP) is the cmd/gsd cluster; commsim is the model,
-// the cluster is the deployment.
+// Run executes the model directly: it buckets each hyperedge to its
+// endpoints' players, lets one player at a time ingest its incidence list
+// and frame its vertex share, and has the referee verify and merge each
+// frame as it arrives. Because every sketch in this repository is
+// vertex-based, player P_v evaluates exactly vertex v's share of the
+// sketch from its own input, and the referee reassembles the full sketch
+// by linear merging. Messages travel as codec share frames — the
+// envelope's fingerprint is how the referee detects a player operating
+// under different public randomness (codec.ErrFingerprint) instead of
+// merging garbage — and the run reports both the paper-faithful interior
+// sizes (the share bytes the communication bounds are stated in) and the
+// framed totals including envelope overhead. The same vertex sharding
+// over vertex ranges and TCP is the cmd/gsd cluster (internal/shardplane);
+// commsim is the model, the cluster is the deployment.
 package commsim
 
 import (
@@ -27,19 +26,15 @@ import (
 
 	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
-	"graphsketch/internal/shardplane"
 )
 
 // Protocol is a vertex-based sketch viewed as a one-round protocol: a
-// player instance consumes the updates incident to its vertex
-// (range-restricted, as a shard-plane member) and emits its framed vertex
-// share; a referee instance verifies and absorbs share frames. All
-// sketches in internal/sketch and internal/core satisfy this.
+// player instance consumes the updates incident to its vertex and emits
+// its framed vertex share; a referee instance verifies and absorbs share
+// frames. All sketches in internal/sketch and internal/core satisfy this.
 type Protocol interface {
-	Update(e graph.Hyperedge, delta int64) error
-	UpdateBatch(batch []graph.WeightedEdge) error
 	// UpdateBatchRange applies the batch restricted to endpoints in
-	// [lo, hi) — the player-side ingest surface of the shard plane.
+	// [lo, hi) — the player's view of its incidence list.
 	UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error
 	// VertexShareFrame frames vertex v's share with the sketch's identity
 	// fingerprint (codec.KindShare).
@@ -80,11 +75,13 @@ func (r Result) EnvelopeBytes() int { return r.FramedTotalBytes - r.TotalBytes }
 // vertex (same public randomness — newPlayer must construct
 // identically-seeded instances) receives exactly the hyperedges incident
 // to its vertex, frames its share, and the referee verifies and merges
-// every frame. After Run returns, the referee holds precisely the sketch
-// of h and can be decoded by the caller. A player whose public randomness
-// differs from the referee's is rejected with codec.ErrFingerprint rather
-// than silently corrupting the merge; rejections are counted in
-// commsim_shares_rejected_total.
+// every frame. Players run one at a time, so only one is alive at once.
+// After Run returns, the referee holds precisely the sketch of h and can
+// be decoded by the caller. A player whose public randomness differs from
+// the referee's is rejected with codec.ErrFingerprint rather than
+// silently corrupting the merge; the first rejection aborts the run and
+// is counted in commsim_shares_rejected_total, and the accounting covers
+// the messages sent up to and including the rejected one.
 //
 // Correctness relies on linearity: each hyperedge e is routed to |e|
 // players, player P_v accumulates only vertex v's samplers, and the merged
@@ -92,31 +89,44 @@ func (r Result) EnvelopeBytes() int { return r.FramedTotalBytes - r.TotalBytes }
 func Run(h *graph.Hypergraph, newPlayer func() Protocol, referee Protocol) (Result, error) {
 	n := h.N()
 	res := Result{Players: n}
-	tr, err := shardplane.NewMembers(n, n, func() (shardplane.ShareMember, error) {
-		return newPlayer(), nil
-	})
-	if err != nil {
-		return res, fmt.Errorf("commsim: %w", err)
+	inc := make([][]graph.WeightedEdge, n)
+	for _, we := range h.WeightedEdges() {
+		for _, v := range we.E {
+			inc[v] = append(inc[v], we)
+		}
 	}
-	defer tr.Close()
-	if err := tr.Route(h.WeightedEdges()); err != nil {
-		return res, fmt.Errorf("commsim: %w", err)
+	messages := 0
+	var runErr error
+	for v := 0; v < n; v++ {
+		player := newPlayer()
+		if err := player.UpdateBatchRange(inc[v], v, v+1); err != nil {
+			return Result{Players: n}, fmt.Errorf("commsim: player %d: %w", v, err)
+		}
+		msg := player.VertexShareFrame(v)
+		messages++
+		res.FramedTotalBytes += len(msg)
+		res.FramedMaxMessageBytes = max(res.FramedMaxMessageBytes, len(msg))
+		rest, err := referee.AddVertexShareFrame(msg)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("share frame left %d trailing bytes", len(rest))
+		}
+		if err != nil {
+			runErr = fmt.Errorf("commsim: referee: share for vertex %d: %w", v, err)
+			break
+		}
 	}
-	st, gatherErr := tr.GatherShares(referee)
 
 	// The model's accounting, interior = framed − envelope per message.
-	res.FramedTotalBytes = int(st.FramedBytes)
-	res.FramedMaxMessageBytes = st.MaxFramedBytes
-	res.TotalBytes = res.FramedTotalBytes - st.Messages*codec.ShareOverhead
-	if st.MaxFramedBytes > 0 {
-		res.MaxMessageBytes = st.MaxFramedBytes - codec.ShareOverhead
+	res.TotalBytes = res.FramedTotalBytes - messages*codec.ShareOverhead
+	if res.FramedMaxMessageBytes > 0 {
+		res.MaxMessageBytes = res.FramedMaxMessageBytes - codec.ShareOverhead
 	}
-	cm.messages.Add(int64(st.Messages))
+	cm.messages.Add(int64(messages))
 	cm.bytes.Add(int64(res.TotalBytes))
-	cm.framedBytes.Add(st.FramedBytes)
-	if gatherErr != nil {
+	cm.framedBytes.Add(int64(res.FramedTotalBytes))
+	if runErr != nil {
 		cm.rejected.Inc()
-		return res, fmt.Errorf("commsim: referee: %w", gatherErr)
+		return res, runErr
 	}
 	return res, nil
 }

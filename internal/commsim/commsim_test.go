@@ -1,7 +1,9 @@
 package commsim
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/sketch"
+	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
 )
 
@@ -111,37 +114,78 @@ func TestReconstructProtocolPaperExample(t *testing.T) {
 	t.Logf("max message %d bytes, total %d bytes", res.MaxMessageBytes, res.TotalBytes)
 }
 
+// stateOf returns s's checkpoint frame or, for a sketch that writes none
+// (reconstruct.BeckerSketch), its n vertex shares back to back.
+func stateOf(t *testing.T, s sketch.Sharer, n int) []byte {
+	t.Helper()
+	if _, ok := s.(io.WriterTo); ok {
+		return frametest.Of(t, s)
+	}
+	var b []byte
+	for v := 0; v < n; v++ {
+		b = s.AppendShare(b, v)
+	}
+	return b
+}
+
+// TestFramedSizesIncludeEnvelope checks, for each protocol, that the
+// referee ends up with exactly the state of a directly built twin and that
+// the run's accounting is the twin's share sizes plus one envelope per
+// player.
 func TestFramedSizesIncludeEnvelope(t *testing.T) {
+	type player interface {
+		Protocol
+		sketch.Sharer
+		UpdateGraph(h *graph.Hypergraph, scale int64) error
+	}
 	rng := rand.New(rand.NewPCG(5, 6))
 	h := workload.ErdosRenyi(rng, 10, 0.3)
 	dom := h.Domain()
 	cfg := sketch.SpanningConfig{}
 	const seed = 21
 
-	referee := sketch.NewSpanning(seed, dom, cfg)
-	res, err := Run(h, func() Protocol { return sketch.NewSpanning(seed, dom, cfg) }, referee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One envelope per player, nothing else: framed − interior must be
-	// exactly n·ShareOverhead (and the same per-message).
-	if got, want := res.EnvelopeBytes(), res.Players*codec.ShareOverhead; got != want {
-		t.Fatalf("envelope bytes %d, want %d", got, want)
-	}
-	if got, want := res.FramedMaxMessageBytes, res.MaxMessageBytes+codec.ShareOverhead; got != want {
-		t.Fatalf("framed max %d, want %d", got, want)
-	}
-	// Interior sizes are the paper-faithful raw shares.
-	direct := sketch.NewSpanning(seed, dom, cfg)
-	if err := direct.UpdateGraph(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for v := 0; v < h.N(); v++ {
-		total += direct.ShareSize(v)
-	}
-	if res.TotalBytes != total {
-		t.Fatalf("interior total %d, want raw share total %d", res.TotalBytes, total)
+	for _, tc := range []struct {
+		name string
+		mk   func() player
+	}{
+		{"spanning", func() player { return sketch.NewSpanning(seed, dom, cfg) }},
+		{"skeleton", func() player { return sketch.NewSkeleton(seed, dom, 2, cfg) }},
+		{"becker", func() player { return reconstruct.NewBecker(seed, h.N(), 2, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			referee := tc.mk()
+			res, err := Run(h, func() Protocol { return tc.mk() }, referee)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := tc.mk()
+			if err := direct.UpdateGraph(h, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stateOf(t, referee, h.N()), stateOf(t, direct, h.N())) {
+				t.Fatal("referee state differs from the directly built twin's")
+			}
+			// Interior sizes are the paper-faithful raw shares.
+			maxShare, total := 0, 0
+			for v := 0; v < h.N(); v++ {
+				maxShare = max(maxShare, direct.ShareSize(v))
+				total += direct.ShareSize(v)
+			}
+			if res.MaxMessageBytes != maxShare {
+				t.Fatalf("max message %d, want largest raw share %d", res.MaxMessageBytes, maxShare)
+			}
+			if res.TotalBytes != total {
+				t.Fatalf("interior total %d, want raw share total %d", res.TotalBytes, total)
+			}
+			// One envelope per player, nothing else: framed − interior must
+			// be exactly n·ShareOverhead (and the same per message).
+			if got, want := res.EnvelopeBytes(), res.Players*codec.ShareOverhead; got != want {
+				t.Fatalf("envelope bytes %d, want %d", got, want)
+			}
+			if got, want := res.FramedMaxMessageBytes, res.MaxMessageBytes+codec.ShareOverhead; got != want {
+				t.Fatalf("framed max %d, want %d", got, want)
+			}
+		})
 	}
 }
 

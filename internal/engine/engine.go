@@ -86,10 +86,6 @@ func NewWithTransport(tr shardplane.Transport) *Engine {
 	return &Engine{tr: tr}
 }
 
-// Transport exposes the engine's shard plane, for gathers and shard
-// introspection.
-func (e *Engine) Transport() shardplane.Transport { return e.tr }
-
 // Workers returns the number of shards the engine routes over.
 func (e *Engine) Workers() int { return e.tr.Shards() }
 

@@ -11,7 +11,7 @@ import (
 	"graphsketch/internal/shardplane"
 )
 
-// ForCoordinator serves queries from a shard plane instead of a local
+// ForCoordinator serves queries from a TCP shard plane instead of a local
 // sketch: mutations route through the transport to the shards, and a
 // dirty-epoch rebuild gathers the shards' state into a fresh sketch and
 // decodes it. proto is the plane's construction template (the same fresh
@@ -21,10 +21,9 @@ import (
 //
 // The usual oracle epoch contract applies unchanged: Connected/
 // DisconnectedBy hit the cached snapshot while the epoch matches, and the
-// single-flight rebuild pays one gather + decode per dirty epoch — which
-// over a TCP plane is one checkpoint pull per shard, the cluster analogue
-// of one local decode.
-func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, error) {
+// single-flight rebuild pays one gather + decode per dirty epoch — one
+// checkpoint pull per shard, the cluster analogue of one local decode.
+func ForCoordinator(tr *shardplane.TCPTransport, proto shardplane.Member) (*Oracle, error) {
 	var buf bytes.Buffer
 	if _, err := proto.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("oracle: checkpointing coordinator prototype: %w", err)

@@ -56,9 +56,7 @@ func twinOf(t *testing.T, proto shardplane.Member) Decoder {
 // TestForCoordinatorEveryType runs a coordinator oracle over every
 // decodable member type and requires it to answer Connected and
 // Components exactly like For on a serially built twin. The plane is two
-// in-process TCP shards — the transport gsd runs. (A LocalTransport gathers
-// only into its own routed target, so it cannot fill the coordinator's
-// fresh per-rebuild destination.)
+// in-process TCP shards — the transport gsd runs.
 func TestForCoordinatorEveryType(t *testing.T) {
 	const n, seed = 16, 5
 	// Three components plus isolated vertices: a 6-cycle with a chord, a

@@ -1,7 +1,6 @@
 package shardplane
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -138,18 +137,6 @@ func (t *LocalTransport) Route(batch []graph.WeightedEdge) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Gather is the identity for the local plane: the shards mutate dst's own
-// memory, so the accumulated state is already there. It insists dst is the
-// routed target — gathering into anything else would silently return an
-// empty sketch, which is exactly the kind of mistake a distributed
-// transport's fingerprint check would catch.
-func (t *LocalTransport) Gather(dst graphsketch.Sketch) error {
-	if any(dst) != any(t.target) {
-		return fmt.Errorf("shardplane: local gather into a sketch that is not the routed target: %w", ErrGatherMismatch)
 	}
 	return nil
 }

@@ -63,9 +63,6 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 		if err := tr.Route(batch); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if err := tr.Gather(sp); err != nil {
-			t.Fatalf("shards=%d: gather: %v", shards, err)
-		}
 		if !bytes.Equal(frametest.Of(t, sp), want) {
 			t.Fatalf("shards=%d: routed state differs from serial", shards)
 		}
@@ -75,22 +72,6 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 		if err := tr.Route(batch); err != shardplane.ErrClosed {
 			t.Fatalf("shards=%d: Route after Close: got %v, want ErrClosed", shards, err)
 		}
-	}
-}
-
-// TestLocalGatherWrongTarget pins the identity contract: gathering a local
-// plane into a sketch that is not the routed target is an error, not a
-// silent empty result.
-func TestLocalGatherWrongTarget(t *testing.T) {
-	sp := mustSpanning(t, 8, 1)
-	other := mustSpanning(t, 8, 1)
-	tr := shardplane.NewLocal(sp, shardplane.Options{Shards: 2})
-	defer tr.Close()
-	if err := tr.Gather(other); err == nil {
-		t.Fatal("Gather into a non-target sketch succeeded")
-	}
-	if err := tr.Gather(sp); err != nil {
-		t.Fatalf("Gather into the target: %v", err)
 	}
 }
 

@@ -35,7 +35,7 @@ func init() {
 		spm.reconnects = r.Counter("shardplane_reconnects_total",
 			"Shard connections re-dialed and restored from checkpoint after a failure")
 		spm.gatherFrames = r.Counter("shardplane_gather_frames_total",
-			"Checkpoint and share frames merged by Gather")
+			"Checkpoint frames merged by Gather")
 		spm.gatherRejects = r.Counter("shardplane_gather_rejects_total",
 			"Gather frames rejected before merging (fingerprint or decode failure)")
 	})

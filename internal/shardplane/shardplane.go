@@ -1,29 +1,29 @@
 // Package shardplane is the repository's shard runtime: one substrate for
-// routing a dynamic-stream update batch to vertex-range shards, collecting
-// framed shares or checkpoints back, and merging them at a coordinator —
-// independent of where the shards live.
+// routing a dynamic-stream update batch to vertex-range shards and, for
+// remote shards, pulling their checkpoints back and merging them at a
+// coordinator.
 //
 // The paper's model (Becker et al.'s simultaneous communication, Section 2)
 // and the parallel ingestion engine are the same machine at different
 // granularities: per-vertex players emitting linear shares to a referee,
 // and per-range workers applying UpdateBatchRange against one shared
 // sketch. This package factors that machine out behind the Transport
-// contract with three implementations:
+// contract with two implementations:
 //
 //   - LocalTransport — goroutine shards over one shared sketch (the engine's
 //     historical behavior: zero-alloc steady-state routing, per-shard skew
-//     metrics). Gather is the identity: the state already lives in the
-//     target.
+//     metrics). The state lives in the target itself, so there is nothing
+//     to gather.
 //   - TCPTransport — each shard is a remote process (cmd/gsd) holding its
 //     own identically-seeded member sketch; batches travel as codec frames,
-//     Gather pulls fingerprint-checked checkpoint frames and merges them
-//     linearly into the coordinator. A dead shard is reconnected and
-//     restored from its last pulled checkpoint, with the window of batches
-//     since then replayed (exactly-once by reset-and-replay).
-//   - MemberTransport — in-process shards each holding their own member
-//     sketch; run with one shard per vertex and share-framed gather it is
-//     precisely the simultaneous communication model, which is how
-//     internal/commsim is implemented.
+//     and Gather, a method of this transport alone, pulls
+//     fingerprint-checked checkpoint frames and merges them linearly into
+//     the coordinator. A dead shard is reconnected and restored from its
+//     last pulled checkpoint, with the window of batches since then
+//     replayed (exactly-once by reset-and-replay).
+//
+// The simultaneous communication model itself, one width-1 shard per
+// vertex, is internal/commsim, which runs it as a direct loop.
 //
 // Correctness rests on linearity: the sketches are linear maps of the
 // stream, so a batch split across shards (each applying only its own
@@ -45,9 +45,8 @@ var ErrClosed = errors.New("shardplane: transport closed")
 // empty address list.
 var ErrNoAddrs = errors.New("shardplane: no shard addresses")
 
-// ErrGatherMismatch is returned when a gather destination cannot merge
-// this plane's state — the wrong sketch for a local plane's identity
-// gather, or a type lacking the frame surface a distributed plane emits.
+// ErrGatherMismatch is returned when a gather destination cannot read the
+// checkpoint frames a distributed plane pulls.
 var ErrGatherMismatch = errors.New("shardplane: gather destination cannot merge this plane's state")
 
 // ErrNotMember is returned when a hello frame's embedded checkpoint opens
@@ -59,8 +58,7 @@ var ErrNotMember = errors.New("shardplane: sketch cannot serve as a shard member
 // trailing bytes, an impossible shard assignment, and the like.
 var ErrBadPayload = errors.New("shardplane: malformed frame payload")
 
-// Transport routes update batches to a fixed partition of the vertex space
-// and folds the shards' accumulated state back into a coordinator sketch.
+// Transport routes update batches to a fixed partition of the vertex space.
 // Implementations serialize Route against itself and against Close, so a
 // Transport is safe for concurrent use; after Close every Route returns
 // ErrClosed.
@@ -74,14 +72,6 @@ type Transport interface {
 	// every shard has applied its range — the same contract as the
 	// engine's UpdateBatch, so decoding between calls is safe.
 	Route(batch []graph.WeightedEdge) error
-	// Gather folds every shard's accumulated state into dst. For a
-	// transport whose shards share dst's memory (LocalTransport) this is
-	// the identity; distributed transports merge fingerprint-checked
-	// frames, so a shard operating under different public randomness is
-	// rejected typed instead of corrupting the merge. Gathering twice
-	// into the same destination double-counts — gather into a fresh
-	// sketch per decode epoch.
-	Gather(dst graphsketch.Sketch) error
 	// Close releases the transport's shards, connections, and goroutines.
 	// It is idempotent; Routes racing with Close either complete or
 	// return ErrClosed.
@@ -100,24 +90,6 @@ type Member interface {
 	// (parameters and seed); it binds a session's messages to one sketch
 	// identity.
 	Fingerprint() uint64
-}
-
-// ShareMember is the player-side surface of the member plane: range-
-// restricted ingest plus framed per-vertex shares (the simultaneous
-// communication model's messages).
-type ShareMember interface {
-	UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error
-	// VertexShareFrame frames vertex v's share with the sketch's identity
-	// fingerprint (codec.KindShare).
-	VertexShareFrame(v int) []byte
-}
-
-// ShareMerger is the coordinator-side surface of a share gather: it
-// verifies one share frame from the front of data — rejecting
-// cross-identity frames with codec.ErrFingerprint — merges it, and returns
-// the remaining bytes.
-type ShareMerger interface {
-	AddVertexShareFrame(data []byte) ([]byte, error)
 }
 
 // SplitBounds partitions [0, n) into the canonical contiguous shard

@@ -22,31 +22,18 @@ type TCPOptions struct {
 	// and the work lost to a shard failure. 0 means 64; negative disables
 	// periodic pulls (the replay buffer then grows with the stream).
 	CheckpointEvery int
-	// DialTimeout bounds one dial attempt. 0 means 5s.
-	DialTimeout time.Duration
-	// MaxRetries is how many reconnect attempts follow a shard failure
-	// before Route/Gather gives up. 0 means 3.
-	MaxRetries int
-	// RetryBackoff is the base sleep between reconnect attempts (linearly
-	// scaled by attempt). 0 means 50ms.
-	RetryBackoff time.Duration
 }
 
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 64
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	return o
-}
+const (
+	// dialTimeout bounds one dial attempt.
+	dialTimeout = 5 * time.Second
+	// maxRetries is how many reconnect attempts follow a shard failure
+	// before Route/Gather gives up.
+	maxRetries = 3
+	// retryBackoff is the base sleep between reconnect attempts, linearly
+	// scaled by attempt.
+	retryBackoff = 50 * time.Millisecond
+)
 
 // shardConn is the coordinator's view of one remote shard: the live
 // connection plus everything needed to rebuild the shard from scratch —
@@ -74,7 +61,7 @@ type TCPTransport struct {
 	tag    codec.Tag
 	fp     uint64
 	bounds []int
-	opt    TCPOptions
+	every  int // CheckpointEvery with its default applied
 
 	mu     sync.Mutex // serializes Route/Gather/Close and guards the fields below
 	closed bool
@@ -107,10 +94,13 @@ func DialTCP(proto Member, addrs []string, opt TCPOptions) (*TCPTransport, error
 		tag:    h.Tag,
 		fp:     h.Fingerprint,
 		bounds: SplitBounds(proto.NumVertices(), len(addrs)),
-		opt:    opt.withDefaults(),
+		every:  opt.CheckpointEvery,
 		shards: make([]*shardConn, len(addrs)),
 		errs:   make([]error, len(addrs)),
 		stats:  newShardStats(obs.Default(), len(addrs)),
+	}
+	if t.every == 0 {
+		t.every = 64
 	}
 	t.rt = newRouter(t.bounds)
 	for s, addr := range addrs {
@@ -172,7 +162,7 @@ func (t *TCPTransport) Route(batch []graph.WeightedEdge) error {
 		}
 	}
 	t.routed++
-	if t.opt.CheckpointEvery > 0 && t.routed%t.opt.CheckpointEvery == 0 {
+	if t.every > 0 && t.routed%t.every == 0 {
 		return t.pullAll(nil)
 	}
 	return nil
@@ -197,8 +187,9 @@ func (t *TCPTransport) sendBatch(sc *shardConn, shard int, frame []byte) error {
 // Gather pulls every shard's current checkpoint frame and merges it into
 // dst via its fingerprint-checked ReadFrom — dst must therefore be a
 // Checkpointer constructed identically to the dial prototype (codec.Open
-// on the prototype's frame is the canonical way). Each successful pull
-// also advances the shard's restore point.
+// on the prototype's frame is the canonical way). Gathering twice into
+// one destination double-counts, so gather into a fresh sketch per
+// decode. Each successful pull also advances the shard's restore point.
 func (t *TCPTransport) Gather(dst graphsketch.Sketch) error {
 	rf, ok := dst.(io.ReaderFrom)
 	if !ok {
@@ -293,11 +284,11 @@ func (t *TCPTransport) reconnect(sc *shardConn, shard int) error {
 		sc.conn = nil
 	}
 	var lastErr error
-	for attempt := 0; attempt <= t.opt.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * t.opt.RetryBackoff)
+			time.Sleep(time.Duration(attempt) * retryBackoff)
 		}
-		conn, err := net.DialTimeout("tcp", sc.addr, t.opt.DialTimeout)
+		conn, err := net.DialTimeout("tcp", sc.addr, dialTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -317,7 +308,7 @@ func (t *TCPTransport) reconnect(sc *shardConn, shard int) error {
 		return nil
 	}
 	return fmt.Errorf("shardplane: shard %d (%s) unreachable after %d attempts: %w",
-		shard, sc.addr, t.opt.MaxRetries+1, lastErr)
+		shard, sc.addr, maxRetries+1, lastErr)
 }
 
 // restore runs the hello handshake and replay on a fresh connection.

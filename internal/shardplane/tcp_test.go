@@ -113,7 +113,7 @@ func streamBatches(st stream.Stream, size int) [][]graph.WeightedEdge {
 
 // gatherFresh opens a pristine copy of proto's checkpoint frame and gathers
 // the transport into it.
-func gatherFresh(t *testing.T, tr shardplane.Transport, proto shardplane.Member) graphsketch.Sketch {
+func gatherFresh(t *testing.T, tr *shardplane.TCPTransport, proto shardplane.Member) graphsketch.Sketch {
 	t.Helper()
 	fresh := openCopy(t, proto)
 	if err := tr.Gather(fresh); err != nil {
@@ -162,9 +162,6 @@ func TestThreeWayEquivalence(t *testing.T) {
 				if err := lt.Route(b); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := lt.Gather(local); err != nil {
-				t.Fatal(err)
 			}
 			if !bytes.Equal(frametest.Of(t, local), want) {
 				t.Fatal("local transport state differs from serial")
@@ -289,9 +286,7 @@ func TestTCPClosedAndDead(t *testing.T) {
 	c := startCluster(t, 2)
 	defer c.closeAll()
 	proto := mustSpanning(t, n, 1)
-	tr, err := shardplane.DialTCP(proto, c.addrs, shardplane.TCPOptions{
-		MaxRetries: 1, RetryBackoff: 1e6, // 1ms: keep the dead-shard probe fast
-	})
+	tr, err := shardplane.DialTCP(proto, c.addrs, shardplane.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
