@@ -73,11 +73,12 @@ bench-check:
 # Wire-format gate: the codec corruption/round-trip suite and the root
 # checkpoint conformance harness under the race detector, plus a fuzz smoke
 # of both codec targets, the L0 sampler share parser, the shard-plane
-# hello/batch/ack payload parsers, every structure's share-frame merge, the
-# hybrid state restore, and the edge-list parser (go test accepts one -fuzz
-# pattern per run, hence one invocation each). The payload target caps minimization at
-# 100 runs per input: with the default 60 s budget a 10 s smoke run from an
-# empty corpus spends most of its time minimizing instead of fuzzing.
+# hello/batch/ack payload parsers, every structure's share-frame merge,
+# every checkpoint opener, the hybrid state restore, and the edge-list
+# parser (go test accepts one -fuzz pattern per run, hence one invocation
+# each). The payload and opener targets cap minimization at 100 runs per
+# input: with the default 60 s budget a 10 s smoke run spends most of its
+# time minimizing instead of fuzzing.
 codec-check:
 	$(GO) test -race ./internal/codec/ ./internal/cli/
 	$(GO) test -race -run 'TestCheckpoint' .
@@ -86,6 +87,7 @@ codec-check:
 	$(GO) test -run '^$$' -fuzz FuzzSamplerAddBinary -fuzztime 10s ./internal/l0/
 	$(GO) test -run '^$$' -fuzz FuzzWirePayloads -fuzztime 10s -fuzzminimizetime 100x ./internal/shardplane/
 	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointOpen -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s ./internal/hybrid/
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/stream/
 

@@ -223,7 +223,8 @@ func TestReadCheckpointIdentity(t *testing.T) {
 	fp := Fingerprint(TagSkeleton, params)
 	frame := checkpointFrame(TagSkeleton, params, []byte("skeleton-state"))
 
-	n, state, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, fp)
+	var state []byte
+	n, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, fp, func(b []byte) error { state = b; return nil })
 	if err != nil {
 		t.Fatalf("ReadCheckpoint: %v", err)
 	}
@@ -233,11 +234,11 @@ func TestReadCheckpointIdentity(t *testing.T) {
 
 	// Same tag, different params → different fingerprint → refused.
 	otherFP := Fingerprint(TagSkeleton, AppendUint64s(nil, 16, 2, 8))
-	if _, _, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, otherFP); !errors.Is(err, ErrFingerprint) {
+	if _, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, otherFP, nil); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("cross-seed: got %v, want ErrFingerprint", err)
 	}
 	// Different tag entirely → refused.
-	if _, _, err := ReadCheckpoint(bytes.NewReader(frame), TagSpanning, fp); !errors.Is(err, ErrFingerprint) {
+	if _, err := ReadCheckpoint(bytes.NewReader(frame), TagSpanning, fp, nil); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("cross-tag: got %v, want ErrFingerprint", err)
 	}
 }
@@ -282,26 +283,40 @@ func TestFingerprintCanonical(t *testing.T) {
 	}
 }
 
-func TestReadUint64s(t *testing.T) {
-	b := AppendUint64s(nil, 1, 2, 3)
-	vs, rest, err := ReadUint64s(b, 3)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("ReadUint64s: %v, rest %d", err, len(rest))
+func TestParamReader(t *testing.T) {
+	p := ReadParams(AppendUint64s(nil, 1, 2, 3))
+	if a, b, c := p.Uint64(), p.Uint64(), p.Uint64(); a != 1 || b != 2 || c != 3 {
+		t.Fatalf("values %d %d %d", a, b, c)
 	}
-	if vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
-		t.Fatalf("values %v", vs)
+	if err := p.Done(); err != nil {
+		t.Fatalf("Done: %v", err)
 	}
-	if _, _, err := ReadUint64s(b, 4); !errors.Is(err, ErrTruncated) {
+	short := ReadParams(AppendUint64s(nil, 1, 2, 3))
+	for i := 0; i < 4; i++ {
+		short.Uint64()
+	}
+	if err := short.Done(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short read: got %v, want ErrTruncated", err)
+	}
+	trailing := ReadParams(AppendUint64s(nil, 1, 2))
+	trailing.Uint64()
+	if err := trailing.Done(); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("trailing word: got %v, want ErrUnknownType", err)
 	}
 }
 
-func TestIntField(t *testing.T) {
-	if v, err := IntField(17, "n"); err != nil || v != 17 {
-		t.Fatalf("IntField(17) = %d, %v", v, err)
+func TestParamReaderInt(t *testing.T) {
+	p := ReadParams(AppendUint64s(nil, 17))
+	if v := p.Int("n"); v != 17 || p.Done() != nil {
+		t.Fatalf("Int(17) = %d, %v", v, p.Done())
 	}
-	if _, err := IntField(1<<40, "n"); err == nil {
-		t.Fatalf("IntField accepted an absurd value")
+	absurd := ReadParams(AppendUint64s(nil, 1<<40, 5))
+	absurd.Int("n")
+	if v := absurd.Uint64(); v != 0 {
+		t.Fatalf("read %d after an error; want 0", v)
+	}
+	if err := absurd.Done(); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("Int accepted an absurd value: %v", err)
 	}
 }
 

@@ -20,8 +20,9 @@ var (
 	ErrVersion = errors.New("codec: unsupported format version")
 
 	// ErrUnknownType is returned when a frame's structure type tag has no
-	// registered decoder, or a frame of one kind arrives where the other
-	// kind was required.
+	// registered decoder, a frame of one kind arrives where the other kind
+	// was required, or a checkpoint's params or state are ones its opener
+	// rejects (a field out of range, trailing bytes).
 	ErrUnknownType = errors.New("codec: unknown structure type or frame kind")
 
 	// ErrFingerprint is returned when a frame's identity fingerprint does

@@ -124,34 +124,35 @@ func readCheckpoint(r io.Reader) (h Header, params, state []byte, n int64, err e
 }
 
 // ReadCheckpoint reads a checkpoint frame from r for a receiver whose
-// identity is (wantTag, wantFP), verifying the frame matches before
-// returning the state bytes: the typed replacement for "restore onto an
-// identically-built instance and hope". It backs every sketch's ReadFrom.
-func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (int64, []byte, error) {
+// identity is (wantTag, wantFP), verifies the frame matches, and hands its
+// state to add: the typed replacement for "restore onto an
+// identically-built instance and hope". It backs every sketch's ReadFrom,
+// as WriteCheckpoint backs every WriteTo, and returns add's error as is.
+func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state []byte) error) (int64, error) {
 	start := time.Now()
 	h, _, state, n, err := readCheckpoint(r)
 	if err != nil {
-		return n, nil, err
+		return n, err
 	}
 	if h.Tag != wantTag || h.Fingerprint != wantFP {
 		err = fmt.Errorf("codec: frame is %v/%016x, receiver is %v/%016x: %w",
 			h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
 		cdm.reject(err)
-		return n, nil, err
+		return n, err
 	}
 	cdm.ckptReads.Inc()
 	cdm.ckptReadBytes.Add(n)
 	cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
-	return n, state, nil
+	return n, add(state)
 }
 
 // Open reads one checkpoint frame from r, reconstructs the sketch it
 // describes and restores its state via the registered opener, and returns
 // the live sketch. This is the from-cold restore path: nothing about the
 // sketch needs to be known in advance — the frame is self-describing.
-// Decode failures are the package sentinels; opener errors (e.g. params
-// that fail constructor validation, or a malformed state) are returned
-// wrapped.
+// Every failure is a decode error (IsDecodeError): an opener's own error
+// that is not one — params its constructor rejects, a state its structure
+// cannot parse — is wrapped as ErrUnknownType, the cause kept in the chain.
 func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	start := time.Now()
 	h, params, state, n, err := readCheckpoint(r)
@@ -164,6 +165,9 @@ func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 		return nil, fmt.Errorf("codec: no decoder registered for %v: %w", h.Tag, ErrUnknownType)
 	}
 	if s, err = open(params, state); err != nil {
+		if !IsDecodeError(err) {
+			err = fmt.Errorf("%w: %w", ErrUnknownType, err)
+		}
 		return nil, fmt.Errorf("codec: opening %v: %w", h.Tag, err)
 	}
 	cdm.ckptReads.Inc()

@@ -123,7 +123,7 @@ func stateOf(t *testing.T, s sketch.Sharer, n int) []byte {
 	}
 	var b []byte
 	for v := 0; v < n; v++ {
-		b = s.AppendShare(b, v)
+		b = sketch.AppendShare(s, b, v)
 	}
 	return b
 }
@@ -168,8 +168,8 @@ func TestFramedSizesIncludeEnvelope(t *testing.T) {
 			// Interior sizes are the paper-faithful raw shares.
 			maxShare, total := 0, 0
 			for v := 0; v < h.N(); v++ {
-				maxShare = max(maxShare, direct.ShareSize(v))
-				total += direct.ShareSize(v)
+				maxShare = max(maxShare, sketch.ShareSize(direct, v))
+				total += sketch.ShareSize(direct, v)
 			}
 			if res.MaxMessageBytes != maxShare {
 				t.Fatalf("max message %d, want largest raw share %d", res.MaxMessageBytes, maxShare)
@@ -244,7 +244,7 @@ func TestMessageSizeTracksDegree(t *testing.T) {
 				}
 			}
 		}
-		sizes[v] = p.ShareSize(v)
+		sizes[v] = sketch.ShareSize(p, v)
 	}
 	for v := 1; v < n; v++ {
 		if sizes[0] < sizes[v] {

@@ -1,7 +1,6 @@
 package edgeconn
 
 import (
-	"fmt"
 	"io"
 
 	"graphsketch"
@@ -28,25 +27,15 @@ func (s *Sketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 // The state is the skeleton's: its n vertex shares in order.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	st := sketch.Shares{Sharer: s.skeleton}
-	return codec.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams(), st.Size(), st.Write)
+	return sketch.Shares{Sharer: s.skeleton}.WriteCheckpoint(w, codec.TagEdgeConn, s.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagEdgeConn, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, s.addState(state)
-}
-
-// addState merges a state into the skeleton, dropping the decoded cache.
-func (s *Sketch) addState(state []byte) error {
 	s.decoded = nil
-	return sketch.Shares{Sharer: s.skeleton}.Add(state)
+	return codec.ReadCheckpoint(r, codec.TagEdgeConn, s.Fingerprint(), sketch.Shares{Sharer: s.skeleton}.Add)
 }
 
 // VertexShareFrame frames vertex v's share — its skeleton share — for
@@ -64,34 +53,16 @@ func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 
 func init() {
 	codec.Register(codec.TagEdgeConn, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 4+sketch.WireConfigWords)
+		pr := codec.ReadParams(params)
+		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
+		if err := sketch.Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
+			return nil, err
+		}
+		s, err := New(p)
 		if err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("edgeconn: params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
-		}
-		n, err := codec.IntField(vs[0], "n")
-		if err != nil {
-			return nil, err
-		}
-		r, err := codec.IntField(vs[1], "r")
-		if err != nil {
-			return nil, err
-		}
-		k, err := codec.IntField(vs[2], "k")
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := sketch.ReadWireConfig(vs[3:8])
-		if err != nil {
-			return nil, err
-		}
-		s, err := New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.addState(state)
+		return s, sketch.Shares{Sharer: s.skeleton}.Add(state)
 	})
 }
 

@@ -185,15 +185,8 @@ func (b *BeckerSketch) SharedWords() int { return b.rows[0].Shape().RandWords() 
 // VertexWords returns one row's share (the per-player message size).
 func (b *BeckerSketch) VertexWords(v int) int { return b.rows[v].Words() }
 
-// AppendShare appends row v — player P_v's message (sketch.Sharer).
-func (b *BeckerSketch) AppendShare(dst []byte, v int) []byte {
-	return b.rows[v].AppendBinary(dst)
-}
-
-// ShareSize returns the length of row v's share.
-func (b *BeckerSketch) ShareSize(v int) int { return b.rows[v].BinarySize() }
-
-// WalkShare applies op to row v, the whole share (sketch.Sharer).
-func (b *BeckerSketch) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
-	return op(b.rows[v], src)
+// ShareParts appends row v, the whole of player P_v's message
+// (sketch.Sharer).
+func (b *BeckerSketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
+	return append(dst, b.rows[v])
 }

@@ -1,7 +1,6 @@
 package sparsify
 
 import (
-	"fmt"
 	"io"
 
 	"graphsketch"
@@ -28,55 +27,38 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	st := s.state()
-	return codec.WriteCheckpoint(w, codec.TagSparsify, s.wireParams(), st.Size(), st.Write)
+	return s.state().WriteCheckpoint(w, codec.TagSparsify, s.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagSparsify, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, s.state().Add(state)
+	return codec.ReadCheckpoint(r, codec.TagSparsify, s.Fingerprint(), s.state().Add)
 }
 
 // VertexShareFrame frames vertex v's share across all levels for transport.
 func (s *Sketch) VertexShareFrame(v int) []byte {
-	return sketch.ShareFrame(levelShares(s.levels), codec.TagSparsify, s.Fingerprint(), v)
+	return sketch.ShareFrame(s, codec.TagSparsify, s.Fingerprint(), v)
 }
 
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	return sketch.AddShareFrame(levelShares(s.levels), codec.TagSparsify, s.Fingerprint(), data)
+	return sketch.AddShareFrame(s, codec.TagSparsify, s.Fingerprint(), data)
 }
 
 func init() {
 	codec.Register(codec.TagSparsify, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 5+sketch.WireConfigWords)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Levels: pr.Int("levels"),
+			Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
+		// Levels 0..Levels, each a (K+1)-layer skeleton.
+		layers := (p.K + 1) * (p.Levels + 1)
+		if err := sketch.Fit(pr, state, p.Spanning, p.N, layers, p.N*layers); err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("sparsify: params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
-		}
-		fields := [4]int{}
-		for i, name := range []string{"n", "r", "k", "levels"} {
-			if fields[i], err = codec.IntField(vs[i], name); err != nil {
-				return nil, err
-			}
-		}
-		cfg, err := sketch.ReadWireConfig(vs[4:9])
-		if err != nil {
-			return nil, err
-		}
-		s, err := New(Params{
-			N: fields[0], R: fields[1], K: fields[2], Levels: fields[3],
-			Spanning: cfg, Seed: vs[9],
-		})
+		s, err := New(p)
 		if err != nil {
 			return nil, err
 		}

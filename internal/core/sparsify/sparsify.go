@@ -253,35 +253,13 @@ func (s *Sketch) state() sketch.Stack {
 	return st
 }
 
-// levelShares views the levels as one sketch.Sharer: vertex v's share is
-// its share of every level's skeleton, in level order.
-type levelShares []*reconstruct.Sketch
-
-func (ls levelShares) NumVertices() int { return ls[0].NumVertices() }
-
-func (ls levelShares) AppendShare(dst []byte, v int) []byte {
-	for _, l := range ls {
-		dst = l.Skeleton().AppendShare(dst, v)
+// ShareParts appends vertex v's parts (sketch.Sharer): its share of every
+// level's skeleton, in level order.
+func (s *Sketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
+	for _, l := range s.levels {
+		dst = l.Skeleton().ShareParts(dst, v)
 	}
 	return dst
-}
-
-func (ls levelShares) ShareSize(v int) int {
-	n := 0
-	for _, l := range ls {
-		n += l.Skeleton().ShareSize(v)
-	}
-	return n
-}
-
-func (ls levelShares) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
-	var err error
-	for _, l := range ls {
-		if src, err = l.Skeleton().WalkShare(v, src, op); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
 }
 
 var _ graphsketch.Sharded = (*Sketch)(nil)

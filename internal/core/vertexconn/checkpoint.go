@@ -1,7 +1,6 @@
 package vertexconn
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 
@@ -29,19 +28,15 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	st := sketch.Shares{Sharer: s}
-	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), st.Size(), st.Write)
+	return sketch.Shares{Sharer: s}.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagVertexConn, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, sketch.Shares{Sharer: s}.Add(state)
+	s.decoded = nil
+	return codec.ReadCheckpoint(r, codec.TagVertexConn, s.Fingerprint(), sketch.Shares{Sharer: s}.Add)
 }
 
 // VertexShareFrame frames vertex v's share for transport.
@@ -52,6 +47,7 @@ func (s *Sketch) VertexShareFrame(v int) []byte {
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
+	s.decoded = nil
 	return sketch.AddShareFrame(s, codec.TagVertexConn, s.Fingerprint(), data)
 }
 
@@ -75,97 +71,75 @@ func (e *Estimator) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
-	st := e.state()
-	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), st.Size(), st.Write)
+	return e.state().WriteCheckpoint(w, codec.TagEstimator, e.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the estimator
 // (linearly — an exact restore on a fresh estimator). A frame from a
 // differently-constructed estimator fails with codec.ErrFingerprint.
 func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagEstimator, e.Fingerprint())
-	if err != nil {
-		return n, err
+	for _, s := range e.scales {
+		s.decoded = nil
 	}
-	return n, e.state().Add(state)
+	return codec.ReadCheckpoint(r, codec.TagEstimator, e.Fingerprint(), e.state().Add)
+}
+
+// scaleParams returns the parameters of the estimator's scale k.
+func scaleParams(n, r, k, subgraphs int, seed uint64) Params {
+	return Params{N: n, R: r, K: k, Subgraphs: subgraphs, Seed: seed ^ uint64(k)*0x9e37}
+}
+
+// fit is sketch.Fit for sketches over one n and config, a subgraph member
+// being a sampler a round on the wire. Members are counted once the
+// subgraphs fit, and only until they pass what the state holds.
+func fit(pr *codec.ParamReader, state []byte, ps ...Params) error {
+	subgraphs, members := 0, 0
+	for _, p := range ps {
+		subgraphs += p.Subgraphs
+	}
+	cfg, n := ps[0].Spanning, ps[0].N
+	if err := sketch.Fit(pr, state, cfg, n, subgraphs, 0); err != nil {
+		return err
+	}
+	for _, p := range ps {
+		if p.K >= 1 {
+			eachMember(p, func(int, int) bool { members++; return members <= len(state) })
+		}
+	}
+	return sketch.Fit(pr, state, cfg, n, subgraphs, members)
 }
 
 func init() {
 	codec.Register(codec.TagVertexConn, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 5+sketch.WireConfigWords)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Subgraphs: pr.Int("subgraphs"),
+			Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
+		if err := fit(pr, state, p); err != nil {
 			return nil, err
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("vertexconn: params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
-		}
-		fields, err := codec.IntFields(vs, "n", "r", "k", "subgraphs")
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := sketch.ReadWireConfig(vs[4:9])
-		if err != nil {
-			return nil, err
-		}
-		s, err := New(Params{
-			N: fields[0], R: fields[1], K: fields[2], Subgraphs: fields[3],
-			Spanning: cfg, Seed: vs[9],
-		})
+		s, err := New(p)
 		if err != nil {
 			return nil, err
 		}
 		return s, sketch.Shares{Sharer: s}.Add(state)
 	})
 	codec.Register(codec.TagEstimator, func(params, state []byte) (graphsketch.Sketch, error) {
-		head, rest, err := codec.ReadUint64s(params, 5)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		n, r, kmax, seed := pr.Int("n"), pr.Int("r"), pr.Int("kmax"), pr.Uint64()
+		// Scales are the powers of two up to and including the first ≥ KMax;
+		// scale k = 2^i sits at index i.
+		scales := make([]Params, bits.Len(uint(max(kmax, 1)-1))+1)
+		numScales := pr.Int("scales")
+		pr.Check(numScales == len(scales), "scales", numScales)
+		for i := range scales {
+			scales[i] = scaleParams(n, r, 1<<i, pr.Int("subgraphs"), seed)
+		}
+		if err := fit(pr, state, scales...); err != nil {
 			return nil, err
-		}
-		n, err := codec.IntField(head[0], "n")
-		if err != nil {
-			return nil, err
-		}
-		r, err := codec.IntField(head[1], "r")
-		if err != nil {
-			return nil, err
-		}
-		kmax, err := codec.IntField(head[2], "kmax")
-		if err != nil {
-			return nil, err
-		}
-		numScales, err := codec.IntField(head[4], "scales")
-		if err != nil {
-			return nil, err
-		}
-		// Scales are the powers of two up to and including the first ≥ KMax.
-		expect := 0
-		for k := 1; ; k *= 2 {
-			expect++
-			if k >= kmax {
-				break
-			}
-		}
-		if numScales != expect {
-			return nil, fmt.Errorf("vertexconn: %d scales for kmax %d (want %d): %w",
-				numScales, kmax, expect, codec.ErrUnknownType)
-		}
-		raw, rest, err := codec.ReadUint64s(rest, numScales)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("vertexconn: estimator params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
-		}
-		counts := make([]int, numScales)
-		for i := range counts {
-			if counts[i], err = codec.IntField(raw[i], "subgraphs"); err != nil {
-				return nil, err
-			}
 		}
 		e, err := NewEstimator(EstimatorParams{
-			N: n, R: r, KMax: kmax, Seed: head[3],
-			// Scale k = 2^i sits at index i.
-			SubgraphsAt: func(k int) int { return counts[bits.Len(uint(k))-1] },
+			N: n, R: r, KMax: kmax, Seed: seed,
+			SubgraphsAt: func(k int) int { return scales[bits.Len(uint(k))-1].Subgraphs },
 		})
 		if err != nil {
 			return nil, err

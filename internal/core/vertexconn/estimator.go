@@ -57,7 +57,7 @@ func NewEstimator(p EstimatorParams) (*Estimator, error) {
 	}
 	est := &Estimator{kmax: p.KMax, seed: p.Seed}
 	for k := 1; ; k *= 2 {
-		s, err := New(Params{N: p.N, R: p.R, K: k, Subgraphs: subAt(k), Seed: p.Seed ^ uint64(k)*0x9e37})
+		s, err := New(scaleParams(p.N, p.R, k, subAt(k), p.Seed))
 		if err != nil {
 			return nil, err
 		}

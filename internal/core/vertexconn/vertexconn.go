@@ -109,29 +109,36 @@ func New(p Params) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := hashutil.NewSeedStream(p.Seed)
-	memberSeeds := ss.Sub(1)
 	words := (p.Subgraphs + 63) / 64
 	member := make([][]uint64, p.N)
 	for v := range member {
 		member[v] = make([]uint64, words)
 	}
-	// G_i keeps each vertex with probability 1/k (deleting with
-	// probability 1 − 1/k, as in Section 3.1).
-	for i := 0; i < p.Subgraphs; i++ {
-		seed := memberSeeds.At(uint64(i))
-		for v := 0; v < p.N; v++ {
-			if hashutil.Bernoulli(seed, uint64(v), 1, uint64(p.K)) {
-				member[v][i/64] |= 1 << uint(i%64)
-			}
-		}
-	}
-	sketchSeeds := ss.Sub(2)
+	eachMember(p, func(i, v int) bool {
+		member[v][i/64] |= 1 << uint(i%64)
+		return true
+	})
+	sketchSeeds := hashutil.NewSeedStream(p.Seed).Sub(2)
 	sketches := make([]*sketch.SpanningSketch, p.Subgraphs)
 	for i := range sketches {
 		sketches[i] = sketch.NewSpanning(sketchSeeds.At(uint64(i)), dom, p.Spanning)
 	}
 	return &Sketch{p: p, dom: dom, member: member, sketches: sketches}, nil
+}
+
+// eachMember calls f(i, v) for every vertex v sampled into G_i, subgraph
+// by subgraph, until f returns false. G_i keeps each vertex with
+// probability 1/k (deleting with probability 1 − 1/k, as in Section 3.1).
+func eachMember(p Params, f func(i, v int) bool) {
+	memberSeeds := hashutil.NewSeedStream(p.Seed).Sub(1)
+	for i := 0; i < p.Subgraphs; i++ {
+		seed := memberSeeds.At(uint64(i))
+		for v := 0; v < p.N; v++ {
+			if hashutil.Bernoulli(seed, uint64(v), 1, uint64(p.K)) && !f(i, v) {
+				return
+			}
+		}
+	}
 }
 
 // InSubgraph reports whether vertex v was sampled into G_i.
@@ -344,44 +351,16 @@ func (s *Sketch) VertexWords(v int) int {
 	return w
 }
 
-// AppendShare appends vertex v's share (sketch.Sharer): its samplers in
+// ShareParts appends vertex v's parts (sketch.Sharer): its samplers in
 // every subgraph that sampled v — player P_v's message in the simultaneous
 // communication model (subgraph membership is public randomness).
-func (s *Sketch) AppendShare(dst []byte, v int) []byte {
+func (s *Sketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
 	for i, sk := range s.sketches {
 		if s.InSubgraph(i, v) {
-			dst = sk.AppendShare(dst, v)
+			dst = sk.ShareParts(dst, v)
 		}
 	}
 	return dst
-}
-
-// ShareSize returns the length of vertex v's share.
-func (s *Sketch) ShareSize(v int) int {
-	n := 0
-	for i, sk := range s.sketches {
-		if s.InSubgraph(i, v) {
-			n += sk.ShareSize(v)
-		}
-	}
-	return n
-}
-
-// WalkShare walks vertex v's share of every subgraph that sampled v
-// (sketch.Sharer). It drops the decoded-H cache, also on a validating
-// walk, which costs at most one re-decode.
-func (s *Sketch) WalkShare(v int, src []byte, op sketch.PartOp) ([]byte, error) {
-	s.decoded = nil
-	var err error
-	for i, sk := range s.sketches {
-		if !s.InSubgraph(i, v) {
-			continue
-		}
-		if src, err = sk.WalkShare(v, src, op); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
 }
 
 // NumVertices returns n, the vertex space the sketch shards over.

@@ -1,7 +1,6 @@
 package hybrid
 
 import (
-	"fmt"
 	"io"
 
 	"graphsketch"
@@ -46,32 +45,20 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 // carry this sketch's fingerprint; a frame from a differently-constructed
 // hybrid (different budget or inner) fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagHybrid, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, s.addState(state)
+	return codec.ReadCheckpoint(r, codec.TagHybrid, s.Fingerprint(), s.addState)
 }
 
 func init() {
 	codec.Register(codec.TagHybrid, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, rest, err := codec.ReadUint64s(params, 2)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		budget, innerFP := pr.Int("budget"), pr.Uint64()
+		pr.Check(budget >= 2, "budget", budget) // words: one entry takes two
+		if err := pr.Done(); err != nil {
 			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("hybrid: params carry %d trailing bytes: %w", len(rest), codec.ErrUnknownType)
-		}
-		budget, err := codec.IntField(vs[0], "budget")
-		if err != nil {
-			return nil, err
-		}
-		if budget < 2 {
-			return nil, fmt.Errorf("hybrid: budget of %d words cannot hold one entry: %w", budget, codec.ErrUnknownType)
 		}
 		// The shell has no inner yet — params alone cannot build one; the
-		// state's embedded frame supplies it.
-		s := &Sketch{budget: budget, maxEntries: budget / 2, wantInnerFP: vs[1]}
+		// state's embedded frame supplies it, through its own opener.
+		s := &Sketch{budget: budget, maxEntries: budget / 2, wantInnerFP: innerFP}
 		return s, s.addState(state)
 	})
 }

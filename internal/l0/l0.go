@@ -24,6 +24,7 @@
 package l0
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -47,6 +48,29 @@ type Config struct {
 	// enough levels to thin any support within the domain to O(1):
 	// ⌈log2(domain)⌉ + 1.
 	MaxLevels int
+}
+
+// Caps on the shape a checkpoint frame may declare, far above any the
+// package defaults, plan profiles or tests use: shared randomness is built
+// eagerly, MaxLevels shapes of Rows hashes, however short the state.
+// LevelsCap is all a share's one-byte level index names; RowsCap and
+// BucketsCap (S·BucketsPerS) keep a level's cell count within an int32.
+const (
+	LevelsCap  = 256
+	RowsCap    = 64
+	BucketsCap = 1 << 16
+)
+
+// WithinCaps reports whether c, zero fields defaulted, is within the caps.
+func (c Config) WithinCaps() bool {
+	return c.MaxLevels <= LevelsCap && c.Rows <= RowsCap && cmp.Or(c.S, 8)*cmp.Or(c.BucketsPerS, 2) <= BucketsCap
+}
+
+// SharedBytes is about the heap one entry of shared randomness takes (a
+// header, a ladder, a shape per level), zero fields defaulted and
+// MaxLevels over the widest domain. Every row of samplers holds one.
+func (c Config) SharedBytes() int {
+	return 1024 + cmp.Or(c.MaxLevels, 65)*(96+16*cmp.Or(c.Rows, 3))
 }
 
 func (c Config) withDefaults(domain uint64) Config {
@@ -105,8 +129,14 @@ func NewRow(seed uint64, domain uint64, cfg Config, n int) []Sampler {
 	return row
 }
 
-// levels returns the number of allocated levels.
-func (s *Sampler) levels() int { return len(s.cells) / s.sh.stride }
+// levels returns the number of allocated levels. An absent sampler, the
+// common case in a sparse sketch's checkpoint, skips the division.
+func (s *Sampler) levels() int {
+	if len(s.cells) == 0 {
+		return 0
+	}
+	return len(s.cells) / s.sh.stride
+}
 
 // cellsOf returns level lv's cells, which must be allocated.
 func (s *Sampler) cellsOf(lv int) []recovery.Cell {

@@ -36,8 +36,7 @@ func (s *SpanningSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SpanningSketch) WriteTo(w io.Writer) (int64, error) {
-	st := Shares{s}
-	return codec.WriteCheckpoint(w, codec.TagSpanning, s.wireParams(), st.Size(), st.Write)
+	return Shares{s}.WriteCheckpoint(w, codec.TagSpanning, s.wireParams())
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.
@@ -50,16 +49,11 @@ func (s *SpanningSketch) CheckpointSize() int {
 // carry this sketch's fingerprint; a frame from a differently-constructed
 // sketch fails with codec.ErrFingerprint.
 func (s *SpanningSketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagSpanning, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, Shares{s}.Add(state)
+	return codec.ReadCheckpoint(r, codec.TagSpanning, s.Fingerprint(), Shares{s}.Add)
 }
 
-// VertexShareFrame frames vertex v's share for transport: the share
-// (AppendShare) is built in place as the interior of a codec share frame
-// carrying the sketch's fingerprint.
+// VertexShareFrame frames vertex v's share for transport: the interior of
+// a codec share frame carrying the sketch's fingerprint, built in place.
 func (s *SpanningSketch) VertexShareFrame(v int) []byte {
 	return ShareFrame(s, codec.TagSpanning, s.Fingerprint(), v)
 }
@@ -87,8 +81,7 @@ func (s *SkeletonSketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SkeletonSketch) WriteTo(w io.Writer) (int64, error) {
-	st := Shares{s}
-	return codec.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams(), st.Size(), st.Write)
+	return Shares{s}.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams())
 }
 
 // CheckpointSize returns the length of the frame WriteTo writes.
@@ -99,11 +92,7 @@ func (s *SkeletonSketch) CheckpointSize() int {
 // ReadFrom reads a checkpoint frame and merges its state into the sketch;
 // see SpanningSketch.ReadFrom for the contract.
 func (s *SkeletonSketch) ReadFrom(r io.Reader) (int64, error) {
-	n, state, err := codec.ReadCheckpoint(r, codec.TagSkeleton, s.Fingerprint())
-	if err != nil {
-		return n, err
-	}
-	return n, Shares{s}.Add(state)
+	return codec.ReadCheckpoint(r, codec.TagSkeleton, s.Fingerprint(), Shares{s}.Add)
 }
 
 // VertexShareFrame frames vertex v's share across all layers.
@@ -118,11 +107,10 @@ func (s *SkeletonSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 // ShareFrame frames vertex v's share of s for transport under the identity
-// (tag, fp): a codec share frame whose interior AppendShare builds in
-// place.
+// (tag, fp): a codec share frame whose interior is built in place.
 func ShareFrame(s Sharer, tag codec.Tag, fp uint64, v int) []byte {
-	return codec.AppendShareFrame(nil, tag, fp, v, s.ShareSize(v),
-		func(b []byte) []byte { return s.AppendShare(b, v) })
+	ps := Parts(s.ShareParts(nil, v))
+	return codec.AppendShareFrame(nil, tag, fp, v, ps.Size(), ps.Append)
 }
 
 // AddShareFrame verifies one share frame from the front of data against
@@ -149,62 +137,65 @@ func AppendWireConfig(dst []byte, cfg SpanningConfig) []byte {
 		uint64(cfg.Sampler.BucketsPerS), uint64(cfg.Sampler.MaxLevels))
 }
 
-// ReadWireConfig decodes the five words written by AppendWireConfig,
-// validating each as a sane dimension.
-func ReadWireConfig(vs []uint64) (SpanningConfig, error) {
-	f, err := codec.IntFields(vs, "rounds", "sampler.s", "sampler.rows", "sampler.buckets_per_s", "sampler.max_levels")
-	if err != nil {
-		return SpanningConfig{}, err
-	}
-	return SpanningConfig{Rounds: f[0], Sampler: l0.Config{S: f[1], Rows: f[2], BucketsPerS: f[3], MaxLevels: f[4]}}, nil
+// ReadWireConfig reads the five words AppendWireConfig writes, each a sane
+// dimension, and rejects a sampler shape outside the l0 caps.
+func ReadWireConfig(p *codec.ParamReader) SpanningConfig {
+	cfg := SpanningConfig{Rounds: p.Int("rounds"), Sampler: l0.Config{
+		S: p.Int("sampler.s"), Rows: p.Int("sampler.rows"),
+		BucketsPerS: p.Int("sampler.buckets_per_s"), MaxLevels: p.Int("sampler.max_levels"),
+	}}
+	p.Check(cfg.Sampler.WithinCaps(), "sampler", cfg.Sampler)
+	return cfg
 }
 
-// WireConfigWords is the number of uint64 words AppendWireConfig emits.
-const WireConfigWords = 5
-
-// paramWords decodes a params encoding of exactly n words.
-func paramWords(tag codec.Tag, params []byte, n int) ([]uint64, error) {
-	vs, rest, err := codec.ReadUint64s(params, n)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("sketch: %v params carry %d trailing bytes: %w", tag, len(rest), codec.ErrUnknownType)
+// Fit returns pr's error (codec.ParamReader.Done), or codec.ErrTruncated
+// unless state backs the sketches spanning sketches over n vertices with
+// config cfg pr declared, carrying samplers samplers a round; openers call
+// it before building anything. The state must hold the empty state (an
+// absent sampler is one wire byte), and building — n samplers and a
+// shared-randomness entry per round of a sketch, carried or not — may take
+// allocPerByte bytes a state byte beyond allocSlack: profile shapes take
+// under 1 KiB, vertexconn about 32·K + 2 KiB·K/n. Sketches are checked
+// first, so a samplers product that overflowed is never read.
+func Fit(pr *codec.ParamReader, state []byte, cfg SpanningConfig, n, sketches, samplers int) error {
+	if err := pr.Done(); err != nil {
+		return err
 	}
-	return vs, err
+	rounds := float64(cfg.withDefaults(n).Rounds)
+	if rounds*float64(sketches)*float64(32*n+cfg.Sampler.SharedBytes()) > float64(allocPerByte*len(state)+allocSlack) {
+		return fmt.Errorf("sketch: params declare more than the %d-byte state backs: %w", len(state), codec.ErrTruncated)
+	}
+	if rounds*float64(samplers) > float64(len(state)) {
+		return fmt.Errorf("sketch: params declare an empty state longer than the %d-byte state: %w", len(state), codec.ErrTruncated)
+	}
+	return nil
 }
+
+const (
+	allocPerByte = 4 << 10
+	allocSlack   = 64 << 20
+)
 
 func init() {
 	codec.Register(codec.TagSpanning, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, err := paramWords(codec.TagSpanning, params, 8)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		n, r, cfg, seed := pr.Int("n"), pr.Int("r"), ReadWireConfig(pr), pr.Uint64()
+		if err := Fit(pr, state, cfg, n, 1, n); err != nil {
 			return nil, err
 		}
-		f, err := codec.IntFields(vs, "n", "r")
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := ReadWireConfig(vs[2:7])
-		if err != nil {
-			return nil, err
-		}
-		s, err := NewSpanningSketch(SpanningParams{N: f[0], R: f[1], Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		s, err := NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
 		return s, Shares{s}.Add(state)
 	})
 	codec.Register(codec.TagSkeleton, func(params, state []byte) (graphsketch.Sketch, error) {
-		vs, err := paramWords(codec.TagSkeleton, params, 9)
-		if err != nil {
+		pr := codec.ReadParams(params)
+		p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
+		if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
 			return nil, err
 		}
-		f, err := codec.IntFields(vs, "n", "r", "k")
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := ReadWireConfig(vs[3:8])
-		if err != nil {
-			return nil, err
-		}
-		s, err := NewSkeletonSketch(SkeletonParams{N: f[0], R: f[1], K: f[2], Spanning: cfg, Seed: vs[8]})
+		s, err := NewSkeletonSketch(p)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sketch
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 
 	"graphsketch/internal/codec"
 	"graphsketch/internal/recovery"
@@ -21,21 +22,16 @@ var ErrShare = errors.New("sketch: malformed vertex share")
 type Sharer interface {
 	// NumVertices returns n, the number of shares.
 	NumVertices() int
-	// AppendShare appends vertex v's share to dst.
-	AppendShare(dst []byte, v int) []byte
-	// ShareSize returns the length AppendShare appends for v.
-	ShareSize(v int) int
-	// WalkShare applies op to the parts of vertex v's share in order, each
-	// reading its part's serialization from the front of the bytes the
-	// previous one left, and returns the rest; it stops at the first
-	// error. With SharePart.CheckBinary it validates a share, with
-	// SharePart.AddBinary it merges one (AddShare does both).
-	WalkShare(v int, src []byte, op PartOp) (rest []byte, err error)
+	// ShareParts appends the parts of vertex v's share to dst in wire
+	// order: the share's one layout, which every function here walks.
+	ShareParts(dst []SharePart, v int) []SharePart
 }
 
 // SharePart is one serialized piece of a share: an L0 sampler
 // (*l0.Sampler), or a Becker row (*recovery.SSparse).
 type SharePart interface {
+	AppendBinary(b []byte) []byte
+	BinarySize() int
 	// CheckBinary validates a serialized part at the front of src without
 	// changing anything and returns the rest.
 	CheckBinary(src []byte) ([]byte, error)
@@ -48,6 +44,15 @@ type SharePart interface {
 // the rest: SharePart.CheckBinary or SharePart.AddBinary.
 type PartOp func(p SharePart, src []byte) ([]byte, error)
 
+// Parts is one share's parts in wire order.
+type Parts []SharePart
+
+// AppendShare appends vertex v's share of s to dst.
+func AppendShare(s Sharer, dst []byte, v int) []byte { return Parts(s.ShareParts(nil, v)).Append(dst) }
+
+// ShareSize returns the length AppendShare appends for v.
+func ShareSize(s Sharer, v int) int { return Parts(s.ShareParts(nil, v)).Size() }
+
 // AddShare merges (linearly) vertex v's share, which it must consume
 // exactly, into s. The whole share is validated before the first part
 // changes, so a rejected share leaves s as it was. The share must come
@@ -55,41 +60,89 @@ type PartOp func(p SharePart, src []byte) ([]byte, error)
 // randomness. That invariant is unchecked here: transported shares travel
 // as codec frames, which verify the identity fingerprint first.
 func AddShare(s Sharer, v int, share []byte) error {
-	if err := noTrailing(s.WalkShare(v, share, SharePart.CheckBinary)); err != nil {
+	ps := Parts(s.ShareParts(nil, v))
+	if err := noTrailing(ps.Walk(share, SharePart.CheckBinary)); err != nil {
 		return err
 	}
-	_, err := s.WalkShare(v, share, SharePart.AddBinary)
+	_, err := ps.Walk(share, SharePart.AddBinary)
 	return err
+}
+
+// Append appends the share's serialization to dst.
+func (ps Parts) Append(dst []byte) []byte {
+	for _, p := range ps {
+		dst = p.AppendBinary(dst)
+	}
+	return dst
+}
+
+// Size returns the length Append appends.
+func (ps Parts) Size() int {
+	n := 0
+	for _, p := range ps {
+		n += p.BinarySize()
+	}
+	return n
+}
+
+// Walk applies op to the parts in order, each reading from where the last
+// left off, and returns the rest; it stops at the first error.
+func (ps Parts) Walk(src []byte, op PartOp) ([]byte, error) {
+	var err error
+	for _, p := range ps {
+		if src, err = op(p, src); err != nil {
+			return nil, err
+		}
+	}
+	return src, nil
 }
 
 // Shares is the full state of a Sharer: its shares 0..n−1 in vertex order.
 // Parameters and seeds are the structure's identity and are not part of
-// it; the checkpoint frame around the state carries them. Size and Write
-// are the (size, writer) pair codec.WriteCheckpoint takes.
+// it; the checkpoint frame around the state carries them.
 type Shares struct{ Sharer }
 
-// Size returns the length Write writes.
+// Size returns the length of the state.
 func (s Shares) Size() int {
-	size := 0
-	for v, n := 0, s.NumVertices(); v < n; v++ {
-		size += s.ShareSize(v)
-	}
+	size, _ := s.sizes()
 	return size
 }
 
-// Write streams the state into a checkpoint frame one vertex share at a
+// sizes returns the length of the state and of its largest share.
+func (s Shares) sizes() (size, largest int) {
+	s.each(func(ps Parts) {
+		n := ps.Size()
+		size, largest = size+n, max(largest, n)
+	})
+	return size, largest
+}
+
+// WriteCheckpoint writes the state as a checkpoint frame of tag and params
+// (codec.WriteCheckpoint).
+func (s Shares) WriteCheckpoint(w io.Writer, tag codec.Tag, params []byte) (int64, error) {
+	size, largest := s.sizes()
+	return codec.WriteCheckpoint(w, tag, params, size, func(fw *codec.FrameWriter) error {
+		s.write(fw, largest)
+		return nil
+	})
+}
+
+// write streams the state into a checkpoint frame one vertex share at a
 // time, each appended in place in fw's buffer, which is first made room
 // for the largest share.
-func (s Shares) Write(fw *codec.FrameWriter) error {
-	n, largest := s.NumVertices(), 0
-	for v := 0; v < n; v++ {
-		largest = max(largest, s.ShareSize(v))
-	}
+func (s Shares) write(fw *codec.FrameWriter, largest int) {
 	fw.Reserve(largest)
-	for v := 0; v < n; v++ {
-		fw.Append(func(b []byte) []byte { return s.AppendShare(b, v) })
+	s.each(func(ps Parts) { fw.Append(ps.Append) })
+}
+
+// each calls f with every vertex's share parts in vertex order, listed
+// into one reused buffer, so a pass allocates once, not once per vertex.
+func (s Shares) each(f func(ps Parts)) {
+	var buf []SharePart
+	for v, n := 0, s.NumVertices(); v < n; v++ {
+		buf = s.ShareParts(buf[:0], v)
+		f(buf)
 	}
-	return nil
 }
 
 // Add merges a state (linearly), which it must consume exactly. On a
@@ -108,9 +161,11 @@ func (s Shares) Add(b []byte) error {
 // exactly.
 func (s Shares) walk(b []byte, op PartOp) error {
 	var err error
-	for v, n := 0, s.NumVertices(); v < n && err == nil; v++ {
-		b, err = s.WalkShare(v, b, op)
-	}
+	s.each(func(ps Parts) {
+		if err == nil {
+			b, err = ps.Walk(b, op)
+		}
+	})
 	return noTrailing(b, err)
 }
 
@@ -120,27 +175,21 @@ func (s Shares) walk(b []byte, op PartOp) error {
 // back.
 type Stack []Sharer
 
-// Size returns the length Write writes.
-func (st Stack) Size() int {
-	n := 0
-	for _, s := range st {
-		n += 8 + Shares{s}.Size()
+// WriteCheckpoint writes the state as a checkpoint frame of tag and params
+// (codec.WriteCheckpoint): each member's length, then its shares.
+func (st Stack) WriteCheckpoint(w io.Writer, tag codec.Tag, params []byte) (int64, error) {
+	sizes, largest, total := make([]int, len(st)), make([]int, len(st)), 0
+	for i, s := range st {
+		sizes[i], largest[i] = Shares{s}.sizes()
+		total += 8 + sizes[i]
 	}
-	return n
-}
-
-// Write streams the state into a checkpoint frame: each member's length,
-// then its shares.
-func (st Stack) Write(fw *codec.FrameWriter) error {
-	for _, s := range st {
-		sh := Shares{s}
-		size := uint64(sh.Size())
-		fw.Append(func(b []byte) []byte { return binary.BigEndian.AppendUint64(b, size) })
-		if err := sh.Write(fw); err != nil {
-			return err
+	return codec.WriteCheckpoint(w, tag, params, total, func(fw *codec.FrameWriter) error {
+		for i, s := range st {
+			fw.Append(func(b []byte) []byte { return binary.BigEndian.AppendUint64(b, uint64(sizes[i])) })
+			Shares{s}.write(fw, largest[i])
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Add merges a state (linearly), which it must consume exactly. Like
@@ -179,58 +228,18 @@ func noTrailing(rest []byte, err error) error {
 	return err
 }
 
-// AppendShare appends vertex v's share — its sampler in every round.
-func (s *SpanningSketch) AppendShare(dst []byte, v int) []byte {
+// ShareParts appends vertex v's parts: its sampler in every round.
+func (s *SpanningSketch) ShareParts(dst []SharePart, v int) []SharePart {
 	for t := range s.samplers {
-		dst = s.samplers[t][v].AppendBinary(dst)
+		dst = append(dst, &s.samplers[t][v])
 	}
 	return dst
 }
 
-// ShareSize returns the length of vertex v's share.
-func (s *SpanningSketch) ShareSize(v int) int {
-	n := 0
-	for t := range s.samplers {
-		n += s.samplers[t][v].BinarySize()
-	}
-	return n
-}
-
-// WalkShare applies op to vertex v's sampler in every round (Sharer).
-func (s *SpanningSketch) WalkShare(v int, src []byte, op PartOp) ([]byte, error) {
-	var err error
-	for t := range s.samplers {
-		if src, err = op(&s.samplers[t][v], src); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
-}
-
-// AppendShare appends vertex v's share — its share of every layer.
-func (s *SkeletonSketch) AppendShare(dst []byte, v int) []byte {
+// ShareParts appends vertex v's parts: its share of every layer.
+func (s *SkeletonSketch) ShareParts(dst []SharePart, v int) []SharePart {
 	for _, l := range s.layers {
-		dst = l.AppendShare(dst, v)
+		dst = l.ShareParts(dst, v)
 	}
 	return dst
-}
-
-// ShareSize returns the length of vertex v's share.
-func (s *SkeletonSketch) ShareSize(v int) int {
-	n := 0
-	for _, l := range s.layers {
-		n += l.ShareSize(v)
-	}
-	return n
-}
-
-// WalkShare walks vertex v's share of every layer (Sharer).
-func (s *SkeletonSketch) WalkShare(v int, src []byte, op PartOp) ([]byte, error) {
-	var err error
-	for _, l := range s.layers {
-		if src, err = l.WalkShare(v, src, op); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
 }

@@ -531,9 +531,9 @@ func TestSpanningAddVertexShareRejectsTrailing(t *testing.T) {
 	if err := a.Update(graph.MustEdge(0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	share := a.AppendShare(nil, 0)
-	if len(share) != a.ShareSize(0) {
-		t.Fatalf("share of %d bytes, ShareSize says %d", len(share), a.ShareSize(0))
+	share := AppendShare(a, nil, 0)
+	if len(share) != ShareSize(a, 0) {
+		t.Fatalf("share of %d bytes, ShareSize says %d", len(share), ShareSize(a, 0))
 	}
 	b := NewSpanning(1, dom, SpanningConfig{})
 	if err := AddShare(b, 0, append(share, 0x00)); err == nil {

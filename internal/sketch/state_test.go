@@ -15,7 +15,7 @@ import (
 func stateOf(s Sharer) []byte {
 	var b []byte
 	for v := 0; v < s.NumVertices(); v++ {
-		b = s.AppendShare(b, v)
+		b = AppendShare(s, b, v)
 	}
 	return b
 }
