@@ -74,9 +74,10 @@ bench-check:
 # checkpoint conformance harness under the race detector, plus a fuzz smoke
 # of both codec targets, the L0 sampler share parser, the shard-plane
 # hello/batch/ack payload parsers, every structure's share-frame merge,
-# every checkpoint opener, the hybrid state restore, and the edge-list
-# parser (go test accepts one -fuzz pattern per run, hence one invocation
-# each). The payload and opener targets cap minimization at 100 runs per
+# every checkpoint opener, the hybrid's vertex-share restore (ReadFrom and
+# Open of arbitrary hybrid states), and the edge-list parser (go test
+# accepts one -fuzz pattern per run, hence one invocation each). The
+# payload, opener and hybrid targets cap minimization at 100 runs per
 # input: with the default 60 s budget a 10 s smoke run spends most of its
 # time minimizing instead of fuzzing.
 codec-check:
@@ -88,7 +89,7 @@ codec-check:
 	$(GO) test -run '^$$' -fuzz FuzzWirePayloads -fuzztime 10s -fuzzminimizetime 100x ./internal/shardplane/
 	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointOpen -fuzztime 10s -fuzzminimizetime 100x .
-	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s ./internal/hybrid/
+	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s -fuzzminimizetime 100x ./internal/hybrid/
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/stream/
 
 # Race-enabled run of the concurrency-sensitive packages plus the obs
@@ -164,5 +165,6 @@ lint-govulncheck:
 
 # Every gate the GitHub workflow runs. bench-check is the only one that
 # builds the separate gsbench/ module against the library, so it is what
-# catches a library rename that breaks the benchmark.
-ci: fmt-check vet lint build test race codec-check obs-check cluster-check bench-check bench
+# catches a library rename that breaks the benchmark. bench-json stays out:
+# it rewrites the checked-in BENCH_pr9.json.
+ci: fmt-check vet lint lint-timing build test race codec-check obs-check cluster-check bench-check bench

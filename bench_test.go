@@ -482,9 +482,10 @@ func BenchmarkParallelDecode(b *testing.B) {
 // encoding, state serialization, CRC) to io.Discard: skeleton-n64 writes an
 // ingested k-skeleton; vconn-n64 writes a Theorem 4 sketch with gsbench
 // vconn-dense's shape (n = 64, K = 3, 48 subgraphs) after its dense churn,
-// a ~48 MB frame — the rung under vconn-dense's checkpoint_ms. B/op shows
-// that the frame streams through a small buffer instead of being built
-// whole.
+// a ~48 MB frame — the rung under vconn-dense's checkpoint_ms; hybrid-n16384
+// writes the hybrid BenchmarkCheckpointRead restores, the rung under
+// hybrid-sparse's. B/op shows that the frame streams through a small
+// buffer instead of being built whole.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -505,7 +506,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		s    io.WriterTo
-	}{{"skeleton-n64", sk}, {"vconn-n64", vc}} {
+	}{{"skeleton-n64", sk}, {"vconn-n64", vc}, {"hybrid-n16384", powerLawHybrid(b)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			size, err := bc.s.WriteTo(io.Discard)
 			if err != nil {
@@ -529,8 +530,8 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // empty-n16384 restores an empty spanning sketch, the hybrid inner's
 // common case, where every sampler stays absent and the cost is the
 // construction itself; hybrid-n16384 restores a budget-32 hybrid over the
-// power-law graph gsbench's hybrid-sparse workload starts from, whose
-// state embeds the inner's frame and spills the hubs.
+// power-law graph gsbench's hybrid-sparse workload starts from, which
+// spills the hubs.
 func BenchmarkCheckpointRead(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -542,15 +543,10 @@ func BenchmarkCheckpointRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, hy := sparseHybrid(b, 16384, 32)
-	base := workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), 16384, 3, 2.5)
-	if err := stream.Apply(stream.FromGraph(base), hy); err != nil {
-		b.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
 		s    graphsketch.Checkpointer
-	}{{"skeleton-n64", sk}, {"empty-n16384", empty}, {"hybrid-n16384", hy}} {
+	}{{"skeleton-n64", sk}, {"empty-n16384", empty}, {"hybrid-n16384", powerLawHybrid(b)}} {
 		var buf bytes.Buffer
 		if _, err := c.s.WriteTo(&buf); err != nil {
 			b.Fatal(err)
@@ -565,6 +561,19 @@ func BenchmarkCheckpointRead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// powerLawHybrid builds the budget-32 hybrid over the n = 16384 power-law
+// graph gsbench's hybrid-sparse workload starts from: the checkpoint rungs'
+// hybrid.
+func powerLawHybrid(b *testing.B) *hybrid.Sketch {
+	b.Helper()
+	_, hy := sparseHybrid(b, 16384, 32)
+	base := workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), 16384, 3, 2.5)
+	if err := stream.Apply(stream.FromGraph(base), hy); err != nil {
+		b.Fatal(err)
+	}
+	return hy
 }
 
 // BenchmarkNewSpanning times constructing an empty spanning sketch. With

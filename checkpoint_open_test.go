@@ -124,16 +124,6 @@ func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 		}
 		return checkpointFrame(tag, params, state)
 	}
-	// The hybrid's params hold no dimension: its inner spanning frame,
-	// embedded after an 8-byte length at the front of the state, declares
-	// them and goes through its own opener.
-	hybridInner := func() []byte {
-		tag, params, state := splitCheckpoint(t, frames[7])
-		flen := binary.LittleEndian.Uint64(state)
-		itag, iparams, istate := splitCheckpoint(t, state[8:8+flen])
-		inner := checkpointFrame(itag, setWord(iparams, 2, 1<<12), istate) // rounds
-		return checkpointFrame(tag, params, append(append(state[:8:8], inner...), state[8+flen:]...))
-	}
 	cases := []struct {
 		name  string
 		frame []byte
@@ -146,7 +136,7 @@ func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 		{"estimator/kmax", estimator()},
 		{"reconstruct/rows", inflate(5, 5, 1<<12)},
 		{"sparsify/levels", inflate(6, 3, 1<<8)},
-		{"hybrid/inner-rounds", hybridInner()},
+		{"hybrid/inner-rounds", inflate(7, 4, 1<<12)}, // budget, tag, n, r, rounds
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +153,27 @@ func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 				t.Errorf("Open allocated %d bytes for a %d-byte frame, want < 1 MiB", alloc, len(tc.frame))
 			}
 		})
+	}
+}
+
+// TestCheckpointOpenOldHybridLayout: a hybrid frame in the layout that
+// embedded the inner's checkpoint frame (params: the budget and the
+// inner's fingerprint; state: the inner frame behind its 8-byte length,
+// the spill bitmap, then each vertex's buffer) fails typed at its params.
+func TestCheckpointOpenOldHybridLayout(t *testing.T) {
+	const n = 8
+	inner := openFrames(t, 0)[0] // the hybrid case's inner: spanning, seed 7
+	state := binary.LittleEndian.AppendUint64(nil, uint64(len(inner)))
+	state = binary.LittleEndian.AppendUint64(append(state, inner...), 0) // nothing spilled
+	for v := 0; v < n; v++ {
+		state = binary.LittleEndian.AppendUint32(state, 0) // empty buffer
+	}
+	innerFP := binary.LittleEndian.Uint64(inner[8:])
+	frame := checkpointFrame(codec.TagHybrid, codec.AppendUint64s(nil, 8, innerFP), state)
+	_, err := codec.Open(bytes.NewReader(frame))
+	t.Logf("old-layout hybrid frame: %v", err)
+	if !codec.IsDecodeError(err) {
+		t.Fatalf("got %v, want a typed decode error", err)
 	}
 }
 

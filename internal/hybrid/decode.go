@@ -50,10 +50,7 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	case *sketch.SpanningSketch:
 		return s.spanningGraph(parent, in)
 	case *sketch.SkeletonSketch:
-		cp, err := s.Clone()
-		if err != nil {
-			return nil, err
-		}
+		cp := s.Clone()
 		if err := cp.SpillAll(); err != nil {
 			return nil, err
 		}

@@ -32,25 +32,29 @@ func fuzzHybrid(tb testing.TB) *hybrid.Sketch {
 }
 
 // hybridFrame wraps state in a well-formed hybrid checkpoint frame whose
-// params (budget 4, the inner's fingerprint) match fuzzHybrid's.
-func hybridFrame(hy *hybrid.Sketch, state []byte) []byte {
-	params := codec.AppendUint64s(nil, 4, hy.Inner().Fingerprint())
+// params are hy's.
+func hybridFrame(tb testing.TB, hy *hybrid.Sketch, state []byte) []byte {
+	_, payload, _, err := codec.DecodeFrame(frametest.Of(tb, hy))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params := payload[4 : 4+binary.LittleEndian.Uint32(payload)]
 	var buf bytes.Buffer
 	if _, err := codec.WriteCheckpoint(&buf, codec.TagHybrid, params, len(state), func(fw *codec.FrameWriter) error {
 		_, err := fw.Write(state)
 		return err
 	}); err != nil {
-		panic(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // FuzzHybridUnmarshal feeds arbitrary state bytes, inside an otherwise
 // well-formed checkpoint frame, to both hybrid restore paths: ReadFrom into
-// a constructed sketch (a linear add) and codec.Open, which restores into
-// the opener's shell. Neither may panic; a rejected state must leave the
-// constructed sketch exactly as it was; an accepted one must write a frame
-// again.
+// a constructed sketch (a linear add) and codec.Open, which builds the
+// empty hybrid its params declare and adds the state. Neither may panic; a
+// rejected state must leave the constructed sketch exactly as it was; an
+// accepted one must write a frame again and spill every vertex.
 func FuzzHybridUnmarshal(f *testing.F) {
 	seedHy := fuzzHybrid(f)
 	frame := frametest.Of(f, seedHy)
@@ -63,12 +67,26 @@ func FuzzHybridUnmarshal(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte(nil), good...), 0xFF))
-	mut := append([]byte(nil), good...)
-	mut[0] ^= 0x40 // corrupt the embedded inner frame length
-	f.Add(mut)
+	// exactAt is the offset of vertex v's exact part: its share's last
+	// 4 + 16·BufferLen(v) bytes.
+	exactAt := func(v int) int {
+		end := 0
+		for u := 0; u <= v; u++ {
+			end += sketch.ShareSize(seedHy, u)
+		}
+		return end - 4 - 16*seedHy.BufferLen(v)
+	}
+	flip := func(v int, mask uint32) []byte {
+		mut := bytes.Clone(good)
+		i := exactAt(v)
+		binary.LittleEndian.PutUint32(mut[i:], binary.LittleEndian.Uint32(mut[i:])^mask)
+		return mut
+	}
+	f.Add(flip(1, 1))          // vertex 1's count 1 → 0: its pair runs on
+	f.Add(flip(0, 0xFFFFFFFF)) // vertex 0's spilled mark → an empty buffer
 	f.Fuzz(func(t *testing.T, state []byte) {
 		hy := fuzzHybrid(t)
-		frame := hybridFrame(hy, state)
+		frame := hybridFrame(t, hy, state)
 		before := frametest.Of(t, hy)
 		if _, err := hy.ReadFrom(bytes.NewReader(frame)); err != nil {
 			if !bytes.Equal(frametest.Of(t, hy), before) {
@@ -76,9 +94,15 @@ func FuzzHybridUnmarshal(f *testing.F) {
 			}
 		} else {
 			frametest.Of(t, hy)
+			if err := hy.SpillAll(); err != nil {
+				t.Fatalf("accepted state cannot spill: %v", err)
+			}
 		}
 		if s, err := codec.Open(bytes.NewReader(frame)); err == nil {
 			frametest.Of(t, s)
+			if err := s.(*hybrid.Sketch).SpillAll(); err != nil {
+				t.Fatalf("opened state cannot spill: %v", err)
+			}
 		}
 	})
 }

@@ -43,14 +43,10 @@
 package hybrid
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"graphsketch"
-	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/sketch"
@@ -69,32 +65,14 @@ var (
 	ErrInnerMismatch = errors.New("hybrid: inner sketches constructed differently")
 )
 
-// Inner is the contract a wrapped sketch must satisfy: vertex-sharded
-// linear updates (so spilling one vertex's buffer can target exactly that
-// vertex's share), checkpointing (the hybrid's wire state embeds the
-// inner's own frame), and a wire fingerprint (the hybrid's identity commits
-// to the inner's). Both sketch.SpanningSketch and sketch.SkeletonSketch
-// satisfy it.
-type Inner interface {
-	graphsketch.Sharded
-	io.WriterTo
-	io.ReaderFrom
-	Domain() graph.Domain
-	Fingerprint() uint64
-	SharedWords() int
-	// CheckpointSize is the length of the frame WriteTo writes; the hybrid
-	// state embeds that frame behind its length.
-	CheckpointSize() int
-}
-
-// Sketch is the adaptive hybrid wrapper. It satisfies the same root
-// contracts as the inner sketch — Updater, Mergeable, Sharded,
-// Checkpointer — and is safe for the parallel engine: all mutable state is
+// Sketch is the adaptive hybrid wrapper. It satisfies the same contracts
+// as the inner sketch — Updater, Mergeable, Sharded, Checkpointer and
+// sketch.Sharer — and is safe for the parallel engine: all mutable state is
 // owned per vertex (buffers, spill flags), so workers applying
 // UpdateBatchRange over disjoint vertex ranges never write the same
 // element.
 type Sketch struct {
-	inner Inner
+	inner sketch.Inner
 	dom   graph.Domain
 
 	budget     int // per-vertex buffer budget in 64-bit words
@@ -110,19 +88,17 @@ type Sketch struct {
 	// support size while it remains exact.
 	keys [][]uint64
 	ws   [][]int64
-
-	// wantInnerFP is set only on shells built by the codec opener: the
-	// inner fingerprint recorded in the frame params, checked against the
-	// embedded inner frame when addState adopts it.
-	wantInnerFP uint64
+	// exact[v] is v's exact share part, held here so listing a share's
+	// parts boxes nothing.
+	exact []exactPart
 }
 
-// New wraps inner in the adaptive hybrid representation. budget is the
-// per-vertex exact-buffer budget in 64-bit words (each buffered incidence
-// entry costs two: key and net weight); budget <= 0 selects
-// DefaultBudgetWords. The inner sketch is normally empty; a non-empty inner
-// is legal and simply contributes linearly.
-func New(inner Inner, budget int) (*Sketch, error) {
+// New wraps inner, a spanning or skeleton sketch, in the adaptive hybrid
+// representation. budget is the per-vertex exact-buffer budget in 64-bit
+// words (each buffered incidence entry costs two: key and net weight);
+// budget <= 0 selects DefaultBudgetWords. The inner sketch is normally
+// empty; a non-empty inner is legal and simply contributes linearly.
+func New(inner sketch.Inner, budget int) (*Sketch, error) {
 	if inner == nil {
 		return nil, errors.New("hybrid: nil inner sketch")
 	}
@@ -132,9 +108,14 @@ func New(inner Inner, budget int) (*Sketch, error) {
 	if budget < 2 {
 		return nil, fmt.Errorf("hybrid: budget of %d words cannot hold one entry", budget)
 	}
+	return build(inner, budget), nil
+}
+
+// build returns an all-exact hybrid over inner with a valid budget.
+func build(inner sketch.Inner, budget int) *Sketch {
 	dom := inner.Domain()
 	n := dom.N()
-	return &Sketch{
+	s := &Sketch{
 		inner:      inner,
 		dom:        dom,
 		budget:     budget,
@@ -142,12 +123,17 @@ func New(inner Inner, budget int) (*Sketch, error) {
 		spilled:    make([]bool, n),
 		keys:       make([][]uint64, n),
 		ws:         make([][]int64, n),
-	}, nil
+		exact:      make([]exactPart, n),
+	}
+	for v := range s.exact {
+		s.exact[v] = exactPart{s, v}
+	}
+	return s
 }
 
 // Inner returns the wrapped sketch. Its state is only the spilled part of
 // the stream; decode through the hybrid's own methods (or SpillAll first).
-func (s *Sketch) Inner() Inner { return s.inner }
+func (s *Sketch) Inner() sketch.Inner { return s.inner }
 
 // Domain returns the hyperedge key domain.
 func (s *Sketch) Domain() graph.Domain { return s.dom }
@@ -392,24 +378,30 @@ func (s *Sketch) mergeParts(spilled []bool, keys [][]uint64, ws [][]int64) error
 		return ErrInnerMismatch
 	}
 	for v := range spilled {
-		switch {
-		case spilled[v] && !s.spilled[v]:
-			// The other stream overflowed v, so the union does: spill ours.
-			if err := s.spill(v); err != nil {
-				return err
-			}
-		case !spilled[v] && s.spilled[v]:
-			// Ours is already sketched: replay their exact entries into it.
-			if err := s.replayExact(v, keys[v], ws[v]); err != nil {
-				return err
-			}
-		case !spilled[v] && !s.spilled[v]:
-			if err := s.addExact(v, keys[v], ws[v]); err != nil {
-				return err
-			}
+		if err := s.addVertex(v, spilled[v], keys[v], ws[v]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// addVertex folds another hybrid's vertex v — spilled, or holding the exact
+// entries ks, vs — into s's. A spilled vertex spills ours: the union of two
+// streams at a vertex where either overflowed its budget has certainly
+// overflowed it too. An empty buffer has nothing to spill and only takes
+// the mark, so a restore onto a fresh hybrid counts no spills.
+func (s *Sketch) addVertex(v int, spilled bool, ks []uint64, vs []int64) error {
+	switch {
+	case s.spilled[v]:
+		// Ours is already sketched: replay their exact entries into it.
+		return s.replayExact(v, ks, vs)
+	case spilled && len(s.keys[v]) == 0:
+		s.spilled[v], s.keys[v], s.ws[v] = true, nil, nil
+		return nil
+	case spilled:
+		return s.spill(v)
+	}
+	return s.addExact(v, ks, vs)
 }
 
 // addExact folds exact entries into v's buffer; if the fold overflows the
@@ -432,57 +424,28 @@ func (s *Sketch) addExact(v int, ks []uint64, vs []int64) error {
 }
 
 // Clone returns a deep copy (buffers, spill flags, and inner sketch).
-func (s *Sketch) Clone() (*Sketch, error) {
-	in, err := cloneInner(s.inner)
-	if err != nil {
-		return nil, err
+func (s *Sketch) Clone() *Sketch {
+	var in sketch.Inner
+	switch t := s.inner.(type) {
+	case *sketch.SpanningSketch:
+		in = t.Clone()
+	case *sketch.SkeletonSketch:
+		in = t.Clone()
 	}
-	cp := &Sketch{
-		inner:      in,
-		dom:        s.dom,
-		budget:     s.budget,
-		maxEntries: s.maxEntries,
-		spilled:    append([]bool(nil), s.spilled...),
-		keys:       make([][]uint64, len(s.keys)),
-		ws:         make([][]int64, len(s.ws)),
-	}
+	cp := build(in, s.budget)
+	copy(cp.spilled, s.spilled)
 	for v := range s.keys {
 		if len(s.keys[v]) > 0 {
 			cp.keys[v] = append([]uint64(nil), s.keys[v]...)
 			cp.ws[v] = append([]int64(nil), s.ws[v]...)
 		}
 	}
-	return cp, nil
-}
-
-// cloneInner deep-copies a wrapped sketch: the known concrete types have
-// native Clone methods; anything else round-trips through its own
-// checkpoint frame, which is exact by construction.
-func cloneInner(in Inner) (Inner, error) {
-	switch t := in.(type) {
-	case *sketch.SpanningSketch:
-		return t.Clone(), nil
-	case *sketch.SkeletonSketch:
-		return t.Clone(), nil
-	}
-	var buf bytes.Buffer
-	if _, err := in.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	o, err := codec.Open(&buf)
-	if err != nil {
-		return nil, err
-	}
-	c, ok := o.(Inner)
-	if !ok {
-		return nil, fmt.Errorf("hybrid: cloned inner reopened as %T, which cannot back a hybrid sketch", o)
-	}
-	return c, nil
+	return cp
 }
 
 // Words returns the memory footprint in 64-bit words: the inner sketch plus
 // two words per buffered entry plus the spill flags (one word per 64
-// vertices, as serialized).
+// vertices).
 func (s *Sketch) Words() int {
 	w := s.inner.Words() + (len(s.spilled)+63)/64
 	for v := range s.keys {
@@ -503,176 +466,8 @@ func (s *Sketch) StateWords() int {
 	return w
 }
 
-// writeState streams the sketch's state into fw: the inner sketch's
-// checkpoint frame behind its 8-byte length, then the spill bitmap, then
-// each unspilled vertex's sorted buffer; stateSize is its exact length.
-// Unlike the other sketches' states this embeds the inner's full
-// self-describing frame — the hybrid's own params (budget, inner
-// fingerprint) cannot reconstruct the inner sketch, so the state must
-// carry it.
-func (s *Sketch) writeState(fw *codec.FrameWriter) error {
-	flen := uint64(s.inner.CheckpointSize())
-	fw.Append(func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, flen) })
-	if _, err := s.inner.WriteTo(fw); err != nil {
-		return err
-	}
-	n := len(s.spilled)
-	fw.Append(func(b []byte) []byte {
-		for w := 0; w < (n+63)/64; w++ {
-			var word uint64
-			for bit := 0; bit < 64 && w*64+bit < n; bit++ {
-				if s.spilled[w*64+bit] {
-					word |= 1 << bit
-				}
-			}
-			b = binary.LittleEndian.AppendUint64(b, word)
-		}
-		return b
-	})
-	for v := 0; v < n; v++ {
-		if s.spilled[v] {
-			continue
-		}
-		fw.Append(func(b []byte) []byte {
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(s.keys[v])))
-			for i, key := range s.keys[v] {
-				b = binary.LittleEndian.AppendUint64(b, key)
-				b = binary.LittleEndian.AppendUint64(b, uint64(s.ws[v][i]))
-			}
-			return b
-		})
-	}
-	return nil
-}
-
-func (s *Sketch) stateSize() int {
-	n := 8 + s.inner.CheckpointSize() + 8*((len(s.spilled)+63)/64)
-	for v, spilled := range s.spilled {
-		if !spilled {
-			n += 4 + 16*len(s.keys[v])
-		}
-	}
-	return n
-}
-
-// addState restores a writeState state; the codec opener and ReadFrom
-// both call it. On a shell built by the opener it adopts the embedded
-// inner frame (verifying it against the fingerprint the params recorded);
-// on a constructed sketch it adds linearly, resolving mixed exact/spilled
-// vertices exactly as Merge does. Either way the whole state — inner frame
-// and exact tail — is decoded and validated before the sketch changes.
-func (s *Sketch) addState(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("hybrid: state of %d bytes: %w", len(data), codec.ErrTruncated)
-	}
-	flen := binary.LittleEndian.Uint64(data)
-	rest := data[8:]
-	if uint64(len(rest)) < flen {
-		return fmt.Errorf("hybrid: inner frame length %d exceeds state: %w", flen, codec.ErrTruncated)
-	}
-	frame, rest := rest[:flen], rest[flen:]
-	opened, err := codec.Open(bytes.NewBuffer(frame))
-	if err != nil {
-		return fmt.Errorf("hybrid: embedded inner frame: %w", err)
-	}
-	in, ok := opened.(Inner)
-	if !ok {
-		return fmt.Errorf("hybrid: embedded frame decodes to %T, which cannot back a hybrid sketch: %w", opened, codec.ErrUnknownType)
-	}
-	want := s.wantInnerFP
-	if s.inner != nil {
-		want = s.inner.Fingerprint()
-	}
-	if in.Fingerprint() != want {
-		return fmt.Errorf("hybrid: embedded inner frame is %016x, receiver's inner is %016x: %w",
-			in.Fingerprint(), want, codec.ErrFingerprint)
-	}
-	spilled, keys, ws, err := parseExactState(rest, in.Domain(), s.maxEntries)
-	if err != nil {
-		return err
-	}
-	if s.inner == nil {
-		s.inner, s.dom = in, in.Domain()
-		s.spilled, s.keys, s.ws = spilled, keys, ws
-		return nil
-	}
-	if err := s.mergeParts(spilled, keys, ws); err != nil {
-		return err
-	}
-	// Equal fingerprints mean equal construction (the spanning sketches
-	// keep their configs canonical), so Merge adds the opened inner's
-	// samplers directly, with no second pass over the bytes.
-	return s.inner.Merge(in)
-}
-
-// parseExactState decodes and validates the bitmap+buffers tail of a
-// marshalled hybrid state.
-func parseExactState(b []byte, dom graph.Domain, maxEntries int) (spilled []bool, keys [][]uint64, ws [][]int64, err error) {
-	n := dom.N()
-	words := (n + 63) / 64
-	if len(b) < 8*words {
-		return nil, nil, nil, fmt.Errorf("hybrid: spill bitmap short: %w", codec.ErrTruncated)
-	}
-	spilled = make([]bool, n)
-	for w := 0; w < words; w++ {
-		word := binary.LittleEndian.Uint64(b[8*w:])
-		hiBits := 64
-		if w == words-1 && n%64 != 0 {
-			hiBits = n % 64
-		}
-		if hiBits < 64 && word>>uint(hiBits) != 0 {
-			return nil, nil, nil, fmt.Errorf("hybrid: spill bitmap has bits beyond vertex %d: %w", n, codec.ErrUnknownType)
-		}
-		for bit := 0; bit < hiBits; bit++ {
-			spilled[w*64+bit] = word&(1<<bit) != 0
-		}
-	}
-	b = b[8*words:]
-	keys = make([][]uint64, n)
-	ws = make([][]int64, n)
-	for v := 0; v < n; v++ {
-		if spilled[v] {
-			continue
-		}
-		if len(b) < 4 {
-			return nil, nil, nil, fmt.Errorf("hybrid: buffer of vertex %d missing: %w", v, codec.ErrTruncated)
-		}
-		cnt := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if cnt > maxEntries {
-			return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer of %d entries exceeds budget: %w", v, cnt, codec.ErrUnknownType)
-		}
-		if len(b) < 16*cnt {
-			return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer truncated: %w", v, codec.ErrTruncated)
-		}
-		if cnt == 0 {
-			continue
-		}
-		ks := make([]uint64, cnt)
-		vs := make([]int64, cnt)
-		for i := 0; i < cnt; i++ {
-			ks[i] = binary.LittleEndian.Uint64(b)
-			vs[i] = int64(binary.LittleEndian.Uint64(b[8:]))
-			b = b[16:]
-			if i > 0 && ks[i] <= ks[i-1] {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer keys not strictly increasing: %w", v, codec.ErrUnknownType)
-			}
-			if vs[i] == 0 {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer holds a zero-weight entry: %w", v, codec.ErrUnknownType)
-			}
-			if ks[i] >= dom.Size() {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer key outside the domain: %w", v, codec.ErrUnknownType)
-			}
-		}
-		keys[v], ws[v] = ks, vs
-	}
-	if len(b) != 0 {
-		return nil, nil, nil, fmt.Errorf("hybrid: %d trailing state bytes: %w", len(b), codec.ErrUnknownType)
-	}
-	return spilled, keys, ws, nil
-}
-
 var (
 	_ graphsketch.Sharded      = (*Sketch)(nil)
 	_ graphsketch.Checkpointer = (*Sketch)(nil)
+	_ sketch.Sharer            = (*Sketch)(nil)
 )

@@ -2,7 +2,9 @@ package hybrid_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/hybrid"
+	"graphsketch/internal/obs"
 	"graphsketch/internal/oracle"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
@@ -162,10 +165,7 @@ func TestHybridMatchesPure(t *testing.T) {
 				t.Fatal("hub stream spilled nothing; the mixed path went untested")
 			}
 
-			cp, err := hy.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cp := hy.Clone()
 			if err := cp.SpillAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -270,10 +270,7 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 	// spilling a clone decodes the same (single-edge) graph. Byte equality
 	// cannot hold here — vertices 2..6 cancelled to empty buffers and never
 	// touched the inner, while pure allocated (zero) sampler levels for them.
-	cp, err := hy.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := hy.Clone()
 	if err := cp.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +348,7 @@ func TestHybridMergeBytes(t *testing.T) {
 	sameComponents(t, final, f, "merged decode")
 
 	for _, hy := range []*hybrid.Sketch{a, whole} {
-		cp, err := hy.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cp := hy.Clone()
 		if err := cp.SpillAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -558,11 +552,10 @@ func TestHybridUpdateAllocs(t *testing.T) {
 	}
 }
 
-// TestHybridOpenAllocation pins the in-place read of the embedded inner
-// frame: opening a hybrid checkpoint allocates the outer frame (read from
-// a bytes.Reader, 1×), the inner sketch's arenas and the exact buffers, but
-// no second copy of the inner frame, which is most of the outer one.
-// Copying it again measured about 3.3× the frame bytes.
+// TestHybridOpenAllocation pins what opening a hybrid checkpoint
+// allocates: the frame (read from a bytes.Reader, 1×), the inner sketch's
+// arenas and the exact buffers, each vertex's share merged in place from
+// the one verified frame with no copy of the inner's part of it.
 func TestHybridOpenAllocation(t *testing.T) {
 	const n, budget = 4096, 32
 	_, hy := pair(t, n, 2, budget, 47)
@@ -586,5 +579,111 @@ func TestHybridOpenAllocation(t *testing.T) {
 	t.Logf("Open allocated %.2f× its %d frame bytes (%d vertices spilled)", ratio, len(frame), hy.SpilledCount())
 	if ratio > 2.5 {
 		t.Fatalf("Open allocated %.2f× its %d frame bytes, want <= 2.5×", ratio, len(frame))
+	}
+}
+
+// TestHybridWriteToAllocsFlat pins the one share traversal's cost: writing
+// a checkpoint allocates about as often at n = 16384 as at n = 4096, so
+// listing a vertex's parts boxes nothing per vertex. The few more allowed
+// are the reused part list growing to the rounds, which follow log n.
+func TestHybridWriteToAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		_, hy := pair(t, n, 2, 32, 47)
+		apply(t, stream.FromGraph(workload.SparsePowerLaw(hashutil.NewRand(1, 0x687962), n, 3, 2.5)), hy)
+		if hy.SpilledCount() == 0 {
+			t.Fatal("no vertex spilled")
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := hy.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(4096), allocs(16384)
+	t.Logf("WriteTo allocates %v times at n = 4096, %v at n = 16384", small, large)
+	if large > small+4 {
+		t.Fatalf("WriteTo allocates %v times at n = 16384 but %v at n = 4096", large, small)
+	}
+}
+
+// TestHybridRestoreCountsNoSpills: reopening a checkpoint, and reading it
+// into a fresh hybrid, adopts the spilled vertices without counting them
+// in hybrid_spills_total.
+func TestHybridRestoreCountsNoSpills(t *testing.T) {
+	obs.Enable()
+	spills := obs.Default().Counter("hybrid_spills_total", "")
+	const n = 256
+	st, _ := sparseChurnStream(t, n, 2, 4, 53)
+	_, hy := pair(t, n, 2, 8, 59)
+	apply(t, st, hy)
+	if hy.SpilledCount() == 0 {
+		t.Fatal("no vertex spilled")
+	}
+	frame := frametest.Of(t, hy)
+	before := spills.Value()
+	opened, err := codec.Open(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := pair(t, n, 2, 8, 59)
+	if _, err := fresh.ReadFrom(bytes.NewReader(frame)); err != nil {
+		t.Fatal(err)
+	}
+	if d := spills.Value() - before; d != 0 {
+		t.Fatalf("restoring %d spilled vertices twice counted %d spills", hy.SpilledCount(), d)
+	}
+	for _, re := range []graphsketch.Sketch{opened, fresh} {
+		if !frametest.Equal(t, re, hy) {
+			t.Fatal("restored state differs")
+		}
+	}
+}
+
+// TestHybridRejectsForeignBufferKeys: a checkpoint whose vertex 0 buffers
+// a key that does not decode, or the key of an edge without vertex 0, is
+// rejected typed by codec.Open and by ReadFrom, which leaves its receiver
+// as it was.
+func TestHybridRejectsForeignBufferKeys(t *testing.T) {
+	const n = 8
+	dom := graph.MustDomain(n, 2)
+	for _, tc := range []struct {
+		name string
+		key  uint64
+	}{
+		{"undecodable", 1}, // below the domain size, but no edge's key
+		{"not-incident", dom.MustEncode(graph.MustEdge(2, 3))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hy := pair(t, n, 2, 8, 61)
+			if err := hy.Update(graph.MustEdge(0, 1), 1); err != nil {
+				t.Fatal(err)
+			}
+			h, payload, _, err := codec.DecodeFrame(frametest.Of(t, hy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Vertex 0's entry (key, weight 1) is the first of the two.
+			entry := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil,
+				dom.MustEncode(graph.MustEdge(0, 1))), 1)
+			i := bytes.Index(payload, entry)
+			if i < 0 {
+				t.Fatal("buffered entry not found in the frame")
+			}
+			payload = bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(payload[i:], tc.key)
+			bad := codec.AppendFrame(nil, h, payload)
+
+			if _, err := codec.Open(bytes.NewReader(bad)); !errors.Is(err, codec.ErrUnknownType) {
+				t.Errorf("Open: got %v, want ErrUnknownType", err)
+			}
+			_, recv := pair(t, n, 2, 8, 61)
+			before := frametest.Of(t, recv)
+			if _, err := recv.ReadFrom(bytes.NewReader(bad)); !errors.Is(err, codec.ErrUnknownType) {
+				t.Errorf("ReadFrom: got %v, want ErrUnknownType", err)
+			}
+			if !bytes.Equal(frametest.Of(t, recv), before) {
+				t.Error("rejected state changed the receiver")
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/codec"
+	"graphsketch/internal/graph"
 	"graphsketch/internal/l0"
 )
 
@@ -37,11 +38,6 @@ func (s *SpanningSketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SpanningSketch) WriteTo(w io.Writer) (int64, error) {
 	return Shares{s}.WriteCheckpoint(w, codec.TagSpanning, s.wireParams())
-}
-
-// CheckpointSize returns the length of the frame WriteTo writes.
-func (s *SpanningSketch) CheckpointSize() int {
-	return codec.CheckpointSize(s.wireParams(), Shares{s}.Size())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -82,11 +78,6 @@ func (s *SkeletonSketch) Fingerprint() uint64 {
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *SkeletonSketch) WriteTo(w io.Writer) (int64, error) {
 	return Shares{s}.WriteCheckpoint(w, codec.TagSkeleton, s.wireParams())
-}
-
-// CheckpointSize returns the length of the frame WriteTo writes.
-func (s *SkeletonSketch) CheckpointSize() int {
-	return codec.CheckpointSize(s.wireParams(), Shares{s}.Size())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch;
@@ -176,26 +167,73 @@ const (
 	allocSlack   = 64 << 20
 )
 
+// Inner is a spanning or skeleton sketch: the sketches a hybrid
+// (internal/hybrid) wraps. A wrapper carries its inner's identity inside
+// its own params (AppendInner) and rebuilds the inner empty from them
+// (OpenInner), so its state holds only shares. The unexported method
+// keeps the set closed.
+type Inner interface {
+	graphsketch.Sharded
+	Sharer
+	Domain() graph.Domain
+	Fingerprint() uint64
+	SharedWords() int
+	wireParams() []byte
+}
+
+// AppendInner appends in's identity to a wrapper's params: its tag word,
+// then its own params words.
+func AppendInner(dst []byte, in Inner) []byte {
+	tag := codec.TagSpanning
+	if _, ok := in.(*SkeletonSketch); ok {
+		tag = codec.TagSkeleton
+	}
+	return append(codec.AppendUint64s(dst, uint64(tag)), in.wireParams()...)
+}
+
+// OpenInner reads the identity AppendInner wrote from pr, which it must
+// end, and builds that sketch empty once Fit finds the wrapper's state
+// backs it.
+func OpenInner(pr *codec.ParamReader, state []byte) (Inner, error) {
+	switch tag := pr.Uint64(); tag {
+	case uint64(codec.TagSpanning):
+		return openSpanning(pr, state)
+	case uint64(codec.TagSkeleton):
+		return openSkeleton(pr, state)
+	default:
+		pr.Check(false, "inner tag", tag)
+		return nil, pr.Done()
+	}
+}
+
+// openSpanning builds the empty spanning sketch whose params pr reads.
+func openSpanning(pr *codec.ParamReader, state []byte) (*SpanningSketch, error) {
+	n, r, cfg, seed := pr.Int("n"), pr.Int("r"), ReadWireConfig(pr), pr.Uint64()
+	if err := Fit(pr, state, cfg, n, 1, n); err != nil {
+		return nil, err
+	}
+	return NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: seed})
+}
+
+// openSkeleton builds the empty skeleton sketch whose params pr reads.
+func openSkeleton(pr *codec.ParamReader, state []byte) (*SkeletonSketch, error) {
+	p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
+	if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
+		return nil, err
+	}
+	return NewSkeletonSketch(p)
+}
+
 func init() {
 	codec.Register(codec.TagSpanning, func(params, state []byte) (graphsketch.Sketch, error) {
-		pr := codec.ReadParams(params)
-		n, r, cfg, seed := pr.Int("n"), pr.Int("r"), ReadWireConfig(pr), pr.Uint64()
-		if err := Fit(pr, state, cfg, n, 1, n); err != nil {
-			return nil, err
-		}
-		s, err := NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: seed})
+		s, err := openSpanning(codec.ReadParams(params), state)
 		if err != nil {
 			return nil, err
 		}
 		return s, Shares{s}.Add(state)
 	})
 	codec.Register(codec.TagSkeleton, func(params, state []byte) (graphsketch.Sketch, error) {
-		pr := codec.ReadParams(params)
-		p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
-		if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
-			return nil, err
-		}
-		s, err := NewSkeletonSketch(p)
+		s, err := openSkeleton(codec.ReadParams(params), state)
 		if err != nil {
 			return nil, err
 		}
@@ -206,4 +244,6 @@ func init() {
 var (
 	_ graphsketch.Checkpointer = (*SpanningSketch)(nil)
 	_ graphsketch.Checkpointer = (*SkeletonSketch)(nil)
+	_ Inner                    = (*SpanningSketch)(nil)
+	_ Inner                    = (*SkeletonSketch)(nil)
 )

@@ -102,12 +102,6 @@ func (ps Parts) Walk(src []byte, op PartOp) ([]byte, error) {
 // it; the checkpoint frame around the state carries them.
 type Shares struct{ Sharer }
 
-// Size returns the length of the state.
-func (s Shares) Size() int {
-	size, _ := s.sizes()
-	return size
-}
-
 // sizes returns the length of the state and of its largest share.
 func (s Shares) sizes() (size, largest int) {
 	s.each(func(ps Parts) {

@@ -117,8 +117,8 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := stateOf(a)
-	if len(state) != (Shares{a}).Size() {
-		t.Fatalf("state of %d bytes, Size says %d", len(state), Shares{a}.Size())
+	if size, _ := (Shares{a}).sizes(); len(state) != size {
+		t.Fatalf("state of %d bytes, sizes says %d", len(state), size)
 	}
 	b := NewSpanning(1, dom, SpanningConfig{})
 	if err := (Shares{b}).Add(state[:len(state)-3]); err == nil {
@@ -148,9 +148,6 @@ func TestSpanningWriteToAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if err != nil || n != int64(frame.Len()) {
 		t.Fatalf("WriteTo: %d bytes, %v; want %d", n, err, frame.Len())
-	}
-	if s.CheckpointSize() != frame.Len() {
-		t.Fatalf("CheckpointSize = %d, WriteTo wrote %d bytes", s.CheckpointSize(), frame.Len())
 	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	t.Logf("WriteTo allocated %.3f× its %d-byte frame", ratio, n)
