@@ -77,9 +77,9 @@ bench-check:
 # every checkpoint opener, the hybrid's vertex-share restore (ReadFrom and
 # Open of arbitrary hybrid states), and the edge-list parser (go test
 # accepts one -fuzz pattern per run, hence one invocation each). The
-# payload, opener and hybrid targets cap minimization at 100 runs per
-# input: with the default 60 s budget a 10 s smoke run spends most of its
-# time minimizing instead of fuzzing.
+# payload, share-frame, opener and hybrid targets cap minimization at 100
+# runs per input: with the default 60 s budget a 10 s smoke run spends most
+# of its time minimizing instead of fuzzing.
 codec-check:
 	$(GO) test -race ./internal/codec/ ./internal/cli/
 	$(GO) test -race -run 'TestCheckpoint' .
@@ -87,7 +87,7 @@ codec-check:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzSamplerAddBinary -fuzztime 10s ./internal/l0/
 	$(GO) test -run '^$$' -fuzz FuzzWirePayloads -fuzztime 10s -fuzzminimizetime 100x ./internal/shardplane/
-	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointOpen -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s -fuzzminimizetime 100x ./internal/hybrid/
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/stream/

@@ -458,6 +458,40 @@ func BenchmarkVertexConnIngest(b *testing.B) {
 	})
 }
 
+// BenchmarkVertexConnDecode is the BuildH rung under gsbench vconn-dense's
+// answer_ms: a Theorem 4 sketch with the workload's shape (n = 64, K = 3,
+// 48 subgraphs) after its dense churn, its cached H invalidated by a net-zero
+// update pair before every Decode, so each iteration pays the 48 subgraph
+// forest decodes and their union.
+func BenchmarkVertexConnDecode(b *testing.B) {
+	b.Run("dense-n64", func(b *testing.B) {
+		load, cycle := denseChurn(1)
+		s, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range append([][]graph.WeightedEdge{load}, cycle[:len(cycle)/2]...) {
+			if err := s.UpdateBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e := graph.MustEdge(0, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Update(e, 1); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Update(e, -1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Decode(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkParallelDecode times the k-skeleton peel
 // (sketch.SkeletonSketch.Decode, which prepares the next layer's clone
 // beside the current layer's decode) on a k-skeleton of the E1 workload

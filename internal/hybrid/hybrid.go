@@ -305,15 +305,21 @@ func (s *Sketch) bufferAdd(v int, e graph.Hyperedge, key uint64, delta int64) er
 	return nil
 }
 
-// spill replays v's buffered entries into the inner sketch's share of v and
-// marks v spilled. By linearity this changes nothing the sketch represents.
+// spill moves v's buffer into the inner sketch (see move) and counts it as
+// a spill of this sketch.
 func (s *Sketch) spill(v int) error {
+	hm.spills.Inc()
+	hm.spillOccupancy.Observe(float64(2*len(s.keys[v])) / float64(s.budget))
+	obs.RecordEvent("hybrid.spill", "vertex", v, "entries", len(s.keys[v]), "budget", s.budget)
+	return s.move(v)
+}
+
+// move replays v's buffered entries into the inner sketch's share of v and
+// marks v spilled. By linearity this changes nothing the sketch represents.
+func (s *Sketch) move(v int) error {
 	ks, vs := s.keys[v], s.ws[v]
 	s.keys[v], s.ws[v] = nil, nil
 	s.spilled[v] = true
-	hm.spills.Inc()
-	hm.spillOccupancy.Observe(float64(2*len(ks)) / float64(s.budget))
-	obs.RecordEvent("hybrid.spill", "vertex", v, "entries", len(ks), "budget", s.budget)
 	return s.replayExact(v, ks, vs)
 }
 
@@ -339,10 +345,14 @@ func (s *Sketch) replayExact(v int, ks []uint64, vs []int64) error {
 // a pure sketch fed the same updates, which is how decode paths without a
 // mixed-mode implementation (skeleton peeling) reuse the inner machinery
 // unchanged, and how the property tests pin the spill invariant.
+//
+// It moves buffers without counting them as spills: hybrid_spills_total
+// counts buffers that overflowed their budget or met a spilled vertex in a
+// merge, and a decode's SpillAll on a clone is neither.
 func (s *Sketch) SpillAll() error {
 	for v := range s.spilled {
 		if !s.spilled[v] {
-			if err := s.spill(v); err != nil {
+			if err := s.move(v); err != nil {
 				return err
 			}
 		}

@@ -639,6 +639,35 @@ func TestHybridRestoreCountsNoSpills(t *testing.T) {
 	}
 }
 
+// TestHybridSkeletonDecodeCountsNoSpills: a skeleton decode moves a clone's
+// buffers into its inner, which is no spill of the live sketch, so
+// decoding leaves hybrid_spills_total where it was.
+func TestHybridSkeletonDecodeCountsNoSpills(t *testing.T) {
+	obs.Enable()
+	spills := obs.Default().Counter("hybrid_spills_total", "")
+	const n = 64
+	inner, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := hybrid.New(inner, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hy.Update(graph.MustEdge(0, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	before := spills.Value()
+	for i := 0; i < 3; i++ {
+		if _, err := hy.Decode(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := spills.Value() - before; d != 0 {
+		t.Fatalf("three decodes of a hybrid with %d spilled vertices counted %d spills", hy.SpilledCount(), d)
+	}
+}
+
 // TestHybridRejectsForeignBufferKeys: a checkpoint whose vertex 0 buffers
 // a key that does not decode, or the key of an edge without vertex 0, is
 // rejected typed by codec.Open and by ReadFrom, which leaves its receiver

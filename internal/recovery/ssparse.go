@@ -247,29 +247,50 @@ func (t *SSparse) IsZero() bool {
 	return t.cells[0].IsZero()
 }
 
-// decodeScratch is the pooled working copy of the cells a Decode peels.
-// Pooling it makes the query path allocation-free after warm-up, apart from
-// the result map handed to the caller.
+// decodeScratch is the pooled working copy of the cells a decode peels.
+// Pooling it makes DecodeAppend allocation-free after warm-up.
 type decodeScratch struct{ cells []Cell }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// Coord is one recovered nonzero coordinate: f[Index] = Value.
+type Coord struct {
+	Index uint64
+	Value int64
+}
 
 // Decode attempts to recover the full vector. On success it returns the map
 // of nonzero coordinates and true; the result is certified by the global
 // fingerprint, so a true return is correct up to fingerprint collision
 // probability (~2^-40). On failure (vector not s-sparse, or unlucky
 // hashing) it returns nil and false — it never silently returns a wrong or
-// partial vector.
-//
-// Decode never mutates t: it peels a pooled scratch copy, so the query path
-// performs no steady-state allocation beyond the result map.
+// partial vector. It is DecodeAppend with the coordinates collected into a
+// map.
 func (t *SSparse) Decode() (map[uint64]int64, bool) {
+	coords, ok := t.DecodeAppend(make([]Coord, 0, t.shape.s))
+	if !ok {
+		return nil, false
+	}
+	out := make(map[uint64]int64, len(coords))
+	for _, c := range coords {
+		out[c.Index] = c.Value
+	}
+	return out, true
+}
+
+// DecodeAppend is Decode appending the recovered nonzero coordinates to
+// dst, in the order they were peeled, each index once. On failure it
+// returns dst unchanged and false.
+//
+// It never mutates t: it peels a pooled scratch copy, so with a dst of
+// enough capacity it allocates nothing after warm-up.
+func (t *SSparse) DecodeAppend(dst []Coord) ([]Coord, bool) {
 	sh := t.shape
 	work := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(work)
 	work.cells = append(work.cells[:0], t.cells...)
 	cells := work.cells
-	out := make(map[uint64]int64)
+	start := len(dst)
 	// Peeling: each successful peel zeroes one coordinate, and a vector
 	// that decodes has at most rows*buckets live coordinates in the worst
 	// imaginable case; cap iterations defensively.
@@ -290,7 +311,7 @@ func (t *SSparse) Decode() (map[uint64]int64, bool) {
 				if sh.bucketRed(r, iRed) != b {
 					continue
 				}
-				out[i] += v
+				dst = addCoord(dst, start, i, v)
 				dMom, dFp := DeltaTerms(iRed, field.Pow(sh.z, i), -v)
 				sh.ApplyDelta(cells, iRed, -v, dMom, dFp)
 				peeled = true
@@ -304,16 +325,29 @@ func (t *SSparse) Decode() (map[uint64]int64, bool) {
 	for _, c := range cells {
 		if !c.IsZero() {
 			rm.failures.Inc()
-			return nil, false
+			return dst[:start], false
 		}
 	}
-	for i, v := range out {
-		if v == 0 {
-			delete(out, i)
+	out := dst[:start]
+	for _, c := range dst[start:] {
+		if c.Value != 0 {
+			out = append(out, c)
 		}
 	}
 	rm.successes.Inc()
 	return out, true
+}
+
+// addCoord adds v at index i to the coordinates dst[start:], appending i
+// if it is not there yet.
+func addCoord(dst []Coord, start int, i uint64, v int64) []Coord {
+	for j := start; j < len(dst); j++ {
+		if dst[j].Index == i {
+			dst[j].Value += v
+			return dst
+		}
+	}
+	return append(dst, Coord{Index: i, Value: v})
 }
 
 // S returns the design sparsity.

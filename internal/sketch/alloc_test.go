@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphsketch/internal/codec"
+	"graphsketch/internal/workload"
 )
 
 // An untouched sampler costs no heap object of its own: building an empty
@@ -63,4 +64,27 @@ func minAllocs(f func()) float64 {
 		least = min(least, testing.AllocsPerRun(1, f))
 	}
 	return least
+}
+
+// A spanning decode sums each component's cut into scratch it allocates
+// once per call, samples in place, and groups components without maps, so
+// its allocation count is the forest, the DSU and a constant, not one
+// sampler copy and one result map per component per round. The bound is a
+// third of the 789 objects the decode took when every component cut was a
+// fresh clone.
+func TestSpanningDecodeAllocs(t *testing.T) {
+	h := workload.MustHarary(64, 8)
+	s := NewSpanning(3, h.Domain(), SpanningConfig{})
+	if err := s.UpdateGraph(h, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := minAllocs(func() {
+		if _, err := s.Decode(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 789.0 / 3; allocs > limit {
+		t.Fatalf("spanning decode of H_{8,64} allocates %v objects; want <= %v", allocs, limit)
+	}
+	t.Logf("spanning decode allocations: %v", allocs)
 }

@@ -17,7 +17,9 @@
 package sketch
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"graphsketch"
 	"graphsketch/internal/field"
@@ -247,15 +249,24 @@ func (s *SpanningSketch) Clone() *SpanningSketch {
 // component both fails to produce a sample and cannot be certified as
 // fully merged; every returned edge is fingerprint-certified real.
 func (s *SpanningSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
+	all := make([]int, s.dom.N())
+	for v := range all {
+		all[v] = v
+	}
+	return s.DecodeMembers(parent, all)
+}
+
+// DecodeMembers is Decode for a sketch whose every edge has all its
+// endpoints in members (ascending) and whose other vertices' samplers are
+// zero, as in a vertex-subsampled subgraph's sketch: the Boruvka rounds
+// run over the members alone, and every other vertex is a singleton
+// component of the forest. The forest is the one Decode returns.
+func (s *SpanningSketch) DecodeMembers(parent *obs.Span, members []int) (*graph.Hypergraph, error) {
 	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
 	defer sp.End()
 	n := s.dom.N()
 	forest := graph.MustHypergraph(n, s.dom.R())
-	all := make([]int, n)
-	for v := range all {
-		all[v] = v
-	}
-	if _, err := s.Boruvka(sp, graphalg.NewDSU(n), forest, all, nil); err != nil {
+	if _, err := s.Boruvka(sp, graphalg.NewDSU(n), forest, members, nil); err != nil {
 		return nil, err
 	}
 	return forest, nil
@@ -285,27 +296,29 @@ type CutTerm struct {
 // vector, which holds for the pure sketch with verts = all vertices and no
 // terms.
 //
+// The call allocates its working memory once, sized by len(verts): every
+// component's cut is summed into one reused scratch sampler, and a
+// singleton component without terms is sampled in place.
+//
 // It returns the number of component cuts drawn, and ErrDecodeFailed if the
 // rounds run out while some component is uncertified. Every added edge is
 // fingerprint-certified real.
 func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm) (draws int, err error) {
-	// done[root] marks components whose cut was certified empty (no edges
-	// leave them): they can be skipped in later rounds.
-	done := make(map[int]bool)
+	b := newBoruvkaScratch(len(verts))
 	for t := 0; t < s.cfg.Rounds; t++ {
-		groups := activeGroups(d, verts, done)
+		groups := b.activeGroups(d, verts)
 		if len(groups) <= 1 {
 			skm.peelRounds.Observe(float64(t))
 			sp.SetAttrs("n", s.dom.N(), "rounds", t)
 			return draws, nil
 		}
-		draws += s.peelRound(sp, t, d, forest, verts, terms, groups, done)
+		draws += s.peelRound(sp, t, d, forest, verts, terms, groups, b)
 	}
 
 	// Rounds exhausted. If every remaining component is certified done,
 	// the forest is complete; otherwise we may have missed connectivity.
-	for _, g := range activeGroups(d, verts, done) {
-		if !s.cutSampler(s.cfg.Rounds-1, verts, terms, g).IsZero() {
+	for _, g := range b.activeGroups(d, verts) {
+		if !s.cutSampler(s.cfg.Rounds-1, verts, terms, g, &b.sum).IsZero() {
 			skm.failures.Inc()
 			obs.RecordEvent("sketch.decode_failure",
 				"structure", "spanning", "n", s.dom.N(), "rounds", s.cfg.Rounds,
@@ -318,56 +331,89 @@ func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hy
 	return draws, nil
 }
 
-// activeGroups groups the positions of verts by component, skipping
-// certified-done components, in order of each component's first member.
-func activeGroups(d *graphalg.DSU, verts []int, done map[int]bool) [][]int {
-	at := make(map[int]int)
-	var groups [][]int
-	for i, v := range verts {
-		root := d.Find(v)
-		if done[root] {
-			continue
-		}
-		g, ok := at[root]
-		if !ok {
-			g = len(groups)
-			at[root] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
+// boruvkaScratch is one Boruvka call's working memory, indexed by position
+// in verts.
+type boruvkaScratch struct {
+	sum    l0.Sampler // the component cut being drawn
+	done   []bool     // done[i]: verts[i]'s component's cut is certified empty
+	roots  []int      // roots[i]: verts[i]'s component root this round
+	order  []int      // live positions, grouped by component
+	groups [][]int    // this round's groups, subslices of order
+	keys   []uint64   // this round's sampled edge keys
+	edge   graph.Hyperedge
+}
+
+func newBoruvkaScratch(m int) *boruvkaScratch {
+	return &boruvkaScratch{
+		done:   make([]bool, m),
+		roots:  make([]int, m),
+		order:  make([]int, 0, m),
+		groups: make([][]int, 0, m),
+		keys:   make([]uint64, 0, m),
 	}
+}
+
+// activeGroups groups the positions of verts by component, skipping
+// certified-done components, in order of each component's first member,
+// each group ascending.
+func (b *boruvkaScratch) activeGroups(d *graphalg.DSU, verts []int) [][]int {
+	order := b.order[:0]
+	for i, v := range verts {
+		if !b.done[i] {
+			b.roots[i] = d.Find(v)
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(b.roots[x], b.roots[y]), cmp.Compare(x, y))
+	})
+	groups := b.groups[:0]
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && b.roots[order[hi]] == b.roots[order[lo]] {
+			hi++
+		}
+		groups = append(groups, order[lo:hi:hi])
+		lo = hi
+	}
+	slices.SortFunc(groups, func(x, y []int) int { return cmp.Compare(x[0], y[0]) })
 	return groups
 }
 
 // peelRound runs one Boruvka round: every live component samples a
 // hyperedge leaving it and components merge along the sampled edges.
-// Certified-empty cuts are marked in done. The round gets its own
-// trace-only child span carrying the samplers-drawn / edges-recovered
-// attributes. It returns the number of draws.
-func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm, groups [][]int, done map[int]bool) int {
+// Certified-empty cuts are marked done. The round gets its own trace-only
+// child span carrying the samplers-drawn / edges-recovered attributes. It
+// returns the number of draws.
+func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm, groups [][]int, b *boruvkaScratch) int {
 	rsp := parent.Child("sketch.peel_round", nil)
 	defer rsp.End()
-	recovered := 0
-	var merges []graph.Hyperedge
+	// Sampled keys are collected first and merged after every group has
+	// drawn, so a merge cannot change the cut another group samples.
+	keys := b.keys[:0]
 	for _, g := range groups {
-		sum := s.cutSampler(t, verts, terms, g)
+		sum := s.cutSampler(t, verts, terms, g, &b.sum)
 		key, _, ok := sum.Sample()
 		if !ok {
 			if sum.IsZero() {
 				// Certified: nothing leaves this component.
-				done[d.Find(verts[g[0]])] = true
+				for _, i := range g {
+					b.done[i] = true
+				}
 			}
 			continue
 		}
-		e, err := s.dom.Decode(key)
+		keys = append(keys, key)
+	}
+	recovered := 0
+	for _, key := range keys {
+		e, err := s.dom.AppendDecode(b.edge[:0], key)
 		if err != nil {
 			// A fingerprint false positive (~2^-40); treat as a
 			// failed sample for this round.
 			continue
 		}
-		merges = append(merges, e)
-	}
-	for _, e := range merges {
+		b.edge = e
 		merged := false
 		for i := 1; i < len(e); i++ {
 			if d.Union(e[0], e[i]) {
@@ -375,6 +421,7 @@ func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, for
 			}
 		}
 		if merged {
+			// AddEdge clones e, so the scratch edge stays ours.
 			forest.MustAddEdge(e, 1)
 			recovered++
 		}
@@ -384,36 +431,41 @@ func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, for
 }
 
 // cutSampler returns the round-t sampler of a component's cut vector: the
-// sum of the samplers of the members verts[i], i ∈ g, plus their terms. The
-// sum starts from a clone of the member with the most allocated cells, so
-// adding the others never regrows its arena; field addition commutes, so
-// the order does not change the sum.
-func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []int) *l0.Sampler {
+// sum of the samplers of the members verts[i], i ∈ g, plus their terms. A
+// single member without terms is its own cut sampler, returned in place;
+// otherwise the sum is built in scratch, starting from a copy of the member
+// with the most allocated cells so adding the others never regrows its
+// arena. Field addition commutes, so the order does not change the sum. The
+// result is only read, and is valid until the next call with this scratch.
+func (s *SpanningSketch) cutSampler(t int, verts []int, terms [][]CutTerm, g []int, scratch *l0.Sampler) *l0.Sampler {
 	row := s.samplers[t]
+	if len(g) == 1 && (terms == nil || len(terms[g[0]]) == 0) {
+		return &row[verts[g[0]]]
+	}
 	first := g[0]
 	for _, i := range g[1:] {
 		if row[verts[i]].StateWords() > row[verts[first]].StateWords() {
 			first = i
 		}
 	}
-	sum := row[verts[first]].Clone()
+	scratch.CopyFrom(&row[verts[first]])
 	for _, i := range g {
 		if i == first {
 			continue
 		}
 		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(&row[verts[i]], 1); err != nil {
+		if err := scratch.AddScaled(&row[verts[i]], 1); err != nil {
 			panic(err)
 		}
 	}
 	if terms != nil {
 		for _, i := range g {
 			for _, c := range terms[i] {
-				sum.Update(c.Key, c.Delta)
+				scratch.Update(c.Key, c.Delta)
 			}
 		}
 	}
-	return sum
+	return scratch
 }
 
 // Connected decodes the sketch and reports whether the hypergraph is
