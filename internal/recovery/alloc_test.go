@@ -38,9 +38,10 @@ func TestSSparseApplyDeltaZeroAllocs(t *testing.T) {
 }
 
 // Decode borrows its working copy from a sync.Pool, so after warm-up the only
-// steady-state allocations are the result map handed to the caller. The bound
-// is deliberately loose (map + buckets + pool misses under GC) — what it
-// guards against is the pre-SoA behaviour of copying the whole grid per call.
+// steady-state allocations are the coordinate slice the peel loop appends to
+// and the result map handed to the caller. The bound is deliberately loose
+// (slice + map + buckets + pool misses under GC) — what it guards against is
+// the pre-SoA behaviour of copying the whole grid per call.
 func TestSSparseDecodeBoundedAllocs(t *testing.T) {
 	s := NewSSparse(0xa110c+2, 1<<20, SSparseConfig{S: 8})
 	for i := uint64(1); i <= 5; i++ {
