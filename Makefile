@@ -76,21 +76,21 @@ bench-check:
 # hello/batch/ack payload parsers, every structure's share-frame merge,
 # every checkpoint opener, the hybrid's vertex-share restore (ReadFrom and
 # Open of arbitrary hybrid states), and the edge-list parser (go test
-# accepts one -fuzz pattern per run, hence one invocation each). The
-# payload, share-frame, opener and hybrid targets cap minimization at 100
-# runs per input: with the default 60 s budget a 10 s smoke run spends most
-# of its time minimizing instead of fuzzing.
+# accepts one -fuzz pattern per run, hence one invocation each). Every
+# target caps minimization at 100 runs per input: with the default 60 s
+# budget a 10 s smoke run can spend all of it minimizing a new input and
+# end at 0 execs/s.
 codec-check:
 	$(GO) test -race ./internal/codec/ ./internal/cli/
 	$(GO) test -race -run 'TestCheckpoint' .
-	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/codec/
-	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/codec/
-	$(GO) test -run '^$$' -fuzz FuzzSamplerAddBinary -fuzztime 10s ./internal/l0/
+	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s -fuzzminimizetime 100x ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzSamplerAddBinary -fuzztime 10s -fuzzminimizetime 100x ./internal/l0/
 	$(GO) test -run '^$$' -fuzz FuzzWirePayloads -fuzztime 10s -fuzzminimizetime 100x ./internal/shardplane/
 	$(GO) test -run '^$$' -fuzz FuzzShareFrame -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointOpen -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s -fuzzminimizetime 100x ./internal/hybrid/
-	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s -fuzzminimizetime 100x ./internal/stream/
 
 # Race-enabled run of the concurrency-sensitive packages plus the obs
 # endpoint smoke test — the fast loop CI runs on every push (race over the

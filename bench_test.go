@@ -527,20 +527,10 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}
-	load, cycle := denseChurn(1)
-	vc, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, batch := range append([][]graph.WeightedEdge{load}, cycle[:len(cycle)/2]...) {
-		if err := vc.UpdateBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, bc := range []struct {
 		name string
 		s    io.WriterTo
-	}{{"skeleton-n64", sk}, {"vconn-n64", vc}, {"hybrid-n16384", powerLawHybrid(b)}} {
+	}{{"skeleton-n64", sk}, {"vconn-n64", denseVertexConn(b)}, {"hybrid-n16384", powerLawHybrid(b)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			size, err := bc.s.WriteTo(io.Discard)
 			if err != nil {
@@ -558,14 +548,36 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	}
 }
 
+// denseVertexConn builds a Theorem 4 sketch with gsbench vconn-dense's
+// shape (n = 64, K = 3, 48 subgraphs) after its dense churn, whose
+// checkpoint is a ~48 MB frame: the checkpoint rungs' vertexconn.
+func denseVertexConn(tb testing.TB) *vertexconn.Sketch {
+	tb.Helper()
+	load, cycle := denseChurn(1)
+	vc, err := vertexconn.New(vertexconn.Params{N: 64, K: 3, Subgraphs: 48, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, batch := range append([][]graph.WeightedEdge{load}, cycle[:len(cycle)/2]...) {
+		if err := vc.UpdateBatch(batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return vc
+}
+
 // BenchmarkCheckpointRead times the restart path: codec.Open reconstructs
 // the sketch from the frame alone (header verification, params decode,
-// construction, state merge). skeleton-n64 restores an ingested k-skeleton;
-// empty-n16384 restores an empty spanning sketch, the hybrid inner's
-// common case, where every sampler stays absent and the cost is the
-// construction itself; hybrid-n16384 restores a budget-32 hybrid over the
-// power-law graph gsbench's hybrid-sparse workload starts from, which
-// spills the hubs.
+// construction, state merge), streaming it from a bytes.Reader as from a
+// file. skeleton-n64 restores an ingested k-skeleton; empty-n16384
+// restores an empty spanning sketch, the hybrid inner's common case, where
+// every sampler stays absent and the cost is the construction itself;
+// vconn-n64 restores BenchmarkCheckpointWrite's vertexconn, the rung under
+// gsbench vconn-dense's restore_ms; hybrid-n16384 restores a budget-32
+// hybrid over the power-law graph gsbench's hybrid-sparse workload starts
+// from, which spills the hubs, the rung under hybrid-sparse's. B/op shows
+// the frame streaming through a reused window instead of being copied
+// whole first.
 func BenchmarkCheckpointRead(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
@@ -580,7 +592,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		s    graphsketch.Checkpointer
-	}{{"skeleton-n64", sk}, {"empty-n16384", empty}, {"hybrid-n16384", powerLawHybrid(b)}} {
+	}{{"skeleton-n64", sk}, {"empty-n16384", empty}, {"vconn-n64", denseVertexConn(b)}, {"hybrid-n16384", powerLawHybrid(b)}} {
 		var buf bytes.Buffer
 		if _, err := c.s.WriteTo(&buf); err != nil {
 			b.Fatal(err)
@@ -588,6 +600,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 		frame := buf.Bytes()
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := codec.Open(bytes.NewReader(frame)); err != nil {
 					b.Fatal(err)

@@ -5,12 +5,16 @@ package graphsketch_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
+	"testing/iotest"
 
+	"graphsketch"
 	"graphsketch/internal/codec"
 	"graphsketch/internal/plan"
 	"graphsketch/internal/stream"
@@ -94,12 +98,41 @@ func TestCheckpointOpenParamsSentinels(t *testing.T) {
 	}
 }
 
+// streamed returns a reader of frame that hides its length and returns
+// short reads, as a file or a socket might: codec.Open streams it through
+// its refilled window, with no length to check the header against.
+func streamed(frame []byte) io.Reader {
+	return struct{ io.Reader }{iotest.HalfReader(bytes.NewReader(frame))}
+}
+
+// openReaders are the two ways a frame reaches codec.Open's stream: from a
+// bytes.Reader, which reports its length, and through streamed.
+var openReaders = []struct {
+	name string
+	of   func(frame []byte) io.Reader
+}{
+	{"sized", func(frame []byte) io.Reader { return bytes.NewReader(frame) }},
+	{"streamed", streamed},
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestCheckpointOpenBoundsAllocation: a frame whose params declare a
 // structure larger than its state can hold, or a sampler shape past the
 // caps, fails typed before the opener builds it. Each tag's frame is an
 // empty sketch's, its state exactly the empty state, with one dimension
 // inflated; each open must allocate under 1 MiB, although building what
-// the params declare would take megabytes.
+// the params declare would take megabytes. So must a real vconn-n64 frame
+// cut right after its params but declaring its full state, which fails
+// ErrTruncated: from a reader without a length, Fit holds the build to
+// the bytes that arrive. Every case runs from both openReaders.
 func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 	frames := openFrames(t, 0)
 	inflate := func(i, word int, v uint64) []byte {
@@ -124,33 +157,127 @@ func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 		}
 		return checkpointFrame(tag, params, state)
 	}
+	// cut keeps a frame's header, params length and params, which still
+	// declare the whole state.
+	cut := func(frame []byte) []byte {
+		return frame[:24+4+binary.LittleEndian.Uint32(frame[24:])]
+	}
 	cases := []struct {
 		name  string
 		frame []byte
+		want  error
 	}{
-		{"spanning/n", inflate(0, 0, 1<<16)},
-		{"skeleton/k", inflate(1, 2, 1<<12)},
-		{"edgeconn/max_levels", inflate(2, 7, 1<<12)},
-		{"vertexconn/subgraphs", inflate(3, 3, 1<<10)},
-		{"vertexconn/k-and-subgraphs", sparseSubgraphs()},
-		{"estimator/kmax", estimator()},
-		{"reconstruct/rows", inflate(5, 5, 1<<12)},
-		{"sparsify/levels", inflate(6, 3, 1<<8)},
-		{"hybrid/inner-rounds", inflate(7, 4, 1<<12)}, // budget, tag, n, r, rounds
+		{"spanning/n", inflate(0, 0, 1<<16), nil},
+		{"skeleton/k", inflate(1, 2, 1<<12), nil},
+		{"edgeconn/max_levels", inflate(2, 7, 1<<12), nil},
+		{"vertexconn/subgraphs", inflate(3, 3, 1<<10), nil},
+		{"vertexconn/k-and-subgraphs", sparseSubgraphs(), nil},
+		{"estimator/kmax", estimator(), nil},
+		{"reconstruct/rows", inflate(5, 5, 1<<12), nil},
+		{"sparsify/levels", inflate(6, 3, 1<<8), nil},
+		{"hybrid/inner-rounds", inflate(7, 4, 1<<12), nil}, // budget, tag, n, r, rounds
+		{"vconn-n64/cut-after-params", cut(frametest.Of(t, denseVertexConn(t))), codec.ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := codec.Open(bytes.NewReader(tc.frame))
-			runtime.ReadMemStats(&after)
-			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("%d-byte frame: %v after %d bytes allocated", len(tc.frame), err, alloc)
-			if !codec.IsDecodeError(err) {
-				t.Errorf("got %v, want a typed decode error", err)
+			for _, rd := range openReaders {
+				t.Run(rd.name, func(t *testing.T) {
+					var err error
+					alloc := allocated(func() { _, err = codec.Open(rd.of(tc.frame)) })
+					t.Logf("%d-byte frame: %v after %d bytes allocated", len(tc.frame), err, alloc)
+					if !codec.IsDecodeError(err) || tc.want != nil && !errors.Is(err, tc.want) {
+						t.Errorf("got %v, want a typed decode error (%v)", err, tc.want)
+					}
+					if alloc >= 1<<20 {
+						t.Errorf("Open allocated %d bytes for a %d-byte frame, want < 1 MiB", alloc, len(tc.frame))
+					}
+				})
 			}
-			if alloc >= 1<<20 {
-				t.Errorf("Open allocated %d bytes for a %d-byte frame, want < 1 MiB", alloc, len(tc.frame))
+		})
+	}
+}
+
+// TestCheckpointOpenAllocation pins the streamed restore: opening the
+// ~48 MB vconn-n64 frame allocates at most 1.25× its bytes (the sketch it
+// builds is about the frame's size), from a bytes.Reader and from a reader
+// without a length alike, where reading the whole frame first took 2.1×.
+// The restored sketch checkpoints back to the same frame.
+func TestCheckpointOpenAllocation(t *testing.T) {
+	frame := frametest.Of(t, denseVertexConn(t))
+	want := sha256.Sum256(frame)
+	for _, rd := range openReaders {
+		t.Run(rd.name, func(t *testing.T) {
+			var s graphsketch.Sketch
+			var err error
+			runtime.GC()
+			alloc := allocated(func() { s, err = codec.Open(rd.of(frame)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratio := float64(alloc) / float64(len(frame))
+			t.Logf("Open allocated %.3f× its %d-byte frame", ratio, len(frame))
+			if ratio > 1.25 {
+				t.Errorf("Open allocated %.2f× its %d-byte frame, want <= 1.25×", ratio, len(frame))
+			}
+			h := sha256.New()
+			if _, err := s.(io.WriterTo).WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
+				t.Error("the restored sketch checkpoints to a different frame")
+			}
+		})
+	}
+}
+
+// TestCheckpointOpenStreamRejects: from either reader, a frame whose last
+// CRC byte is flipped fails ErrChecksum, one that ends a byte early fails
+// ErrTruncated, and one whose state a byte flipped turned malformed fails
+// typed, for every registered opener.
+func TestCheckpointOpenStreamRejects(t *testing.T) {
+	for i, frame := range openFrames(t, 20) {
+		flipped := bytes.Clone(frame)
+		flipped[len(flipped)-1] ^= 1
+		for _, rd := range openReaders {
+			t.Run(checkpointCases[i].name+"/"+rd.name, func(t *testing.T) {
+				if _, err := codec.Open(rd.of(flipped)); !errors.Is(err, codec.ErrChecksum) {
+					t.Errorf("flipped CRC: got %v, want ErrChecksum", err)
+				}
+				if _, err := codec.Open(rd.of(frame[:len(frame)-1])); !errors.Is(err, codec.ErrTruncated) {
+					t.Errorf("short frame: got %v, want ErrTruncated", err)
+				}
+				for _, at := range []int{len(frame) / 2, len(frame) - 5} {
+					bad := bytes.Clone(frame)
+					bad[at] ^= 0x80
+					if _, err := codec.Open(rd.of(bad)); !codec.IsDecodeError(err) {
+						t.Errorf("byte %d flipped: got %v, want a typed decode error", at, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointOpenReadsOneFrame: Open reads exactly its frame and
+// nothing past it, so from a reader holding two checkpoint frames back to
+// back the second still opens, and each restores its own sketch.
+func TestCheckpointOpenReadsOneFrame(t *testing.T) {
+	frames := openFrames(t, 20)
+	first, second := frames[0], frames[len(frames)-1]
+	for _, rd := range openReaders {
+		t.Run(rd.name, func(t *testing.T) {
+			r := rd.of(append(bytes.Clone(first), second...))
+			for _, want := range [][]byte{first, second} {
+				s, err := codec.Open(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(frametest.Of(t, s), want) {
+					t.Fatal("a frame restored a different sketch")
+				}
+			}
+			if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("after both frames: read %d bytes, %v; want EOF", n, err)
 			}
 		})
 	}
@@ -193,13 +320,21 @@ func FuzzCheckpointOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := refingerprint(bytes.Clone(data))
 		s, err := codec.Open(bytes.NewReader(frame))
-		if err != nil {
-			if !codec.IsDecodeError(err) {
-				t.Fatalf("untyped error: %v", err)
-			}
-			return
+		if err != nil && !codec.IsDecodeError(err) {
+			t.Fatalf("untyped error: %v", err)
 		}
-		frametest.Of(t, s)
+		// The refill path, short reads from a reader without a length,
+		// must come to the same outcome.
+		ss, serr := codec.Open(streamed(frame))
+		if serr != nil && !codec.IsDecodeError(serr) {
+			t.Fatalf("streamed: untyped error: %v", serr)
+		}
+		switch {
+		case (err == nil) != (serr == nil):
+			t.Fatalf("bytes.Reader: %v; streamed: %v", err, serr)
+		case err == nil && !bytes.Equal(frametest.Of(t, s), frametest.Of(t, ss)):
+			t.Fatal("the two reads restored different sketches")
+		}
 	})
 }
 

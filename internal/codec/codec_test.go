@@ -224,7 +224,11 @@ func TestReadCheckpointIdentity(t *testing.T) {
 	frame := checkpointFrame(TagSkeleton, params, []byte("skeleton-state"))
 
 	var state []byte
-	n, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, fp, func(b []byte) error { state = b; return nil })
+	n, err := ReadCheckpoint(bytes.NewReader(frame), TagSkeleton, fp, func(sr *StateReader) error {
+		state, _ = sr.Next(sr.Len())
+		sr.Discard(len(state))
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("ReadCheckpoint: %v", err)
 	}
@@ -550,5 +554,73 @@ func TestCheckpointWriterFailure(t *testing.T) {
 		if calls*1024 > k+flushAt+1024 {
 			t.Fatalf("failing after %d bytes: %d appends ran, past the failure", k, calls)
 		}
+	}
+}
+
+// TestStateReaderStreams serves a checkpoint's state through windows of
+// varying length from a reader that returns short reads and hides its
+// length: every window holds what was asked for, the bytes come through
+// in order, the buffer grows only to twice the longest window, and the
+// CRC checks out after the last byte.
+func TestStateReaderStreams(t *testing.T) {
+	state := make([]byte, 3<<20)
+	for i := range state {
+		state[i] = byte(i * 7 / 5)
+	}
+	params := AppendUint64s(nil, 1, 2)
+	frame := checkpointFrame(TagSpanning, params, state)
+	sr, err := readState(struct{ io.Reader }{iotest.HalfReader(bytes.NewReader(frame))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := sr.params(); err != nil || !bytes.Equal(p, params) {
+		t.Fatalf("params %v, %v; want %v", p, err, params)
+	}
+	longest := 0
+	for got, k := 0, 1; sr.Len() > 0; k = k*3 + 1 {
+		n := k % (1 << 20)
+		longest = max(longest, n)
+		w, err := sr.Next(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w) < min(n, sr.Len()) {
+			t.Fatalf("asked for %d bytes, got a %d-byte window", n, len(w))
+		}
+		n = min(n, len(w))
+		if !bytes.Equal(w[:n], state[got:got+n]) {
+			t.Fatalf("window at %d differs", got)
+		}
+		sr.Discard(n)
+		got += n
+	}
+	if c := cap(sr.buf); c > max(2*longest, readAt) {
+		t.Errorf("buffer grew to %d bytes for windows of at most %d", c, longest)
+	}
+	if err := sr.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if sr.n != int64(len(frame)) {
+		t.Fatalf("read %d bytes of a %d-byte frame", sr.n, len(frame))
+	}
+}
+
+// TestOpenLyingLengthBoundedAllocation: a header declaring the largest
+// accepted payload, then 100 bytes, from a reader that cannot report its
+// length, fails ErrTruncated having allocated memory for the bytes that
+// arrived (and one first window), not for the declared length.
+func TestOpenLyingLengthBoundedAllocation(t *testing.T) {
+	h := checkpointFrame(TagSpanning, AppendUint64s(nil, 8), nil)[:headerLen]
+	binary.LittleEndian.PutUint64(h[16:], maxSanePayload)
+	in := append(h, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(iotest.OneByteReader(bytes.NewReader(in)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying length: got %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("lying length allocated %d bytes, want <= 1 MiB", got)
 	}
 }

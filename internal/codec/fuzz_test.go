@@ -91,7 +91,7 @@ func FuzzCodecDecode(f *testing.F) {
 		if _, _, _, err := DecodeShareFrame(data, TagSkeleton, 12345, 16); err != nil && !IsDecodeError(err) {
 			t.Fatalf("DecodeShareFrame: untyped error %v", err)
 		}
-		if _, err := ReadCheckpoint(bytes.NewReader(data), TagSpanning, 67890, func([]byte) error { return nil }); err != nil && !IsDecodeError(err) {
+		if _, err := ReadCheckpoint(bytes.NewReader(data), TagSpanning, 67890, func(*StateReader) error { return nil }); err != nil && !IsDecodeError(err) {
 			t.Fatalf("ReadCheckpoint: untyped error %v", err)
 		}
 	})

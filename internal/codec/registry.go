@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,17 +13,19 @@ import (
 )
 
 // Opener reconstructs a sketch from a checkpoint frame's params encoding
-// and restores the frame's state into it. Each sketch package registers one
-// per tag in an init function, backed by the same unexported state decoder
-// as its ReadFrom, so raw state never crosses a package boundary; the
-// registry is what lets Open rebuild a sketch from a checkpoint frame alone
-// without this package importing (and cycling with) the sketch packages.
+// and restores the frame's state, which state serves, into it. Each sketch
+// package registers one per tag in an init function, backed by the same
+// state merge as its ReadFrom, so raw state never crosses a package
+// boundary; the registry is what lets Open rebuild a sketch from a
+// checkpoint frame alone without this package importing (and cycling
+// with) the sketch packages.
 //
-// params and state may be windows into the caller's buffer (ReadFrameBytes
-// reads a *bytes.Buffer in place), which the caller is free to overwrite
-// once Open returns: an opener, like every ReadFrom, must copy whatever it
-// keeps.
-type Opener func(params, state []byte) (graphsketch.Sketch, error)
+// An opener reads its params, asks state to buffer the bytes that back
+// what the params declare before it builds anything (sketch.Fit), and
+// then merges the state, which it must consume exactly. Its windows are
+// views of the frame or of a reused buffer: an opener, like every
+// ReadFrom, must copy whatever it keeps.
+type Opener func(params []byte, state *StateReader) (graphsketch.Sketch, error)
 
 var (
 	regMu   sync.RWMutex
@@ -97,82 +100,111 @@ func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, writeSt
 	return n, err
 }
 
-// readCheckpoint reads a checkpoint frame from r and splits its payload
-// into params and state, verifying that the header fingerprint commits to
-// the params. Rejections are counted.
-func readCheckpoint(r io.Reader) (h Header, params, state []byte, n int64, err error) {
-	defer func() { cdm.reject(err) }()
-	h, payload, n, err := ReadFrame(r)
-	if err != nil {
-		return h, nil, nil, n, err
-	}
-	if h.Kind != KindCheckpoint {
-		return h, nil, nil, n, fmt.Errorf("codec: expected a checkpoint frame, got kind %d: %w", h.Kind, ErrUnknownType)
-	}
-	if len(payload) < 4 {
-		return h, nil, nil, n, fmt.Errorf("codec: checkpoint payload of %d bytes: %w", len(payload), ErrTruncated)
-	}
-	plen := binary.LittleEndian.Uint32(payload)
-	if uint64(len(payload)-4) < uint64(plen) {
-		return h, nil, nil, n, fmt.Errorf("codec: params length %d exceeds payload: %w", plen, ErrTruncated)
-	}
-	params, state = payload[4:4+plen], payload[4+plen:]
-	if Fingerprint(h.Tag, params) != h.Fingerprint {
-		return h, nil, nil, n, fmt.Errorf("codec: header fingerprint does not match embedded params: %w", ErrFingerprint)
-	}
-	return h, params, state, n, nil
-}
-
 // ReadCheckpoint reads a checkpoint frame from r for a receiver whose
 // identity is (wantTag, wantFP), verifies the frame matches, and hands its
 // state to add: the typed replacement for "restore onto an
 // identically-built instance and hope". It backs every sketch's ReadFrom,
 // as WriteCheckpoint backs every WriteTo, and returns add's error as is.
-func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state []byte) error) (int64, error) {
+// The frame is read whole and verified, CRC included, before add sees the
+// state, which it serves in place (StateReader.Verified): a merge into a
+// live sketch can check all of it before changing anything.
+func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state *StateReader) error) (int64, error) {
 	start := time.Now()
-	h, _, state, n, err := readCheckpoint(r)
-	if err != nil {
-		return n, err
+	h, frame, n, err := ReadFrameBytes(r)
+	if err == nil {
+		state := memState(h, frame)
+		if _, err = state.params(); err == nil && (h.Tag != wantTag || h.Fingerprint != wantFP) {
+			err = fmt.Errorf("codec: frame is %v/%016x, receiver is %v/%016x: %w",
+				h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
+		}
+		if err == nil {
+			cdm.ckptReads.Inc()
+			cdm.ckptReadBytes.Add(n)
+			cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
+			return n, add(state)
+		}
 	}
-	if h.Tag != wantTag || h.Fingerprint != wantFP {
-		err = fmt.Errorf("codec: frame is %v/%016x, receiver is %v/%016x: %w",
-			h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
-		cdm.reject(err)
-		return n, err
-	}
-	cdm.ckptReads.Inc()
-	cdm.ckptReadBytes.Add(n)
-	cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
-	return n, add(state)
+	cdm.reject(err)
+	return n, err
 }
 
 // Open reads one checkpoint frame from r, reconstructs the sketch it
 // describes and restores its state via the registered opener, and returns
 // the live sketch. This is the from-cold restore path: nothing about the
 // sketch needs to be known in advance — the frame is self-describing.
+//
+// From a *bytes.Buffer or a Verified buffer the frame is verified where it
+// lies and its state served in place. From any other reader it streams:
+// the opener merges the state as it arrives, through one reused buffer
+// (StateReader), and the CRC is compared after the last state byte. Open
+// reads exactly one frame from r, and nothing past it.
+//
 // Every failure is a decode error (IsDecodeError): an opener's own error
 // that is not one — params its constructor rejects, a state its structure
 // cannot parse — is wrapped as ErrUnknownType, the cause kept in the chain.
+// Whatever the opener made of the frame, a frame that ends early fails
+// ErrTruncated and a corrupt one ErrChecksum, and a failed Open returns no
+// sketch, so a partly restored one never escapes.
 func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	start := time.Now()
-	h, params, state, n, err := readCheckpoint(r)
+	defer func() { cdm.reject(err) }()
+	state, err := readState(r)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { cdm.reject(err) }()
-	open := opener(h.Tag)
-	if open == nil {
-		return nil, fmt.Errorf("codec: no decoder registered for %v: %w", h.Tag, ErrUnknownType)
+	s, err = state.open()
+	if ferr := state.finish(); ferr != nil {
+		err = ferr
 	}
-	if s, err = open(params, state); err != nil {
+	if err != nil {
+		return nil, err
+	}
+	cdm.ckptReads.Inc()
+	cdm.ckptReadBytes.Add(state.n)
+	cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
+	return s, nil
+}
+
+// readState begins reading one frame from r: a buffer's frame verified
+// whole where it lies, any other reader's streamed from its header on.
+func readState(r io.Reader) (*StateReader, error) {
+	switch r.(type) {
+	case *bytes.Buffer, Verified:
+		h, frame, _, err := ReadFrameBytes(r)
+		if err != nil {
+			return nil, err
+		}
+		return memState(h, frame), nil
+	}
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("codec: reading header: %w", ErrTruncated)
+	}
+	size, err := frameSize(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	return streamState(r, hdr[:], size)
+}
+
+// open takes the checkpoint's params and restores the sketch they describe
+// through its tag's opener.
+func (sr *StateReader) open() (graphsketch.Sketch, error) {
+	params, err := sr.params()
+	if err != nil {
+		return nil, err
+	}
+	open := opener(sr.h.Tag)
+	if open == nil {
+		return nil, fmt.Errorf("codec: no decoder registered for %v: %w", sr.h.Tag, ErrUnknownType)
+	}
+	s, err := open(params, sr)
+	if err != nil {
 		if !IsDecodeError(err) {
 			err = fmt.Errorf("%w: %w", ErrUnknownType, err)
 		}
-		return nil, fmt.Errorf("codec: opening %v: %w", h.Tag, err)
+		return nil, fmt.Errorf("codec: opening %v: %w", sr.h.Tag, err)
 	}
-	cdm.ckptReads.Inc()
-	cdm.ckptReadBytes.Add(n)
-	cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
 	return s, nil
 }
 

@@ -52,7 +52,7 @@ func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 func init() {
-	codec.Register(codec.TagEdgeConn, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagEdgeConn, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
 		if err := sketch.Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {

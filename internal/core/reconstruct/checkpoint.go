@@ -70,7 +70,7 @@ func (b *BeckerSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 func init() {
-	codec.Register(codec.TagReconstr, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagReconstr, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
 		if err := sketch.Fit(pr, state, p.Spanning, p.N, p.K+1, p.N*(p.K+1)); err != nil {

@@ -49,7 +49,7 @@ func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 func init() {
-	codec.Register(codec.TagSparsify, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSparsify, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Levels: pr.Int("levels"),
 			Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}

@@ -92,7 +92,7 @@ func scaleParams(n, r, k, subgraphs int, seed uint64) Params {
 // fit is sketch.Fit for sketches over one n and config, a subgraph member
 // being a sampler a round on the wire. Members are counted once the
 // subgraphs fit, and only until they pass what the state holds.
-func fit(pr *codec.ParamReader, state []byte, ps ...Params) error {
+func fit(pr *codec.ParamReader, state *codec.StateReader, ps ...Params) error {
 	subgraphs, members := 0, 0
 	for _, p := range ps {
 		subgraphs += p.Subgraphs
@@ -103,14 +103,14 @@ func fit(pr *codec.ParamReader, state []byte, ps ...Params) error {
 	}
 	for _, p := range ps {
 		if p.K >= 1 {
-			eachMember(p, func(int, int) bool { members++; return members <= len(state) })
+			eachMember(p, func(int, int) bool { members++; return members <= state.Len() })
 		}
 	}
 	return sketch.Fit(pr, state, cfg, n, subgraphs, members)
 }
 
 func init() {
-	codec.Register(codec.TagVertexConn, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagVertexConn, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		p := Params{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Subgraphs: pr.Int("subgraphs"),
 			Spanning: sketch.ReadWireConfig(pr), Seed: pr.Uint64()}
@@ -123,7 +123,7 @@ func init() {
 		}
 		return s, sketch.Shares{Sharer: s}.Add(state)
 	})
-	codec.Register(codec.TagEstimator, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagEstimator, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		n, r, kmax, seed := pr.Int("n"), pr.Int("r"), pr.Int("kmax"), pr.Uint64()
 		// Scales are the powers of two up to and including the first ≥ KMax;

@@ -368,6 +368,28 @@ func TestDisconnectsQuery(t *testing.T) {
 	}
 }
 
+// TestDisconnectsQueryDropIncident checks the drop-semantics query, which
+// unions the hyperedges S misses in place, against its definition: delete
+// S's hyperedges (RemoveVertices) and ask whether the survivors are
+// connected. Random hypergraphs and removal sets of every size.
+func TestDisconnectsQueryDropIncident(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 4))
+	for trial := 0; trial < 300; trial++ {
+		h := randomHypergraph(rng, 9, 3, 4+rng.IntN(12))
+		s := map[int]bool{}
+		for v := 0; v < 9; v++ {
+			if rng.IntN(4) == 0 {
+				s[v] = true
+			}
+		}
+		keep := func(v int) bool { return !s[v] }
+		want := len(s) < 8 && !ConnectedOn(h.RemoveVertices(func(v int) bool { return s[v] }, graph.DropIncident), keep)
+		if got := DisconnectsQueryMode(h, s, graph.DropIncident); got != want {
+			t.Fatalf("trial %d: removing %v from %v: got %v, want %v", trial, s, h, got, want)
+		}
+	}
+}
+
 func TestWeakAndLightEdges(t *testing.T) {
 	// Two triangles joined by a bridge. λ_e of the bridge is 1; triangle
 	// edges have λ_e = 2 until the bridge is gone, and stay 2 after (each

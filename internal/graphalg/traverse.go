@@ -27,9 +27,14 @@ func Connected(h *graph.Hypergraph) bool {
 // lie in a single component of h (hyperedges are used in full; callers who
 // want to exclude vertices should RemoveVertices first).
 func ConnectedOn(h *graph.Hypergraph, include func(v int) bool) bool {
-	d := ComponentsOf(h)
+	return oneComponent(ComponentsOf(h), h.N(), include)
+}
+
+// oneComponent reports whether the vertices of [0, n) for which include
+// returns true lie in one set of d.
+func oneComponent(d *DSU, n int, include func(v int) bool) bool {
 	root := -1
-	for v := 0; v < h.N(); v++ {
+	for v := 0; v < n; v++ {
 		if !include(v) {
 			continue
 		}

@@ -102,8 +102,26 @@ func DisconnectsQueryMode(h *graph.Hypergraph, s map[int]bool, mode graph.Vertex
 	if remaining <= 1 {
 		return false
 	}
-	reduced := h.RemoveVertices(func(v int) bool { return s[v] }, mode)
-	return !ConnectedOn(reduced, func(v int) bool { return !s[v] })
+	keep := func(v int) bool { return !s[v] }
+	if mode == graph.DropIncident {
+		// Deleting S drops every hyperedge that touches S, so the
+		// remaining vertices' components are those of the hyperedges S
+		// misses: union them in place instead of building h − S, which
+		// clones every kept hyperedge into a new map for each query.
+		d := NewDSU(h.N())
+		h.EachEdge(func(e graph.Hyperedge) {
+			for _, v := range e {
+				if s[v] {
+					return
+				}
+			}
+			for i := 1; i < len(e); i++ {
+				d.Union(e[0], e[i])
+			}
+		})
+		return !oneComponent(d, h.N(), keep)
+	}
+	return !ConnectedOn(h.RemoveVertices(func(v int) bool { return s[v] }, mode), keep)
 }
 
 // IsKVertexConnected reports whether κ(h) ≥ k.

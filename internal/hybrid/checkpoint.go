@@ -150,7 +150,7 @@ func (p *exactPart) split(src []byte) (pairs []byte, spilled bool, rest []byte, 
 }
 
 func init() {
-	codec.Register(codec.TagHybrid, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagHybrid, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		pr := codec.ReadParams(params)
 		budget := pr.Int("budget")
 		pr.Check(budget >= 2, "budget", budget) // words: one entry takes two

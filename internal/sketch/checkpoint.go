@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"graphsketch"
 	"graphsketch/internal/codec"
@@ -148,18 +149,27 @@ func ReadWireConfig(p *codec.ParamReader) SpanningConfig {
 // allocPerByte bytes a state byte beyond allocSlack: profile shapes take
 // under 1 KiB, vertexconn about 32·K + 2 KiB·K/n. Sketches are checked
 // first, so a samplers product that overflowed is never read.
-func Fit(pr *codec.ParamReader, state []byte, cfg SpanningConfig, n, sketches, samplers int) error {
+//
+// The bound holds on bytes actually delivered, not on the length the frame
+// declares: Fit has state buffer the bytes it needs, and a stream that
+// ends first fails ErrTruncated. So a declared length that lies, from a
+// reader that cannot report its length, still cannot make an opener
+// allocate much.
+func Fit(pr *codec.ParamReader, state *codec.StateReader, cfg SpanningConfig, n, sketches, samplers int) error {
 	if err := pr.Done(); err != nil {
 		return err
 	}
 	rounds := float64(cfg.withDefaults(n).Rounds)
-	if rounds*float64(sketches)*float64(32*n+cfg.Sampler.SharedBytes()) > float64(allocPerByte*len(state)+allocSlack) {
-		return fmt.Errorf("sketch: params declare more than the %d-byte state backs: %w", len(state), codec.ErrTruncated)
+	build := math.Ceil((rounds*float64(sketches)*float64(32*n+cfg.Sampler.SharedBytes()) - allocSlack) / allocPerByte)
+	if build > float64(state.Len()) {
+		return fmt.Errorf("sketch: params declare more than the %d-byte state backs: %w", state.Len(), codec.ErrTruncated)
 	}
-	if rounds*float64(samplers) > float64(len(state)) {
-		return fmt.Errorf("sketch: params declare an empty state longer than the %d-byte state: %w", len(state), codec.ErrTruncated)
+	empty := rounds * float64(samplers)
+	if empty > float64(state.Len()) {
+		return fmt.Errorf("sketch: params declare an empty state longer than the %d-byte state: %w", state.Len(), codec.ErrTruncated)
 	}
-	return nil
+	_, err := state.Next(int(max(build, empty)))
+	return err
 }
 
 const (
@@ -194,7 +204,7 @@ func AppendInner(dst []byte, in Inner) []byte {
 // OpenInner reads the identity AppendInner wrote from pr, which it must
 // end, and builds that sketch empty once Fit finds the wrapper's state
 // backs it.
-func OpenInner(pr *codec.ParamReader, state []byte) (Inner, error) {
+func OpenInner(pr *codec.ParamReader, state *codec.StateReader) (Inner, error) {
 	switch tag := pr.Uint64(); tag {
 	case uint64(codec.TagSpanning):
 		return openSpanning(pr, state)
@@ -207,7 +217,7 @@ func OpenInner(pr *codec.ParamReader, state []byte) (Inner, error) {
 }
 
 // openSpanning builds the empty spanning sketch whose params pr reads.
-func openSpanning(pr *codec.ParamReader, state []byte) (*SpanningSketch, error) {
+func openSpanning(pr *codec.ParamReader, state *codec.StateReader) (*SpanningSketch, error) {
 	n, r, cfg, seed := pr.Int("n"), pr.Int("r"), ReadWireConfig(pr), pr.Uint64()
 	if err := Fit(pr, state, cfg, n, 1, n); err != nil {
 		return nil, err
@@ -216,7 +226,7 @@ func openSpanning(pr *codec.ParamReader, state []byte) (*SpanningSketch, error) 
 }
 
 // openSkeleton builds the empty skeleton sketch whose params pr reads.
-func openSkeleton(pr *codec.ParamReader, state []byte) (*SkeletonSketch, error) {
+func openSkeleton(pr *codec.ParamReader, state *codec.StateReader) (*SkeletonSketch, error) {
 	p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
 	if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
 		return nil, err
@@ -225,14 +235,14 @@ func openSkeleton(pr *codec.ParamReader, state []byte) (*SkeletonSketch, error) 
 }
 
 func init() {
-	codec.Register(codec.TagSpanning, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSpanning, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		s, err := openSpanning(codec.ReadParams(params), state)
 		if err != nil {
 			return nil, err
 		}
 		return s, Shares{s}.Add(state)
 	})
-	codec.Register(codec.TagSkeleton, func(params, state []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSkeleton, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		s, err := openSkeleton(codec.ReadParams(params), state)
 		if err != nil {
 			return nil, err

@@ -61,10 +61,11 @@ func ShareSize(s Sharer, v int) int { return Parts(s.ShareParts(nil, v)).Size() 
 // as codec frames, which verify the identity fingerprint first.
 func AddShare(s Sharer, v int, share []byte) error {
 	ps := Parts(s.ShareParts(nil, v))
-	if err := noTrailing(ps.Walk(share, SharePart.CheckBinary)); err != nil {
+	rest, err := ps.Walk(share, SharePart.CheckBinary)
+	if err = noTrailing(err, len(rest)); err != nil {
 		return err
 	}
-	_, err := ps.Walk(share, SharePart.AddBinary)
+	_, err = ps.Walk(share, SharePart.AddBinary)
 	return err
 }
 
@@ -139,28 +140,74 @@ func (s Shares) each(f func(ps Parts)) {
 	}
 }
 
-// Add merges a state (linearly), which it must consume exactly. On a
-// freshly constructed structure this is an exact restore; on a non-empty
-// one it adds the two streams' contents, which is itself meaningful by
-// linearity. The whole state is validated before the first merge, so a
-// rejected state leaves the structure as it was.
-func (s Shares) Add(b []byte) error {
-	if err := s.walk(b, SharePart.CheckBinary); err != nil {
-		return err
-	}
-	return s.walk(b, SharePart.AddBinary)
+// Add merges a state (linearly) from state, which it must consume
+// exactly. On a freshly constructed structure this is an exact restore; on
+// a non-empty one it adds the two streams' contents, which is itself
+// meaningful by linearity. The shares are merged one at a time, each
+// checked first in the window state serves, which grows to the largest
+// share. A Verified state, ReadFrom's, is checked whole before the first
+// merge, so a rejected one leaves the structure as it was; a streamed one
+// can leave it partly merged, and codec.Open then drops it.
+func (s Shares) Add(state *codec.StateReader) error {
+	return addState(state, func(state *codec.StateReader, merge bool) error {
+		return s.merge(state, state.Len(), merge)
+	})
 }
 
-// walk applies op to every share in vertex order, which must consume b
-// exactly.
-func (s Shares) walk(b []byte, op PartOp) error {
+// addState runs add over state, with merge set; over a Verified state it
+// first runs it with merge unset, on a copy that leaves state unread, so
+// that nothing changes unless the whole state checks out.
+func addState(state *codec.StateReader, add func(state *codec.StateReader, merge bool) error) error {
+	if state.Verified() {
+		dry := *state
+		if err := add(&dry, false); err != nil {
+			return err
+		}
+	}
+	return add(state, true)
+}
+
+// merge merges the next size bytes of state, which must be s's shares in
+// vertex order, a share at a time; with merge unset it only checks them.
+func (s Shares) merge(state *codec.StateReader, size int, merge bool) error {
 	var err error
 	s.each(func(ps Parts) {
 		if err == nil {
-			b, err = ps.Walk(b, op)
+			size, err = mergeShare(ps, state, size, merge)
 		}
 	})
-	return noTrailing(b, err)
+	if err != nil {
+		return err
+	}
+	return noTrailing(nil, size)
+}
+
+// mergeShare checks the share of parts ps at the front of state's window,
+// reading on while the share runs past the window but not past the size
+// bytes left, then merges it unless merge is unset, consumes it, and
+// returns the bytes left.
+func mergeShare(ps Parts, state *codec.StateReader, size int, merge bool) (int, error) {
+	for want := 0; ; {
+		w, err := state.Next(want)
+		if err != nil {
+			return 0, err
+		}
+		w = w[:min(len(w), size)]
+		rest, err := ps.Walk(w, SharePart.CheckBinary)
+		if err != nil && len(w) < size && (errors.Is(err, recovery.ErrShortBuffer) || errors.Is(err, codec.ErrTruncated)) {
+			want = len(w) + 1
+			continue
+		}
+		if err == nil && merge {
+			_, err = ps.Walk(w, SharePart.AddBinary)
+		}
+		if err != nil {
+			return 0, err
+		}
+		n := len(w) - len(rest)
+		state.Discard(n)
+		return size - n, nil
+	}
 }
 
 // Stack is the full state of independent vertex-sharded sketches kept side
@@ -186,37 +233,34 @@ func (st Stack) WriteCheckpoint(w io.Writer, tag codec.Tag, params []byte) (int6
 	})
 }
 
-// Add merges a state (linearly), which it must consume exactly. Like
-// Shares.Add it validates the whole state first.
-func (st Stack) Add(b []byte) error {
-	if err := st.walk(b, SharePart.CheckBinary); err != nil {
-		return err
-	}
-	return st.walk(b, SharePart.AddBinary)
+// Add merges a state (linearly) from state, which it must consume
+// exactly, as Shares.Add does: each member's length, then its shares.
+func (st Stack) Add(state *codec.StateReader) error {
+	return addState(state, func(state *codec.StateReader, merge bool) error {
+		for _, s := range st {
+			w, err := state.Next(8)
+			if err != nil {
+				return err
+			}
+			if len(w) < 8 {
+				return recovery.ErrShortBuffer
+			}
+			n := binary.BigEndian.Uint64(w)
+			if state.Discard(8); uint64(state.Len()) < n {
+				return recovery.ErrShortBuffer
+			}
+			if err := (Shares{s}).merge(state, int(n), merge); err != nil {
+				return err
+			}
+		}
+		return noTrailing(nil, state.Len())
+	})
 }
 
-// walk applies op to every member's Shares in order, which must consume b
-// exactly.
-func (st Stack) walk(b []byte, op PartOp) error {
-	for _, s := range st {
-		if len(b) < 8 {
-			return recovery.ErrShortBuffer
-		}
-		n := binary.BigEndian.Uint64(b)
-		if b = b[8:]; uint64(len(b)) < n {
-			return recovery.ErrShortBuffer
-		}
-		if err := (Shares{s}).walk(b[:n], op); err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	return noTrailing(b, nil)
-}
-
-// noTrailing requires a merge to have consumed its input exactly.
-func noTrailing(rest []byte, err error) error {
-	if err == nil && len(rest) != 0 {
+// noTrailing requires a merge to have consumed its input exactly: left
+// bytes remain.
+func noTrailing(err error, left int) error {
+	if err == nil && left != 0 {
 		return ErrShare
 	}
 	return err

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
 )
 
@@ -18,6 +19,21 @@ func stateOf(s Sharer) []byte {
 		b = AppendShare(s, b, v)
 	}
 	return b
+}
+
+// addBytes merges a raw state into s as ReadFrom does: from a verified
+// checkpoint frame, through Shares.Add.
+func addBytes(s Sharer, state []byte) error {
+	params := codec.AppendUint64s(nil, 1)
+	var frame bytes.Buffer
+	if _, err := codec.WriteCheckpoint(&frame, codec.TagSpanning, params, len(state), func(fw *codec.FrameWriter) error {
+		_, err := fw.Write(state)
+		return err
+	}); err != nil {
+		return err
+	}
+	_, err := codec.ReadCheckpoint(&frame, codec.TagSpanning, codec.Fingerprint(codec.TagSpanning, params), Shares{s}.Add)
+	return err
 }
 
 func TestSpanningStateRoundTrip(t *testing.T) {
@@ -32,7 +48,7 @@ func TestSpanningStateRoundTrip(t *testing.T) {
 
 	// Restore into a fresh sketch and continue streaming.
 	b := NewSpanning(seed, h.Domain(), SpanningConfig{})
-	if err := (Shares{b}).Add(state); err != nil {
+	if err := addBytes(b, state); err != nil {
 		t.Fatal(err)
 	}
 	extra := graph.MustEdge(0, 19)
@@ -70,10 +86,10 @@ func TestSpanningStateMergesTwoStreams(t *testing.T) {
 		}
 	}
 	agg := NewSpanning(seed, h.Domain(), SpanningConfig{})
-	if err := (Shares{agg}).Add(stateOf(m1)); err != nil {
+	if err := addBytes(agg, stateOf(m1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Shares{agg}).Add(stateOf(m2)); err != nil {
+	if err := addBytes(agg, stateOf(m2)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := agg.Decode(nil)
@@ -97,7 +113,7 @@ func TestSkeletonStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
-	if err := (Shares{b}).Add(stateOf(a)); err != nil {
+	if err := addBytes(b, stateOf(a)); err != nil {
 		t.Fatal(err)
 	}
 	sa, errA := a.Decode(nil)
@@ -121,10 +137,10 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 		t.Fatalf("state of %d bytes, sizes says %d", len(state), size)
 	}
 	b := NewSpanning(1, dom, SpanningConfig{})
-	if err := (Shares{b}).Add(state[:len(state)-3]); err == nil {
+	if err := addBytes(b, state[:len(state)-3]); err == nil {
 		t.Fatal("truncated state accepted")
 	}
-	if err := (Shares{b}).Add(append(state, 0xff)); err == nil {
+	if err := addBytes(b, append(state, 0xff)); err == nil {
 		t.Fatal("over-long state accepted")
 	}
 }
