@@ -92,13 +92,15 @@ codec-check:
 	$(GO) test -run '^$$' -fuzz FuzzHybridUnmarshal -fuzztime 10s -fuzzminimizetime 100x ./internal/hybrid/
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s -fuzzminimizetime 100x ./internal/stream/
 
-# Race-enabled run of the concurrency-sensitive packages plus the obs
-# endpoint smoke test — the fast loop CI runs on every push (race over the
-# whole module is the `race` target). The doc-drift test fails when a
-# registered metric family or /debug/* endpoint is missing from the
-# IMPLEMENTATION.md observability tables.
+# Race-enabled run of the packages that bind metrics or start spans from
+# several goroutines — the skeleton peel and the parallel vertexconn H
+# build start child spans concurrently — plus the obs endpoint smoke test;
+# the fast loop CI runs on every push (race over the whole module is the
+# `race` target). The doc-drift test fails when a registered metric family
+# or /debug/* endpoint is missing from the IMPLEMENTATION.md observability
+# tables.
 obs-check:
-	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/oracle/ ./internal/hybrid/
+	$(GO) test -race ./internal/obs/ ./internal/sketch/ ./internal/core/vertexconn/ ./internal/oracle/ ./internal/hybrid/
 	$(GO) test -run 'TestObsEndpointSmoke|TestObsDocDrift' ./cmd/experiments/
 
 # Cluster gate: the shard-plane suite under the race detector — wire

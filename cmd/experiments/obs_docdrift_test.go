@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	_ "graphsketch/internal/engine"
 	"graphsketch/internal/obs"
 	_ "graphsketch/internal/oracle"
 	"graphsketch/internal/shardplane"
@@ -17,8 +16,8 @@ import (
 // every metric family registered by an OnEnable hook and every /debug/*
 // endpoint the handler mounts must be documented, and every family the
 // metric table lists must be registered, so a row cannot outlive its code.
-// The experiments binary plus the engine and oracle imports above cover
-// every instrumented package, so enabling collection here binds the
+// The experiments binary plus the oracle import above cover every
+// instrumented package, so enabling collection here binds the
 // complete family set; the per-shard families register when a transport
 // starts, so the test starts one. Run via `make obs-check`.
 func TestObsDocDrift(t *testing.T) {

@@ -3,31 +3,35 @@
 // buried in nested literals are flagged.
 package app
 
-import "gsvettest/obs"
+import (
+	"log/slog"
 
-var hist *obs.Histogram
+	"gsvettest/obs"
+)
+
+var kind = obs.NewSpanKind("app.span", "")
 
 // good: the canonical shape — defer directly after the start.
 func deferred() {
-	sp := obs.StartSpan("good", hist)
+	sp := obs.StartSpan(kind)
 	defer sp.End()
 	work()
 }
 
 // good: child span deferred, success attributes via SetAttrs.
 func deferredChild(parent *obs.Span) error {
-	sp := parent.Child("good.child", nil)
-	defer sp.End("k", 1)
+	sp := parent.Child(kind)
+	defer sp.End(slog.Int("k", 1))
 	if err := fail(); err != nil {
 		return err
 	}
-	sp.SetAttrs("edges", 7)
+	sp.SetAttrs(slog.Int("edges", 7))
 	return nil
 }
 
 // good: End inside a deferred function literal still runs at exit.
 func deferredLiteral() {
-	sp := obs.StartSpan("good.lit", hist)
+	sp := obs.StartSpan(kind)
 	defer func() {
 		sp.End()
 	}()
@@ -36,7 +40,7 @@ func deferredLiteral() {
 
 // bad: End only on the success path — an early return drops the span.
 func successOnly() error {
-	sp := obs.StartSpan("bad.success", hist) // want `span sp from StartSpan has no same-function`
+	sp := obs.StartSpan(kind) // want `span sp from StartSpan has no same-function`
 	if err := fail(); err != nil {
 		return err
 	}
@@ -46,7 +50,7 @@ func successOnly() error {
 
 // bad: no End at all.
 func neverEnded(parent *obs.Span) {
-	sp := parent.Child("bad.leak", nil) // want `span sp from Child has no same-function`
+	sp := parent.Child(kind) // want `span sp from Child has no same-function`
 	work()
 	_ = sp
 }
@@ -54,7 +58,7 @@ func neverEnded(parent *obs.Span) {
 // bad: the defer lives in a nested literal that is never deferred — it
 // runs at the literal's exit (or never), not the starter's.
 func nestedDefer() {
-	sp := obs.StartSpan("bad.nested", hist) // want `span sp from StartSpan has no same-function`
+	sp := obs.StartSpan(kind) // want `span sp from StartSpan has no same-function`
 	cleanup := func() {
 		defer sp.End()
 	}
@@ -63,14 +67,14 @@ func nestedDefer() {
 
 // bad: a discarded span can never be ended.
 func discarded(parent *obs.Span) {
-	parent.Child("bad.discard", nil) // want `Child result discarded`
+	parent.Child(kind) // want `Child result discarded`
 	work()
 }
 
 // good: a literal's own span deferred inside the same literal.
 func literalOwn() {
 	fn := func() {
-		sp := obs.StartSpan("good.literal", hist)
+		sp := obs.StartSpan(kind)
 		defer sp.End()
 		work()
 	}
@@ -80,7 +84,7 @@ func literalOwn() {
 // good: suppressed with a documented reason.
 func suppressed() {
 	//lint:ignore spanend span intentionally handed to a background goroutine that ends it
-	sp := obs.StartSpan("ignored", hist)
+	sp := obs.StartSpan(kind)
 	go func() { sp.End() }()
 }
 

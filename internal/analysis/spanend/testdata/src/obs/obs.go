@@ -2,14 +2,18 @@
 // span surface; the analyzer matches it by import-path suffix.
 package obs
 
-type Histogram struct{}
+import "log/slog"
+
+type SpanKind struct{}
+
+func NewSpanKind(name, help string) *SpanKind { return &SpanKind{} }
 
 type Span struct{}
 
-func StartSpan(name string, hist *Histogram) *Span { return nil }
+func StartSpan(k *SpanKind) *Span { return nil }
 
-func (sp *Span) Child(name string, hist *Histogram) *Span { return nil }
+func (sp *Span) Child(k *SpanKind) *Span { return nil }
 
-func (sp *Span) SetAttrs(attrs ...any) {}
+func (sp *Span) SetAttrs(attrs ...slog.Attr) {}
 
-func (sp *Span) End(attrs ...any) int64 { return 0 }
+func (sp *Span) End(attrs ...slog.Attr) int64 { return 0 }

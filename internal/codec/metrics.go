@@ -8,15 +8,17 @@ import (
 // collection is enabled, and every obs method is a no-op on a nil receiver,
 // so disabled call sites cost one branch.
 type codecMetrics struct {
-	ckptWrites       *obs.Counter
-	ckptWriteBytes   *obs.Counter
-	ckptWriteSeconds *obs.Histogram
-	ckptReads        *obs.Counter
-	ckptReadBytes    *obs.Counter
-	ckptReadSeconds  *obs.Histogram
-	shareFrames      *obs.Counter
-	rejections       *obs.Counter
+	ckptWriteBytes *obs.Counter
+	ckptReadBytes  *obs.Counter
+	shareFrames    *obs.Counter
+	rejections     *obs.Counter
 }
+
+// The checkpoint spans time every write and read, failed ones included.
+var (
+	writeSpan = obs.NewSpanKind("codec.checkpoint_write", "Latency of writing one checkpoint frame.")
+	readSpan  = obs.NewSpanKind("codec.checkpoint_read", "Latency of reading and restoring one checkpoint frame.")
+)
 
 // reject records a decode rejection (any typed sentinel path): the counter
 // feeds /metrics, and the flight-recorder event keeps the rejected frame's
@@ -32,18 +34,10 @@ var cdm codecMetrics
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
-		cdm.ckptWrites = r.Counter("codec_checkpoint_writes_total",
-			"Checkpoint frames written.")
 		cdm.ckptWriteBytes = r.Counter("codec_checkpoint_write_bytes_total",
 			"Bytes written in checkpoint frames, envelope included.")
-		cdm.ckptWriteSeconds = r.Histogram("codec_checkpoint_write_seconds",
-			"Latency of writing one checkpoint frame.", nil)
-		cdm.ckptReads = r.Counter("codec_checkpoint_reads_total",
-			"Checkpoint frames read and verified.")
 		cdm.ckptReadBytes = r.Counter("codec_checkpoint_read_bytes_total",
 			"Bytes read in checkpoint frames, envelope included.")
-		cdm.ckptReadSeconds = r.Histogram("codec_checkpoint_read_seconds",
-			"Latency of reading and restoring one checkpoint frame.", nil)
 		cdm.shareFrames = r.Counter("codec_share_frames_total",
 			"Vertex share frames encoded.")
 		cdm.rejections = r.Counter("codec_decode_rejections_total",

@@ -7,9 +7,9 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"graphsketch"
+	"graphsketch/internal/obs"
 )
 
 // Opener reconstructs a sketch from a checkpoint frame's params encoding
@@ -83,7 +83,8 @@ func CheckpointSize(params []byte, stateSize int) int {
 // and a short state gets no CRC. A w.Write error is returned with the
 // bytes w accepted, leaving the receiver a truncated frame.
 func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, writeState func(fw *FrameWriter) error) (int64, error) {
-	start := time.Now()
+	sp := obs.StartSpan(writeSpan)
+	defer sp.End()
 	fw := newFrameWriter(w, Header{Kind: KindCheckpoint, Tag: tag, Fingerprint: Fingerprint(tag, params)},
 		CheckpointSize(params, stateSize))
 	fw.buf = binary.LittleEndian.AppendUint32(fw.buf, uint32(len(params)))
@@ -93,9 +94,7 @@ func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, writeSt
 	}
 	n, err := fw.finish()
 	if err == nil {
-		cdm.ckptWrites.Inc()
 		cdm.ckptWriteBytes.Add(n)
-		cdm.ckptWriteSeconds.Observe(time.Since(start).Seconds())
 	}
 	return n, err
 }
@@ -109,7 +108,8 @@ func WriteCheckpoint(w io.Writer, tag Tag, params []byte, stateSize int, writeSt
 // state, which it serves in place (StateReader.Verified): a merge into a
 // live sketch can check all of it before changing anything.
 func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state *StateReader) error) (int64, error) {
-	start := time.Now()
+	sp := obs.StartSpan(readSpan)
+	defer sp.End()
 	h, frame, n, err := ReadFrameBytes(r)
 	if err == nil {
 		state := memState(h, frame)
@@ -118,9 +118,7 @@ func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state *Sta
 				h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)
 		}
 		if err == nil {
-			cdm.ckptReads.Inc()
 			cdm.ckptReadBytes.Add(n)
-			cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
 			return n, add(state)
 		}
 	}
@@ -146,7 +144,8 @@ func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64, add func(state *Sta
 // ErrTruncated and a corrupt one ErrChecksum, and a failed Open returns no
 // sketch, so a partly restored one never escapes.
 func Open(r io.Reader) (s graphsketch.Sketch, err error) {
-	start := time.Now()
+	sp := obs.StartSpan(readSpan)
+	defer sp.End()
 	defer func() { cdm.reject(err) }()
 	state, err := readState(r)
 	if err != nil {
@@ -159,9 +158,7 @@ func Open(r io.Reader) (s graphsketch.Sketch, err error) {
 	if err != nil {
 		return nil, err
 	}
-	cdm.ckptReads.Inc()
 	cdm.ckptReadBytes.Add(state.n)
-	cdm.ckptReadSeconds.Observe(time.Since(start).Seconds())
 	return s, nil
 }
 

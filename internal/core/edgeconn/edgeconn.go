@@ -16,6 +16,7 @@ package edgeconn
 
 import (
 	"fmt"
+	"log/slog"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
@@ -102,8 +103,8 @@ func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error 
 // under parent (nil starts a fresh trace); a cache hit opens no span.
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded == nil {
-		sp := parent.Child("edgeconn.skeleton", em.skelSpan)
-		defer sp.End("k", s.skeleton.K())
+		sp := parent.Child(skeletonSpan)
+		defer sp.End(slog.Int("k", s.skeleton.K()))
 		skel, err := s.skeleton.Decode(sp)
 		if err != nil {
 			return nil, err

@@ -2,16 +2,7 @@ package edgeconn
 
 import "graphsketch/internal/obs"
 
-// Skeleton-decode latency on cache misses (cache hits are free and not
-// recorded, so the histogram reflects actual decode work).
-var em struct {
-	skelSpan *obs.Histogram // edgeconn_skeleton_decode_seconds
-}
-
-func init() {
-	obs.OnEnable(func(r *obs.Registry) {
-		em.skelSpan = r.Histogram("edgeconn_skeleton_decode_seconds",
-			"Edge-connectivity k-skeleton decode latency (cache misses)",
-			obs.LatencyBuckets())
-	})
-}
+// skeletonSpan times skeleton decodes on cache misses (cache hits are free
+// and open no span, so the histogram reflects actual decode work).
+var skeletonSpan = obs.NewSpanKind("edgeconn.skeleton",
+	"Edge-connectivity k-skeleton decode latency (cache misses)")

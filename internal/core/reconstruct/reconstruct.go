@@ -18,6 +18,7 @@ package reconstruct
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
@@ -133,8 +134,8 @@ var _ graphsketch.Sharded = (*Sketch)(nil)
 // a fresh trace): each round's skeleton decode becomes a child subtree of
 // the light_edges span.
 func (s *Sketch) LightEdges(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	sp := parent.Child("reconstruct.light_edges", rm.lightSpan)
-	defer sp.End("k", s.k)
+	sp := parent.Child(lightEdgesSpan)
+	defer sp.End(slog.Int("k", s.k))
 	dom := s.skeleton.Domain()
 	light := graph.MustHypergraph(dom.N(), dom.R())
 	work := s.skeleton.Clone()
@@ -151,7 +152,7 @@ func (s *Sketch) LightEdges(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hyp
 		weak := graphalg.WeakEdges(skel, int64(s.k))
 		if len(weak) == 0 {
 			rm.peelRounds.Observe(float64(round))
-			sp.SetAttrs("rounds", round)
+			sp.SetAttrs(slog.Int("rounds", round))
 			return light, nil
 		}
 		peeled := graph.MustHypergraph(dom.N(), dom.R())

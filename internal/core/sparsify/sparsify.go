@@ -19,6 +19,7 @@ package sparsify
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/bits"
 
@@ -138,14 +139,16 @@ func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
 // peeling — the sampling depth was insufficient (increase Levels).
 var ErrResidual = errors.New("sparsify: residual edges beyond the deepest level")
 
+var decodeSpan = obs.NewSpanKind("sparsify.decode", "Weighted sparsifier decode latency, every level's light-edge peel included")
+
 // Decode decodes the weighted sparsifier Σ 2^i·F_i, with the decode
 // trace hung under parent (nil starts a fresh trace): each level's
 // light-edge peel becomes a child subtree of the sparsify.decode span.
 // Every returned edge is a true edge of G with weight 2^i for the level i
 // at which it was peeled.
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	sp := parent.Child("sparsify.decode", nil)
-	defer sp.End("levels", s.p.Levels, "n", s.p.N)
+	sp := parent.Child(decodeSpan)
+	defer sp.End(slog.Int("levels", s.p.Levels), slog.Int("n", s.p.N))
 	out := graph.MustHypergraph(s.p.N, s.p.R) // weighted union
 	cum := graph.MustHypergraph(s.p.N, s.p.R) // F_0 ∪ … ∪ F_{i-1}, unit weights
 	for i := 0; i <= s.p.Levels; i++ {

@@ -7,15 +7,14 @@ import "graphsketch/internal/obs"
 // witnesses, so a steady nonzero rate erodes the union bound long before
 // Decode starts erroring).
 var vm struct {
-	buildSpan *obs.Histogram // vertexconn_buildh_seconds
-	failures  *obs.Counter   // vertexconn_forest_failures_total
+	failures *obs.Counter // vertexconn_forest_failures_total
 }
+
+var buildHSpan = obs.NewSpanKind("vertexconn.build_h",
+	"H build (union of R spanning forests) decode latency")
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
-		vm.buildSpan = r.Histogram("vertexconn_buildh_seconds",
-			"H build (union of R spanning forests) decode latency",
-			obs.LatencyBuckets())
 		vm.failures = r.Counter("vertexconn_forest_failures_total",
 			"Tolerated per-subgraph spanning-forest decode failures in the H build")
 	})

@@ -25,6 +25,7 @@ package vertexconn
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/bits"
 	"sort"
@@ -232,8 +233,8 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded != nil {
 		return s.decoded, nil
 	}
-	sp := parent.Child("vertexconn.build_h", vm.buildSpan)
-	defer sp.End("subgraphs", len(s.sketches))
+	sp := parent.Child(buildHSpan)
+	defer sp.End(slog.Int("subgraphs", len(s.sketches)))
 	forests := make([]*graph.Hypergraph, len(s.sketches))
 	errs := make([]error, len(s.sketches))
 	// Each forest decode reads only its own sketch; fan out across CPUs
@@ -266,7 +267,7 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 		}
 	}
 	s.decoded = h
-	sp.SetAttrs("failures", failures)
+	sp.SetAttrs(slog.Int("failures", failures))
 	return h, nil
 }
 

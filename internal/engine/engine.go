@@ -95,17 +95,7 @@ func (e *Engine) Workers() int { return e.tr.Shards() }
 // is returned. Concurrent calls are applied one batch at a time; after
 // Close every call returns ErrClosed.
 func (e *Engine) UpdateBatch(batch []graph.WeightedEdge) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := e.tr.Route(batch); err != nil {
-		return err
-	}
-	if em.batches != nil {
-		em.batches.Inc()
-		em.updates.Add(int64(len(batch)))
-	}
-	return nil
+	return e.tr.Route(batch)
 }
 
 // Update applies a single weighted update through the plane, so the

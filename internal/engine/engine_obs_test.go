@@ -7,7 +7,6 @@ import (
 
 	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
-	"graphsketch/internal/obs"
 	"graphsketch/internal/sketch"
 )
 
@@ -95,45 +94,5 @@ func TestUpdateBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("UpdateBatch allocates %.1f objects per run; want 0", allocs)
-	}
-}
-
-// TestEngineCounters checks the policy-layer families the engine still
-// owns after the shard routing (and its skew metrics) moved to
-// internal/shardplane: batch and update counters advance per successful
-// UpdateBatch. The per-shard skew pair is covered by the shardplane tests.
-func TestEngineCounters(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-
-	const n = 16
-	sp, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(sp, engine.Options{Workers: 4})
-	defer eng.Close()
-
-	r := obs.Default()
-	batchesBefore := r.Counter("engine_batches_total", "").Value()
-	updatesBefore := r.Counter("engine_updates_total", "").Value()
-
-	var batch []graph.WeightedEdge
-	for v := 1; v < n; v++ {
-		batch = append(batch, graph.WeightedEdge{E: graph.MustEdge(0, v), W: 1})
-	}
-	const reps = 5
-	for i := 0; i < reps; i++ {
-		if err := eng.UpdateBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got := r.Counter("engine_batches_total", "").Value() - batchesBefore; got != reps {
-		t.Errorf("engine_batches_total advanced by %d, want %d", got, reps)
-	}
-	want := int64(reps * len(batch))
-	if got := r.Counter("engine_updates_total", "").Value() - updatesBefore; got != want {
-		t.Errorf("engine_updates_total advanced by %d, want %d", got, want)
 	}
 }

@@ -130,9 +130,3 @@ func LightEdges(h *graph.Hypergraph, k int64) *graph.Hypergraph {
 		}
 	}
 }
-
-// LocalEdgeConnectivity returns λ(u, v): the minimum total weight of
-// hyperedges whose removal disconnects u from v, capped at limit.
-func LocalEdgeConnectivity(h *graph.Hypergraph, u, v int, limit int64) int64 {
-	return STEdgeCut(h, u, v, limit)
-}

@@ -60,9 +60,6 @@ func (f *EppsteinFilter) Delete(u, v int) error {
 	return f.kept.AddEdge(e, -1)
 }
 
-// Certificate returns the stored subgraph.
-func (f *EppsteinFilter) Certificate() *graph.Hypergraph { return f.kept.Clone() }
-
 // EdgesStored returns the number of stored edges. Eppstein et al. prove the
 // insert-only bound: at most k·n edges survive the filter.
 func (f *EppsteinFilter) EdgesStored() int { return f.kept.EdgeCount() }

@@ -124,11 +124,6 @@ func DisconnectsQueryMode(h *graph.Hypergraph, s map[int]bool, mode graph.Vertex
 	return !ConnectedOn(h.RemoveVertices(func(v int) bool { return s[v] }, mode), keep)
 }
 
-// IsKVertexConnected reports whether κ(h) ≥ k.
-func IsKVertexConnected(h *graph.Hypergraph, k int64) bool {
-	return VertexConnectivity(h, k) >= k
-}
-
 // VertexConnectivityDrop computes the exact vertex connectivity of a
 // hypergraph under DropIncident semantics — deleting a vertex removes
 // every hyperedge touching it — by exhaustive search over removal sets.

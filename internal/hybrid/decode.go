@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"log/slog"
 	"slices"
 
 	"graphsketch/internal/graph"
@@ -62,7 +63,7 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 // spanningGraph is Decode over a spanning inner sp.
 func (s *Sketch) spanningGraph(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	s.observeOccupancy()
-	span := parent.Child("hybrid.spanning_graph", hm.decodeSpan)
+	span := parent.Child(spanningSpan)
 	defer span.End()
 	n := s.dom.N()
 	forest := graph.MustHypergraph(n, s.dom.R())
@@ -84,7 +85,7 @@ func (s *Sketch) spanningGraph(parent *obs.Span, sp *sketch.SpanningSketch) (*gr
 	} else {
 		hm.mixedDecodes.Inc()
 	}
-	span.SetAttrs("spilled", len(spilled), "draws", draws)
+	span.SetAttrs(slog.Int("spilled", len(spilled)), slog.Int("draws", draws))
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,10 @@ var hm struct {
 	spilledVerts    *obs.Gauge     // hybrid_spilled_vertices
 	occupancy       *obs.Histogram // hybrid_buffer_occupancy
 	spillOccupancy  *obs.Histogram // hybrid_spill_occupancy
-	decodeSpan      *obs.Histogram // hybrid_mixed_decode_seconds
 }
+
+var spanningSpan = obs.NewSpanKind("hybrid.spanning_graph",
+	"Spanning decode latency: exact contraction plus any sampler rounds")
 
 // fractionBuckets covers [0, 1] occupancy ratios in eighths.
 func fractionBuckets() []float64 {
@@ -49,7 +51,5 @@ func init() {
 		hm.spillOccupancy = r.Histogram("hybrid_spill_occupancy",
 			"Exact-buffer fullness at the moment of spilling",
 			fractionBuckets())
-		hm.decodeSpan = r.Histogram("hybrid_mixed_decode_seconds",
-			"Spanning decode latency: exact contraction plus any sampler rounds", obs.LatencyBuckets())
 	})
 }

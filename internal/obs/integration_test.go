@@ -53,10 +53,8 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 	out := buf.String()
 
 	families := map[string]string{
-		"shardplane_route_latency_seconds":      "histogram",
+		"shardplane_route_seconds":              "histogram",
 		"shardplane_queue_wait_seconds":         "histogram",
-		"engine_batches_total":                  "counter",
-		"engine_updates_total":                  "counter",
 		"shardplane_shard_edges_total":          "counter",
 		"shardplane_shard_busy_seconds":         "gauge",
 		"stream_updates_total":                  "counter",
@@ -70,9 +68,10 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 		"recovery_ssparse_decode_failure_total": "counter",
 		"sketch_peel_rounds":                    "histogram",
 		"sketch_decode_failures_total":          "counter",
-		"sketch_spanning_decode_seconds":        "histogram",
+		"sketch_spanning_graph_seconds":         "histogram",
+		"sketch_peel_round_seconds":             "histogram",
 		"vertexconn_forest_failures_total":      "counter",
-		"edgeconn_skeleton_decode_seconds":      "histogram",
+		"edgeconn_skeleton_seconds":             "histogram",
 		"reconstruct_peel_rounds":               "histogram",
 		"commsim_messages_total":                "counter",
 	}
@@ -87,8 +86,8 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 	if v := r.Counter("shardplane_shard_edges_total", "", "shard", "0").Value(); v == 0 {
 		t.Error("shardplane_shard_edges_total{shard=\"0\"} did not advance")
 	}
-	if c := r.Histogram("shardplane_route_latency_seconds", "", nil).Count(); c == 0 {
-		t.Error("shardplane_route_latency_seconds recorded no batches")
+	if c := r.Histogram("shardplane_route_seconds", "", nil).Count(); c == 0 {
+		t.Error("shardplane_route_seconds recorded no batches")
 	}
 	if v := r.Counter("l0_sample_success_total", "").Value(); v == 0 {
 		t.Error("l0_sample_success_total did not advance during the decode")
@@ -99,13 +98,16 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 	if c := r.Histogram("sketch_peel_rounds", "", nil).Count(); c == 0 {
 		t.Error("sketch_peel_rounds recorded no decodes")
 	}
+	if c := r.Histogram("sketch_peel_round_seconds", "", nil).Count(); c == 0 {
+		t.Error("sketch_peel_round_seconds recorded no peel round")
+	}
 
 	// Histogram exposition shape: cumulative buckets ending at +Inf equal
 	// to _count.
-	if !strings.Contains(out, `shardplane_route_latency_seconds_bucket{le="+Inf"}`) {
+	if !strings.Contains(out, `shardplane_route_seconds_bucket{le="+Inf"}`) {
 		t.Error("route latency histogram missing +Inf bucket")
 	}
-	if !strings.Contains(out, "shardplane_route_latency_seconds_count") {
+	if !strings.Contains(out, "shardplane_route_seconds_count") {
 		t.Error("route latency histogram missing _count")
 	}
 }

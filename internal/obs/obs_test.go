@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -207,11 +208,11 @@ func TestSpanRecordsAndLogsSlow(t *testing.T) {
 	SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
 	defer SetLogger(nil)
 
-	r := NewRegistry()
-	h := r.Histogram("span_seconds", "", nil)
+	k := NewSpanKind("test.decode", "")
+	h := k.hist.Load()
 
 	SetSlowSpanThreshold(time.Hour)
-	sp := StartSpan("fast.decode", h)
+	sp := StartSpan(k)
 	if sp == nil {
 		t.Fatal("StartSpan must return a live span while enabled")
 	}
@@ -225,9 +226,52 @@ func TestSpanRecordsAndLogsSlow(t *testing.T) {
 
 	SetSlowSpanThreshold(0) // everything is slow
 	defer SetSlowSpanThreshold(250 * time.Millisecond)
-	StartSpan("slow.decode", h).End("layer", 3)
-	if !strings.Contains(logBuf.String(), "slow.decode") || !strings.Contains(logBuf.String(), "layer=3") {
+	StartSpan(k).End(slog.Int("layer", 3))
+	if !strings.Contains(logBuf.String(), "test.decode") || !strings.Contains(logBuf.String(), "layer=3") {
 		t.Fatalf("slow span not logged with attrs: %s", logBuf.String())
+	}
+}
+
+// TestSpanKindLifecycle checks the one-name contract of a span kind: its
+// histogram is registered as <name, dots to underscores>_seconds on Enable
+// (and at once for a kind declared while enabled), every End observes into
+// it, Disable unbinds it, and a disabled span costs no allocation even
+// with attributes whose values Go would box on the heap.
+func TestSpanKindLifecycle(t *testing.T) {
+	before := NewSpanKind("lifecycle.before_enable", "declared before Enable")
+	if before.hist.Load() != nil {
+		t.Fatal("a kind declared while disabled must have no histogram")
+	}
+	Enable()
+	defer Disable()
+	after := NewSpanKind("lifecycle.after_enable", "declared after Enable")
+	for _, k := range []*SpanKind{before, after} {
+		metric := strings.ReplaceAll(k.name, ".", "_") + "_seconds"
+		if !slices.Contains(Default().Families(), metric) {
+			t.Fatalf("kind %s did not register %s", k.name, metric)
+		}
+		StartSpan(k).End()
+		StartSpan(before).Child(k).End()
+		if got := Default().Histogram(metric, "", nil).Count(); got < 2 {
+			t.Fatalf("%s observed %d spans, want >= 2", metric, got)
+		}
+	}
+
+	Disable()
+	if before.hist.Load() != nil || after.hist.Load() != nil {
+		t.Fatal("Disable must unbind every kind's histogram")
+	}
+	if sp := StartSpan(before); sp != nil {
+		t.Fatal("StartSpan must return nil while disabled")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := StartSpan(before)
+		defer sp.End(slog.Int("updates", 1198))
+		sp.SetAttrs(slog.Int("n", 600), slog.String("peer", "shard-0"))
+		sp.Child(after).End(slog.Int("edges", 4096))
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled spans allocate %.1f objects per run; want 0", allocs)
 	}
 }
 
@@ -261,6 +305,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+var benchKind = NewSpanKind("bench", "")
+
 // BenchmarkDisabledHandles pins the nil fast path: every metric operation
 // on a disabled (nil) handle must be a single predicted branch — no clock
 // reads, no atomics, no allocation. A regression here taxes every hot loop
@@ -277,6 +323,6 @@ func BenchmarkDisabledHandles(b *testing.B) {
 		c.Add(3)
 		g.Set(1.5)
 		h.Observe(0.25)
-		_ = StartSpan("bench", h).End()
+		_ = StartSpan(benchKind).End()
 	}
 }

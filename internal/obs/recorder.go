@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,15 +128,28 @@ func attrVal(v any) any {
 	}
 }
 
+// spanAttrMap folds a span's attributes into a JSON-friendly map, like
+// attrMap.
+func spanAttrMap(attrs []slog.Attr) map[string]any {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		m[a.Key] = attrVal(a.Value.Any())
+	}
+	return m
+}
+
 func recordSpan(sp *Span, d time.Duration) {
 	rec := &SpanRecord{
 		Trace:  sp.trace,
 		Span:   sp.id,
 		Parent: sp.parent,
-		Name:   sp.name,
+		Name:   sp.kind.name,
 		Start:  sp.start,
 		DurNS:  int64(d),
-		Attrs:  attrMap(sp.attrs),
+		Attrs:  spanAttrMap(sp.attrs),
 	}
 	spanRing.Load().add(rec, func(r *SpanRecord, s uint64) { r.Seq = s })
 	emitSink(sinkLine{Kind: "span", Span: rec})

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -38,26 +40,49 @@ func init() {
 // logged as slow (default 250ms). Zero or negative logs every span.
 func SetSlowSpanThreshold(d time.Duration) { slowSpanNanos.Store(int64(d)) }
 
+// SpanKind is one traced layer: the span name and the latency histogram
+// every span of the kind feeds. A package declares each kind once, as a
+// package-level var, and starts spans with StartSpan(kind) or
+// parent.Child(kind). The histogram is registered by obs itself, under the
+// span name with dots turned to underscores plus "_seconds"
+// (vertexconn.build_h → vertexconn_build_h_seconds), so the trace and the
+// metric name one layer the same way.
+type SpanKind struct {
+	name string
+	hist atomic.Pointer[Histogram] // nil while disabled
+}
+
+// NewSpanKind declares a span kind. Its histogram is bound on every Enable
+// (at once when collection is already on) and unbound on Disable, like any
+// OnEnable hook's handles.
+func NewSpanKind(name, help string) *SpanKind {
+	k := &SpanKind{name: name}
+	metric := strings.ReplaceAll(name, ".", "_") + "_seconds"
+	OnEnable(func(r *Registry) { k.hist.Store(r.Histogram(metric, help, LatencyBuckets())) })
+	return k
+}
+
 // Span is a node in a trace tree. StartSpan mints a root (one per trace);
 // Child hangs descendants off it, so a skeleton decode yields
 // decode → layer → spanning_graph → peel_round with causal IDs intact.
 // A Span is nil when collection is disabled and every method is a nil-safe
 // no-op, so instrumented phases cost one predicted branch when off.
+// Attributes are slog.Attr values, which hold an int or a string without
+// boxing it, so building them for a nil span allocates nothing.
 //
 // Roots are sampled per SetTraceSampling; sampledness is inherited by the
 // whole tree. Sampled spans are pushed into the flight recorder ring (and
 // the JSONL sink, when set) at End. Unsampled spans still feed their
-// histogram and the slow-span log, so metrics stay complete even at low
-// sampling rates.
+// kind's histogram and the slow-span log, so metrics stay complete even at
+// low sampling rates.
 type Span struct {
-	name    string
+	kind    *SpanKind
 	start   time.Time
-	hist    *Histogram
 	trace   uint64 // trace ID; 0 when unsampled
 	id      uint64 // span ID within the process; 0 when unsampled
 	parent  uint64 // parent span ID; 0 for roots
 	sampled bool
-	attrs   []any // alternating key/value, see SetAttrs
+	attrs   []slog.Attr
 }
 
 var (
@@ -66,7 +91,7 @@ var (
 	sampleTick atomic.Uint64
 	// sampleEvery: 1 records every root span's tree (default), N>1 records
 	// one tree in N, 0 records none (histograms and slow-span logging keep
-	// working; trace-only child spans collapse to nil).
+	// working).
 	sampleEvery atomic.Int64
 )
 
@@ -84,14 +109,13 @@ func SetTraceSampling(everyN int) {
 	sampleEvery.Store(int64(everyN))
 }
 
-// StartSpan begins a root span, opening a new trace. hist, when non-nil,
-// receives the duration in seconds at End; pass nil for trace-only spans.
-// Returns nil (a no-op span) when collection is disabled.
-func StartSpan(name string, hist *Histogram) *Span {
+// StartSpan begins a root span of kind k, opening a new trace. Returns nil
+// (a no-op span) when collection is disabled.
+func StartSpan(k *SpanKind) *Span {
 	if !Enabled() {
 		return nil
 	}
-	sp := &Span{name: name, start: time.Now(), hist: hist}
+	sp := &Span{kind: k, start: time.Now()}
 	if n := sampleEvery.Load(); n > 0 && sampleTick.Add(1)%uint64(n) == 0 {
 		sp.sampled = true
 		sp.trace = traceIDs.Add(1)
@@ -100,55 +124,47 @@ func StartSpan(name string, hist *Histogram) *Span {
 	return sp
 }
 
-// Child begins a span under sp, inheriting its trace ID and sampledness.
-// On a nil receiver it falls back to StartSpan, so traced code paths can
-// accept an optional parent: a nil parent means "be a root" when enabled
-// and "stay off" when disabled. A trace-only child (nil hist) of an
-// unsampled parent returns nil outright — per-peel-round spans cost
-// nothing unless their tree is being recorded.
-func (sp *Span) Child(name string, hist *Histogram) *Span {
+// Child begins a span of kind k under sp, inheriting its trace ID and
+// sampledness. On a nil receiver it falls back to StartSpan, so traced
+// code paths can accept an optional parent: a nil parent means "be a root"
+// when enabled and "stay off" when disabled.
+func (sp *Span) Child(k *SpanKind) *Span {
 	if sp == nil {
-		return StartSpan(name, hist)
+		return StartSpan(k)
 	}
-	if !sp.sampled && hist == nil {
-		return nil
-	}
-	c := &Span{name: name, start: time.Now(), hist: hist,
-		trace: sp.trace, parent: sp.id, sampled: sp.sampled}
+	c := &Span{kind: k, start: time.Now(), trace: sp.trace, parent: sp.id, sampled: sp.sampled}
 	if c.sampled {
 		c.id = spanIDs.Add(1)
 	}
 	return c
 }
 
-// SetAttrs appends alternating key/value attributes to the span, to be
-// emitted at End. Use it when attributes are computed mid-span but End is
-// deferred (the spanend lint rule requires a same-function deferred End).
-func (sp *Span) SetAttrs(attrs ...any) {
+// SetAttrs appends attributes to the span, to be emitted at End. Use it
+// when attributes are computed mid-span but End is deferred (the spanend
+// lint rule requires a same-function deferred End).
+func (sp *Span) SetAttrs(attrs ...slog.Attr) {
 	if sp != nil {
 		sp.attrs = append(sp.attrs, attrs...)
 	}
 }
 
-// End finishes the span: it records the duration into the span's
+// End finishes the span: it records the duration into the kind's
 // histogram, logs the span at Warn level when it exceeded the slow-span
 // threshold, and — when the trace is sampled — appends a SpanRecord to
 // the flight recorder and the JSONL sink. Extra attrs are merged after
 // any set with SetAttrs. It returns the duration (0 on a nil span).
-func (sp *Span) End(attrs ...any) time.Duration {
+func (sp *Span) End(attrs ...slog.Attr) time.Duration {
 	if sp == nil {
 		return 0
 	}
 	d := time.Since(sp.start)
-	sp.hist.Observe(d.Seconds())
-	if len(attrs) > 0 {
-		sp.attrs = append(sp.attrs, attrs...)
-	}
+	sp.kind.hist.Load().Observe(d.Seconds())
+	sp.attrs = append(sp.attrs, attrs...)
 	if d >= time.Duration(slowSpanNanos.Load()) {
-		args := make([]any, 0, 4+len(sp.attrs))
-		args = append(args, "span", sp.name, "duration", d)
+		args := make([]slog.Attr, 0, 2+len(sp.attrs))
+		args = append(args, slog.String("span", sp.kind.name), slog.Duration("duration", d))
 		args = append(args, sp.attrs...)
-		Logger().Warn("slow span", args...)
+		Logger().LogAttrs(context.Background(), slog.LevelWarn, "slow span", args...)
 	}
 	if sp.sampled {
 		recordSpan(sp, d)

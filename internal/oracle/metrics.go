@@ -11,11 +11,12 @@ var om struct {
 	queries      *obs.Counter   // oracle_queries_total
 	hits         *obs.Counter   // oracle_cache_hits_total
 	misses       *obs.Counter   // oracle_cache_misses_total
-	rebuilds     *obs.Counter   // oracle_rebuilds_total
 	failures     *obs.Counter   // oracle_rebuild_failures_total
 	queryLatency *obs.Histogram // oracle_query_latency_seconds
-	rebuildSpan  *obs.Histogram // oracle_rebuild_seconds
 }
+
+var rebuildSpan = obs.NewSpanKind("oracle.rebuild",
+	"Wall time of one snapshot rebuild: decode plus DSU flattening")
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
@@ -25,14 +26,10 @@ func init() {
 			"Queries served lock-free from a current snapshot")
 		om.misses = r.Counter("oracle_cache_misses_total",
 			"Queries that found the snapshot missing or stale")
-		om.rebuilds = r.Counter("oracle_rebuilds_total",
-			"Snapshot rebuilds (decodes) actually executed")
 		om.failures = r.Counter("oracle_rebuild_failures_total",
 			"Snapshot rebuilds whose decode errored")
 		om.queryLatency = r.Histogram("oracle_query_latency_seconds",
 			"Wall time of one connectivity query, rebuild included on a miss",
 			obs.LatencyBuckets())
-		om.rebuildSpan = r.Histogram("oracle_rebuild_seconds",
-			"Wall time of one snapshot rebuild: decode plus DSU flattening", nil)
 	})
 }

@@ -42,6 +42,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,9 +177,8 @@ func (o *Oracle) snapshot() (*snapshot, error) {
 	// snapshot's tag is exactly the state it decoded.
 	epoch := o.epoch.Load()
 	o.rebuilds.Add(1)
-	om.rebuilds.Inc()
-	sp := obs.StartSpan("oracle.rebuild", om.rebuildSpan)
-	defer sp.End("n", o.cfg.N, "epoch", epoch)
+	sp := obs.StartSpan(rebuildSpan)
+	defer sp.End(slog.Int("n", o.cfg.N), slog.Uint64("epoch", epoch))
 	h, err := o.cfg.Decode(sp)
 	if err != nil {
 		o.failures.Add(1)
@@ -198,7 +198,7 @@ func (o *Oracle) snapshot() (*snapshot, error) {
 	}
 	s := &snapshot{epoch: epoch, comp: comp, comps: d.Components(), h: h}
 	o.snap.Store(s)
-	sp.SetAttrs("edges", h.EdgeCount())
+	sp.SetAttrs(slog.Int("edges", h.EdgeCount()))
 	return s, nil
 }
 

@@ -395,7 +395,6 @@ func TestOracleMetricsExported(t *testing.T) {
 		"oracle_queries_total",
 		"oracle_cache_hits_total",
 		"oracle_cache_misses_total",
-		"oracle_rebuilds_total",
 		"oracle_rebuild_failures_total",
 		"oracle_query_latency_seconds",
 		"oracle_rebuild_seconds",

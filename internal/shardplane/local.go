@@ -1,6 +1,7 @@
 package shardplane
 
 import (
+	"log/slog"
 	"runtime"
 	"sync"
 	"time"
@@ -111,11 +112,11 @@ func (t *LocalTransport) Route(batch []graph.WeightedEdge) error {
 	if t.closed {
 		return ErrClosed
 	}
-	// The whole fan-out is one route span (feeding the route-latency
-	// histogram); decode traces started elsewhere stay separate trees —
-	// ingest and decode are causally independent.
-	sp := obs.StartSpan("shardplane.route", spm.routeLatency)
-	defer sp.End("updates", len(batch), "shards", len(t.jobs))
+	// The whole fan-out is one route span; decode traces started
+	// elsewhere stay separate trees — ingest and decode are causally
+	// independent.
+	sp := obs.StartSpan(routeSpan)
+	defer sp.End(slog.Int("updates", len(batch)), slog.Int("shards", len(t.jobs)))
 	j := job{batch: batch}
 	if t.stats != nil {
 		j.enqueued = time.Now()

@@ -13,7 +13,6 @@ import (
 // transport's stats pointer first, so the disabled path never reads a
 // clock or touches an atomic.
 var spm struct {
-	routeLatency  *obs.Histogram // shardplane_route_latency_seconds
 	queueWait     *obs.Histogram // shardplane_queue_wait_seconds
 	txBytes       *obs.Counter   // shardplane_tcp_tx_bytes_total
 	rxBytes       *obs.Counter   // shardplane_tcp_rx_bytes_total
@@ -24,8 +23,6 @@ var spm struct {
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
-		spm.routeLatency = r.Histogram("shardplane_route_latency_seconds",
-			"Wall time of Route: dispatch to last shard applied", nil)
 		spm.queueWait = r.Histogram("shardplane_queue_wait_seconds",
 			"Time a routed job waited before its shard picked it up", nil)
 		spm.txBytes = r.Counter("shardplane_tcp_tx_bytes_total",
@@ -40,6 +37,12 @@ func init() {
 			"Gather frames rejected before merging (fingerprint or decode failure)")
 	})
 }
+
+var (
+	routeSpan   = obs.NewSpanKind("shardplane.route", "Wall time of Route: dispatch to last shard applied")
+	gatherSpan  = obs.NewSpanKind("shardplane.gather", "Wall time of Gather: pull and merge every shard's checkpoint")
+	sessionSpan = obs.NewSpanKind("shardplane.session", "Lifetime of one coordinator session at a shard server")
+)
 
 // shardStat is one shard's skew-detection pair: how many of the routed
 // edges the shard actually owned, and how long it spent applying them. A

@@ -3,6 +3,7 @@ package shardplane
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 
@@ -107,8 +108,8 @@ func writeAck(conn net.Conn, tag codec.Tag, fp uint64, aerr error) error {
 func (s *Server) session(conn net.Conn) {
 	defer s.done(conn)
 	defer conn.Close()
-	sp := obs.StartSpan("shardplane.session", nil)
-	defer sp.End("peer", conn.RemoteAddr().String())
+	sp := obs.StartSpan(sessionSpan)
+	defer sp.End(slog.String("peer", conn.RemoteAddr().String()))
 
 	h, payload, err := readFrame(conn)
 	if err != nil {
@@ -119,14 +120,14 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 	tag, fp := h.Tag, member.Fingerprint()
-	sp.SetAttrs("tag", tag.String(), "lo", lo, "hi", hi)
+	sp.SetAttrs(slog.String("tag", tag.String()), slog.Int("lo", lo), slog.Int("hi", hi))
 
 	var batch []graph.WeightedEdge
 	applied := 0
 	for {
 		h, payload, err := readFrame(conn)
 		if err != nil {
-			sp.SetAttrs("batches", applied)
+			sp.SetAttrs(slog.Int("batches", applied))
 			return // includes clean EOF: the coordinator hung up
 		}
 		switch h.Kind {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -133,8 +134,8 @@ func (t *TCPTransport) Route(batch []graph.WeightedEdge) error {
 	if t.closed {
 		return ErrClosed
 	}
-	sp := obs.StartSpan("shardplane.route", spm.routeLatency)
-	defer sp.End("updates", len(batch), "shards", len(t.shards))
+	sp := obs.StartSpan(routeSpan)
+	defer sp.End(slog.Int("updates", len(batch)), slog.Int("shards", len(t.shards)))
 	subs := t.rt.route(batch)
 	var wg sync.WaitGroup
 	for s := range t.shards {
@@ -200,8 +201,8 @@ func (t *TCPTransport) Gather(dst graphsketch.Sketch) error {
 	if t.closed {
 		return ErrClosed
 	}
-	sp := obs.StartSpan("shardplane.gather", nil)
-	defer sp.End("shards", len(t.shards))
+	sp := obs.StartSpan(gatherSpan)
+	defer sp.End(slog.Int("shards", len(t.shards)))
 	return t.pullAll(rf)
 }
 

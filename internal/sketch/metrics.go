@@ -9,9 +9,16 @@ import "graphsketch/internal/obs"
 var skm struct {
 	peelRounds *obs.Histogram // sketch_peel_rounds
 	failures   *obs.Counter   // sketch_decode_failures_total
-	spanSpan   *obs.Histogram // sketch_spanning_decode_seconds
-	skelSpan   *obs.Histogram // sketch_skeleton_decode_seconds
 }
+
+// The decode layers, outermost first; each span feeds its own latency
+// histogram (obs.NewSpanKind).
+var (
+	skeletonSpan      = obs.NewSpanKind("sketch.skeleton", "k-skeleton decode latency")
+	skeletonLayerSpan = obs.NewSpanKind("sketch.skeleton_layer", "Spanning decode of one peeled skeleton layer")
+	spanningSpan      = obs.NewSpanKind("sketch.spanning_graph", "Spanning-forest decode latency")
+	peelRoundSpan     = obs.NewSpanKind("sketch.peel_round", "One Boruvka round of a spanning-forest decode")
+)
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
@@ -20,9 +27,5 @@ func init() {
 			obs.CountBuckets(64))
 		skm.failures = r.Counter("sketch_decode_failures_total",
 			"Spanning-forest decodes that exhausted their rounds uncertified")
-		skm.spanSpan = r.Histogram("sketch_spanning_decode_seconds",
-			"Spanning-forest decode latency", obs.LatencyBuckets())
-		skm.skelSpan = r.Histogram("sketch_skeleton_decode_seconds",
-			"k-skeleton decode latency", obs.LatencyBuckets())
 	})
 }

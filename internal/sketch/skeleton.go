@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"log/slog"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
@@ -173,8 +174,8 @@ func (s *SkeletonSketch) Clone() *SkeletonSketch {
 // gets its own child span, under which its spanning decode and per-round
 // spans nest.
 func (s *SkeletonSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	sp := parent.Child("sketch.skeleton", skm.skelSpan)
-	defer sp.End("k", s.k, "n", s.dom.N())
+	sp := parent.Child(skeletonSpan)
+	defer sp.End(slog.Int("k", s.k), slog.Int("n", s.dom.N()))
 	skeleton := graph.MustHypergraph(s.dom.N(), s.dom.R())
 	// peeled holds every forest decoded so far, as unit deletions. Forests
 	// are edge-disjoint by construction (each layer spans the graph minus
@@ -213,8 +214,8 @@ func (s *SkeletonSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 // decodeLayer runs the spanning decode of one peeled layer under a
 // per-layer child span.
 func decodeLayer(parent *obs.Span, i int, work *SpanningSketch) (*graph.Hypergraph, error) {
-	lsp := parent.Child("sketch.skeleton_layer", nil)
-	defer lsp.End("layer", i)
+	lsp := parent.Child(skeletonLayerSpan)
+	defer lsp.End(slog.Int("layer", i))
 	return work.Decode(lsp)
 }
 

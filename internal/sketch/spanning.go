@@ -18,6 +18,7 @@ package sketch
 
 import (
 	"cmp"
+	"log/slog"
 	"math/bits"
 	"slices"
 
@@ -262,7 +263,7 @@ func (s *SpanningSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 // run over the members alone, and every other vertex is a singleton
 // component of the forest. The forest is the one Decode returns.
 func (s *SpanningSketch) DecodeMembers(parent *obs.Span, members []int) (*graph.Hypergraph, error) {
-	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
+	sp := parent.Child(spanningSpan)
 	defer sp.End()
 	n := s.dom.N()
 	forest := graph.MustHypergraph(n, s.dom.R())
@@ -309,7 +310,7 @@ func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hy
 		groups := b.activeGroups(d, verts)
 		if len(groups) <= 1 {
 			skm.peelRounds.Observe(float64(t))
-			sp.SetAttrs("n", s.dom.N(), "rounds", t)
+			sp.SetAttrs(slog.Int("n", s.dom.N()), slog.Int("rounds", t))
 			return draws, nil
 		}
 		draws += s.peelRound(sp, t, d, forest, verts, terms, groups, b)
@@ -327,7 +328,7 @@ func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hy
 		}
 	}
 	skm.peelRounds.Observe(float64(s.cfg.Rounds))
-	sp.SetAttrs("n", s.dom.N(), "rounds", s.cfg.Rounds)
+	sp.SetAttrs(slog.Int("n", s.dom.N()), slog.Int("rounds", s.cfg.Rounds))
 	return draws, nil
 }
 
@@ -382,11 +383,11 @@ func (b *boruvkaScratch) activeGroups(d *graphalg.DSU, verts []int) [][]int {
 
 // peelRound runs one Boruvka round: every live component samples a
 // hyperedge leaving it and components merge along the sampled edges.
-// Certified-empty cuts are marked done. The round gets its own trace-only
-// child span carrying the samplers-drawn / edges-recovered attributes. It
+// Certified-empty cuts are marked done. The round gets its own child span
+// carrying the samplers-drawn / edges-recovered attributes. It
 // returns the number of draws.
 func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, forest *graph.Hypergraph, verts []int, terms [][]CutTerm, groups [][]int, b *boruvkaScratch) int {
-	rsp := parent.Child("sketch.peel_round", nil)
+	rsp := parent.Child(peelRoundSpan)
 	defer rsp.End()
 	// Sampled keys are collected first and merged after every group has
 	// drawn, so a merge cannot change the cut another group samples.
@@ -426,7 +427,7 @@ func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, for
 			recovered++
 		}
 	}
-	rsp.SetAttrs("round", t, "draws", len(groups), "edges", recovered)
+	rsp.SetAttrs(slog.Int("round", t), slog.Int("draws", len(groups)), slog.Int("edges", recovered))
 	return len(groups)
 }
 
