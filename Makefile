@@ -94,13 +94,15 @@ codec-check:
 
 # Race-enabled run of the packages that bind metrics or start spans from
 # several goroutines — the skeleton peel and the parallel vertexconn H
-# build start child spans concurrently — plus the obs endpoint smoke test;
+# build start child spans concurrently, and the sketch, vertexconn and
+# edgeconn tests decode one sketch from two goroutines with obs enabled —
+# plus the obs endpoint smoke test;
 # the fast loop CI runs on every push (race over the whole module is the
 # `race` target). The doc-drift test fails when a registered metric family
 # or /debug/* endpoint is missing from the IMPLEMENTATION.md observability
 # tables.
 obs-check:
-	$(GO) test -race ./internal/obs/ ./internal/sketch/ ./internal/core/vertexconn/ ./internal/oracle/ ./internal/hybrid/
+	$(GO) test -race ./internal/obs/ ./internal/sketch/ ./internal/core/vertexconn/ ./internal/core/edgeconn/ ./internal/oracle/ ./internal/hybrid/
 	$(GO) test -run 'TestObsEndpointSmoke|TestObsDocDrift' ./cmd/experiments/
 
 # Cluster gate: the shard-plane suite under the race detector — wire

@@ -104,12 +104,9 @@ type Checkpointer interface {
 // per-vertex work: for each edge in the batch, exactly the endpoints v with
 // lo ≤ v < hi are updated. Applying a batch over a partition of [0, n)
 // must yield exactly the state of UpdateBatch over the whole batch,
-// regardless of which range runs first or concurrently.
-//
-// Contract for implementations: any state not owned by a single vertex
-// (e.g. a decoded-result cache) must be written only by the call whose range
-// contains vertex 0, so that a partition of [0, n) performs the write
-// exactly once and no two ranges race on it.
+// regardless of which range runs first or concurrently. An implementation's
+// state is per-vertex only: a range call writes nothing outside the shares
+// of its own vertices.
 type Sharded interface {
 	Sketch
 	// NumVertices returns n, the exclusive upper bound of the vertex space

@@ -1,14 +1,14 @@
 // Package epochguard enforces the reading discipline of cached decode
-// snapshots (PR 6's oracle layer and the per-sketch decode caches).
+// snapshots: the query oracle's, the one decode cache in the module.
 //
 // A field holding a cached decode result — marked by a field comment
 // containing the word "cached" — is only coherent while its staleness
 // signal says so: the oracle's snapshot is valid only while its recorded
-// epoch matches the mutation epoch, and the per-sketch `decoded` caches
-// are valid only while non-nil. Reading such a field from a function that
-// neither consults the field in a condition (an epoch/nil staleness check)
-// nor holds a rebuild lock is exactly the bug class the epoch cache is
-// designed out of: serving a pre-mutation snapshot.
+// epoch matches the mutation epoch, and a nil-when-stale cache only while
+// non-nil. Reading such a field from a function that neither consults the
+// field in a condition (an epoch/nil staleness check) nor holds a rebuild
+// lock is exactly the bug class the epoch cache is designed out of:
+// serving a pre-mutation snapshot.
 //
 // The rule, per function (including its nested literals): a READ of a
 // marked field is allowed only if the function
@@ -18,7 +18,7 @@
 //   - acquires a lock (calls .Lock() or .RLock()), the single-flight
 //     rebuild path, under which the field is stable by construction.
 //
-// WRITES — invalidation (`s.decoded = nil`), publication (`s.decoded = h`,
+// WRITES — invalidation (`b.snap = nil`), publication (`b.snap = &s`,
 // `o.snap.Store(s)`) — are always allowed; they are how the protocol is
 // maintained, and flagging them would invert the rule.
 package epochguard

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"log/slog"
+
 	"graphsketch/internal/obs"
 )
 
@@ -10,7 +12,6 @@ import (
 type codecMetrics struct {
 	ckptWriteBytes *obs.Counter
 	ckptReadBytes  *obs.Counter
-	shareFrames    *obs.Counter
 	rejections     *obs.Counter
 }
 
@@ -26,7 +27,7 @@ var (
 func (m *codecMetrics) reject(err error) {
 	if IsDecodeError(err) {
 		m.rejections.Inc()
-		obs.RecordEvent("codec.reject", "err", err.Error())
+		obs.RecordEvent("codec.reject", slog.String("err", err.Error()))
 	}
 }
 
@@ -38,8 +39,6 @@ func init() {
 			"Bytes written in checkpoint frames, envelope included.")
 		cdm.ckptReadBytes = r.Counter("codec_checkpoint_read_bytes_total",
 			"Bytes read in checkpoint frames, envelope included.")
-		cdm.shareFrames = r.Counter("codec_share_frames_total",
-			"Vertex share frames encoded.")
 		cdm.rejections = r.Counter("codec_decode_rejections_total",
 			"Frames rejected by a typed decode error.")
 	})

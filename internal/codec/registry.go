@@ -214,7 +214,6 @@ func AppendShareFrame(dst []byte, tag Tag, fp uint64, v, shareSize int, appendSh
 	start := len(dst)
 	dst = beginFrame(grow(dst, ShareOverhead+shareSize), Header{Kind: KindShare, Tag: tag, Fingerprint: fp}, 4+shareSize)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	cdm.shareFrames.Inc()
 	return finishFrame(appendShare(dst), start)
 }
 

@@ -34,7 +34,6 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	s.decoded = nil
 	return codec.ReadCheckpoint(r, codec.TagEdgeConn, s.Fingerprint(), sketch.Shares{Sharer: s.skeleton}.Add)
 }
 
@@ -47,7 +46,6 @@ func (s *Sketch) VertexShareFrame(v int) []byte {
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	s.decoded = nil
 	return sketch.AddShareFrame(s.skeleton, codec.TagEdgeConn, s.Fingerprint(), data)
 }
 

@@ -16,7 +16,6 @@ package edgeconn
 
 import (
 	"fmt"
-	"log/slog"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
@@ -31,7 +30,6 @@ type Sketch struct {
 	p        Params // defaulted construction parameters (wire identity)
 	k        int
 	skeleton *sketch.SkeletonSketch
-	decoded  *graph.Hypergraph // cached skeleton; nil when stale
 }
 
 // Params configures an edge-connectivity sketch.
@@ -74,13 +72,11 @@ func New(p Params) (*Sketch, error) {
 
 // Update applies a hyperedge insertion (+1) or deletion (−1).
 func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
-	s.decoded = nil
 	return s.skeleton.Update(e, delta)
 }
 
 // UpdateGraph applies every edge of h scaled by scale.
 func (s *Sketch) UpdateGraph(h *graph.Hypergraph, scale int64) error {
-	s.decoded = nil
 	return s.skeleton.UpdateGraph(h, scale)
 }
 
@@ -90,33 +86,24 @@ func (s *Sketch) UpdateBatch(batch []graph.WeightedEdge) error {
 }
 
 // UpdateBatchRange applies the batch restricted to endpoints in [lo, hi);
-// see graphsketch.Sharded. The decoded-skeleton cache is invalidated by the
-// shard containing vertex 0 only, per the Sharded contract.
+// see graphsketch.Sharded.
 func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error {
-	if lo == 0 {
-		s.decoded = nil
-	}
 	return s.skeleton.UpdateBatchRange(batch, lo, hi)
 }
 
-// Decode decodes (and caches) the k-skeleton, with the decode trace hung
-// under parent (nil starts a fresh trace); a cache hit opens no span.
+// Decode decodes the k-skeleton, with the decode trace hung under parent
+// (nil starts a fresh trace). It caches nothing, and each query method
+// below decodes once per call: a caller asking many cut questions of one
+// state decodes once itself, and oracle.For(s) serves repeated
+// connectivity queries from one decode.
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	if s.decoded == nil {
-		sp := parent.Child(skeletonSpan)
-		defer sp.End(slog.Int("k", s.skeleton.K()))
-		skel, err := s.skeleton.Decode(sp)
-		if err != nil {
-			return nil, err
-		}
-		s.decoded = skel
-	}
-	return s.decoded, nil
+	return s.skeleton.Decode(parent)
 }
 
 // EdgeConnectivity returns min(λ(G), k) together with a witness side when
 // the value is below k (the side realizes a minimum cut of G; when the
-// returned value equals k the side is nil and λ(G) ≥ k).
+// returned value equals k the side is nil and λ(G) ≥ k). Each call decodes
+// the skeleton.
 func (s *Sketch) EdgeConnectivity() (int64, []int, error) {
 	skel, err := s.Decode(nil)
 	if err != nil {
@@ -146,6 +133,7 @@ func (s *Sketch) IsKEdgeConnected() (bool, error) {
 
 // STCut returns min(λ(u,v), k): the minimum weight of hyperedges separating
 // u from v, capped at k. Cuts below k are preserved exactly by the skeleton.
+// Each call decodes the skeleton.
 func (s *Sketch) STCut(u, v int) (int64, error) {
 	skel, err := s.Decode(nil)
 	if err != nil {
@@ -155,7 +143,8 @@ func (s *Sketch) STCut(u, v int) (int64, error) {
 }
 
 // Connected reports whether the sketched hypergraph is connected (the k = 1
-// question; any k-skeleton contains a spanning graph).
+// question; any k-skeleton contains a spanning graph). Each call decodes the
+// skeleton.
 func (s *Sketch) Connected() (bool, error) {
 	skel, err := s.Decode(nil)
 	if err != nil {
@@ -187,7 +176,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	if !ok {
 		return graphsketch.ErrMergeMismatch
 	}
-	s.decoded = nil
 	return s.skeleton.AddScaled(so.skeleton, 1)
 }
 

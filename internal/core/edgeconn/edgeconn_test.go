@@ -7,6 +7,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/decodetest"
 	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
 )
@@ -168,7 +169,7 @@ func TestConnectedAndCache(t *testing.T) {
 	if !ok {
 		t.Fatal("cycle reported disconnected")
 	}
-	// Delete an edge: cache must invalidate; still connected (path).
+	// Delete an edge: the next query decodes the new state, a path.
 	if err := s.Update(graph.MustEdge(0, 1), -1); err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +180,19 @@ func TestConnectedAndCache(t *testing.T) {
 	if lambda != 1 {
 		t.Fatalf("λ after deleting a cycle edge = %d, want 1", lambda)
 	}
+}
+
+// TestConcurrentTracedDecode decodes a k = 2 sketch from two goroutines
+// at once with obs enabled (decodetest.Concurrent).
+func TestConcurrentTracedDecode(t *testing.T) {
+	h := workload.MustHarary(12, 4)
+	decodetest.Concurrent(t, func() decodetest.Decoder {
+		s := mustNew(t, 23, h.Domain(), 2)
+		if err := s.UpdateGraph(h, 1); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
 }
 
 func TestVertexShareRoundTrip(t *testing.T) {

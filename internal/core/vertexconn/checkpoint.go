@@ -35,7 +35,6 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	s.decoded = nil
 	return codec.ReadCheckpoint(r, codec.TagVertexConn, s.Fingerprint(), sketch.Shares{Sharer: s}.Add)
 }
 
@@ -47,7 +46,6 @@ func (s *Sketch) VertexShareFrame(v int) []byte {
 // AddVertexShareFrame verifies and merges one framed vertex share from the
 // front of data, returning the remaining bytes.
 func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
-	s.decoded = nil
 	return sketch.AddShareFrame(s, codec.TagVertexConn, s.Fingerprint(), data)
 }
 
@@ -78,9 +76,6 @@ func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
 // (linearly — an exact restore on a fresh estimator). A frame from a
 // differently-constructed estimator fails with codec.ErrFingerprint.
 func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
-	for _, s := range e.scales {
-		s.decoded = nil
-	}
 	return codec.ReadCheckpoint(r, codec.TagEstimator, e.Fingerprint(), e.state().Add)
 }
 

@@ -97,7 +97,6 @@ type Sketch struct {
 	// member[v] is a bitset over subgraph indices: bit i set iff v ∈ G_i.
 	member   [][]uint64
 	sketches []*sketch.SpanningSketch
-	decoded  *graph.Hypergraph // cached H; nil when stale
 }
 
 // New returns an empty vertex-connectivity sketch.
@@ -147,17 +146,6 @@ func (s *Sketch) InSubgraph(i, v int) bool {
 	return s.member[v][i/64]&(1<<uint(i%64)) != 0
 }
 
-// members returns V_i, ascending.
-func (s *Sketch) members(i int) []int {
-	var vs []int
-	for v := range s.member {
-		if s.InSubgraph(i, v) {
-			vs = append(vs, v)
-		}
-	}
-	return vs
-}
-
 // Update applies a hyperedge insertion (delta = +1) or deletion (−1). The
 // edge is routed to exactly the sketches of subgraphs containing all of its
 // endpoints; the routing is deterministic, so a later deletion hits the
@@ -168,15 +156,10 @@ func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
 
 // UpdateEdgeRange applies the update restricted to endpoints in [lo, hi).
 // The membership routing is a read-only function of the public randomness,
-// so concurrent shards recompute it independently; per the
-// graphsketch.Sharded contract, the decoded-H cache is invalidated only by
-// the shard containing vertex 0.
+// so concurrent shards recompute it independently.
 func (s *Sketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) error {
 	if _, err := s.dom.Encode(e); err != nil {
 		return err
-	}
-	if lo == 0 {
-		s.decoded = nil
 	}
 	words := len(s.member[0])
 	// Intersect the endpoint membership bitsets.
@@ -221,18 +204,17 @@ func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error 
 // spanning forest, with the decode trace hung under parent (nil starts a
 // fresh trace): each subgraph's spanning decode becomes a child subtree of
 // the build_h span, so a slow H rebuild attributes down to the subsampled
-// sketch (and peel round) that caused it. The result is cached until the
-// next update; a cache hit opens no span. Individual forest decode
-// failures are tolerated up to a small fraction (each forest is one of R
-// redundant witnesses) and counted in vertexconn_forest_failures_total.
+// sketch (and peel round) that caused it. Decode only reads the sketch and
+// caches nothing: every call decodes all R forests, so a caller asking
+// repeated questions of one state serves them from oracle.For(s).
+// Individual forest decode failures are tolerated up to a small fraction
+// (each forest is one of R redundant witnesses) and counted in
+// vertexconn_forest_failures_total.
 //
 // The R decodes are independent and run on all CPUs; the result is
 // deterministic regardless of scheduling (each decode reads only its own
 // sketch and the union is order-free).
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	if s.decoded != nil {
-		return s.decoded, nil
-	}
 	sp := parent.Child(buildHSpan)
 	defer sp.End(slog.Int("subgraphs", len(s.sketches)))
 	forests := make([]*graph.Hypergraph, len(s.sketches))
@@ -241,10 +223,8 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	// and record per-index results (failures are tolerated below, so fn
 	// itself never errors). Child spans are created concurrently, which is
 	// safe: each goroutine only reads the parent's immutable identity.
-	// Subgraph i's sketch holds edges of G_i only and an absent sampler for
-	// every vertex outside V_i, so its Boruvka rounds run over V_i alone.
 	_ = par.ForEach(0, len(s.sketches), func(i int) error {
-		forests[i], errs[i] = s.sketches[i].DecodeMembers(sp, s.members(i))
+		forests[i], errs[i] = s.sketches[i].Decode(sp)
 		return nil
 	})
 
@@ -266,7 +246,6 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 			}
 		}
 	}
-	s.decoded = h
 	sp.SetAttrs(slog.Int("failures", failures))
 	return h, nil
 }
@@ -289,7 +268,8 @@ var ErrQueryTooLarge = errors.New("vertexconn: query set larger than sketch para
 // (|S| ≤ K) disconnect the graph? Removal uses drop-incident semantics
 // (every hyperedge touching S is removed), the induced-subgraph notion the
 // subsampling is built on; for ordinary graphs this is the standard
-// definition.
+// definition. Each call decodes H; oracle.For(s).DisconnectedBy answers
+// repeated queries against one decode.
 func (s *Sketch) Disconnects(set map[int]bool) (bool, error) {
 	if len(set) > s.p.K {
 		return false, ErrQueryTooLarge
@@ -305,7 +285,7 @@ func (s *Sketch) Disconnects(set map[int]bool) (bool, error) {
 // algorithm (Theorem 8's final step) and returns κ(H) capped at limit. By
 // Corollary 7, if G is (1+ε)k-vertex-connected then κ(H) ≥ k w.h.p., and
 // κ(H) ≤ κ(G) always (H ⊆ G), so the return value distinguishes the two
-// cases. Defined for ordinary graphs (R = 2).
+// cases. Defined for ordinary graphs (R = 2). Each call decodes H.
 func (s *Sketch) EstimateConnectivity(limit int64) (int64, error) {
 	if s.p.R != 2 {
 		return 0, errors.New("vertexconn: connectivity estimation is defined for graphs (R = 2)")
@@ -392,7 +372,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	if s.Fingerprint() != so.Fingerprint() {
 		return sketch.ErrConfigMismatch
 	}
-	s.decoded = nil
 	for i := range s.sketches {
 		if err := s.sketches[i].AddScaled(so.sketches[i], 1); err != nil {
 			return err
@@ -410,6 +389,7 @@ var _ graphsketch.Sharded = (*Sketch)(nil)
 // hypergraph estimator; the oracle is exponential in the removal-set size,
 // so it is intended for small limit (the experiments use limit ≤ 4). As
 // with the graph estimator, H ⊆ G means the value never exceeds κ_drop(G).
+// Each call decodes H.
 func (s *Sketch) EstimateConnectivityDrop(limit int64) (int64, error) {
 	h, err := s.Decode(nil)
 	if err != nil {
@@ -423,7 +403,7 @@ func (s *Sketch) EstimateConnectivityDrop(limit int64) (int64, error) {
 // the components of H − S — the actionable half of the answer ("who gets
 // cut off"). Since H preserves G's post-removal connectivity w.h.p.
 // (Lemma 3), the witness partition is correct with the query's failure
-// probability.
+// probability. Each call decodes H; see Disconnects.
 func (s *Sketch) DisconnectsWitness(set map[int]bool) (bool, [][]int, error) {
 	if len(set) > s.p.K {
 		return false, nil, ErrQueryTooLarge

@@ -8,6 +8,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/decodetest"
 	"graphsketch/internal/workload"
 )
 
@@ -306,37 +307,20 @@ func TestVertexBasedSpaceAccounting(t *testing.T) {
 	}
 }
 
-func TestBuildHCached(t *testing.T) {
-	h := workload.Cycle(8)
-	s, err := New(practical(8, 1, 24, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Apply(stream.FromGraph(h), s); err != nil {
-		t.Fatal(err)
-	}
-	h1, err := s.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := s.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatal("Decode not cached")
-	}
-	// An update invalidates the cache.
-	if err := s.Update(graph.MustEdge(0, 2), 1); err != nil {
-		t.Fatal(err)
-	}
-	h3, err := s.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 == h1 {
-		t.Fatal("cache not invalidated by update")
-	}
+// TestConcurrentTracedDecode decodes a sketch of 12 subgraphs from two
+// goroutines at once with obs enabled (decodetest.Concurrent).
+func TestConcurrentTracedDecode(t *testing.T) {
+	h := workload.MustHarary(24, 4)
+	decodetest.Concurrent(t, func() decodetest.Decoder {
+		s, err := New(practical(24, 2, 12, 17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stream.Apply(stream.FromGraph(h), s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
 }
 
 func TestHypergraphEstimateDrop(t *testing.T) {

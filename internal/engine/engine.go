@@ -20,10 +20,6 @@
 // (commutative, exact), the final state equals the serial state for the
 // same seed — the equivalence the engine tests assert byte-for-byte on
 // checkpoint frames.
-//
-// State not owned by any single vertex (e.g. a sketch's decoded-result
-// cache) is written only by the shard containing vertex 0, so the partition
-// performs that write exactly once (see graphsketch.Sharded's contract).
 package engine
 
 import (
@@ -109,33 +105,22 @@ func (e *Engine) Update(ed graph.Hyperedge, delta int64) error {
 }
 
 // Consume feeds an entire stream through the plane in batches of batchSize
-// (<= 0 means DefaultBatchSize). Consumed update and deletion counts feed
-// the stream ingestion counters (updates/sec and the deletions fraction
-// are derived by the scraper).
+// (<= 0 means DefaultBatchSize).
 func (e *Engine) Consume(st stream.Stream, batchSize int) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
 	buf := make([]graph.WeightedEdge, 0, batchSize)
-	dels := 0
 	for _, u := range st {
-		if u.Op == stream.Delete {
-			dels++
-		}
 		buf = append(buf, graph.WeightedEdge{E: u.Edge, W: int64(u.Op)})
 		if len(buf) == batchSize {
 			if err := e.UpdateBatch(buf); err != nil {
 				return err
 			}
-			stream.Record(len(buf)-dels, dels)
-			buf, dels = buf[:0], 0
+			buf = buf[:0]
 		}
 	}
-	if err := e.UpdateBatch(buf); err != nil {
-		return err
-	}
-	stream.Record(len(buf)-dels, dels)
-	return nil
+	return e.UpdateBatch(buf)
 }
 
 // Close shuts the transport down and waits for its shards to exit. It is

@@ -45,6 +45,7 @@ package hybrid
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
@@ -310,7 +311,7 @@ func (s *Sketch) bufferAdd(v int, e graph.Hyperedge, key uint64, delta int64) er
 func (s *Sketch) spill(v int) error {
 	hm.spills.Inc()
 	hm.spillOccupancy.Observe(float64(2*len(s.keys[v])) / float64(s.budget))
-	obs.RecordEvent("hybrid.spill", "vertex", v, "entries", len(s.keys[v]), "budget", s.budget)
+	obs.RecordEvent("hybrid.spill", slog.Int("vertex", v), slog.Int("entries", len(s.keys[v])), slog.Int("budget", s.budget))
 	return s.move(v)
 }
 

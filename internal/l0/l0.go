@@ -25,6 +25,7 @@ package l0
 
 import (
 	"cmp"
+	"log/slog"
 	"math/bits"
 	"slices"
 	"sync"
@@ -255,7 +256,7 @@ func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
 			// This level is too dense; all sparser levels were empty,
 			// so the support-size transition skipped the window.
 			lm.failures.Inc()
-			obs.RecordEvent("l0.sample_failure", "level", lv, "max_levels", s.sh.cfg.MaxLevels)
+			obs.RecordEvent("l0.sample_failure", slog.Int("level", lv), slog.Int("max_levels", s.sh.cfg.MaxLevels))
 			return 0, 0, false
 		}
 		if len(vec) == 0 {

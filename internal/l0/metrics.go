@@ -5,16 +5,12 @@ import "graphsketch/internal/obs"
 // Sampler-health counters. Draws split three ways: a certified sample, a
 // genuinely empty support, or a detected failure (the support-size
 // transition skipped the decodable window). A rising failure fraction means
-// the sparsity parameters are too tight for the workload. The intern
-// counters expose the randomness-registry effectiveness: misses pay the
-// full derivation, hits share it.
+// the sparsity parameters are too tight for the workload.
 var lm struct {
-	draws      *obs.Counter // l0_sample_draws_total
-	successes  *obs.Counter // l0_sample_success_total
-	empties    *obs.Counter // l0_sample_empty_total
-	failures   *obs.Counter // l0_sample_failure_total
-	internHits *obs.Counter // l0_intern_hits_total
-	internMiss *obs.Counter // l0_intern_misses_total
+	draws     *obs.Counter // l0_sample_draws_total
+	successes *obs.Counter // l0_sample_success_total
+	empties   *obs.Counter // l0_sample_empty_total
+	failures  *obs.Counter // l0_sample_failure_total
 }
 
 func init() {
@@ -27,9 +23,5 @@ func init() {
 			"L0 sampler draws on a genuinely empty support")
 		lm.failures = r.Counter("l0_sample_failure_total",
 			"L0 sampler draws that failed (no level decoded with nonempty support)")
-		lm.internHits = r.Counter("l0_intern_hits_total",
-			"Shared-randomness registry lookups served from the cache")
-		lm.internMiss = r.Counter("l0_intern_misses_total",
-			"Shared-randomness registry lookups that derived a new entry")
 	})
 }

@@ -56,11 +56,9 @@ func internShared(seed, dom uint64, cfg Config) *sharedRand {
 	registryMu.Lock()
 	if sh, ok := registry[key]; ok {
 		registryMu.Unlock()
-		lm.internHits.Inc()
 		return sh
 	}
 	registryMu.Unlock()
-	lm.internMiss.Inc()
 	// Build outside the lock: derivation is pure, so a racing builder at
 	// worst duplicates work and the second re-check below discards it.
 	sh := newSharedRand(seed, dom, cfg)

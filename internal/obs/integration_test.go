@@ -14,7 +14,6 @@ import (
 	// package so the full exposition is visible to this test, as it is to
 	// any binary that uses the corresponding sketches.
 	_ "graphsketch/internal/commsim"
-	_ "graphsketch/internal/core/edgeconn"
 	_ "graphsketch/internal/core/reconstruct"
 	_ "graphsketch/internal/core/vertexconn"
 )
@@ -57,12 +56,9 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 		"shardplane_queue_wait_seconds":         "histogram",
 		"shardplane_shard_edges_total":          "counter",
 		"shardplane_shard_busy_seconds":         "gauge",
-		"stream_updates_total":                  "counter",
-		"stream_deletes_total":                  "counter",
 		"l0_sample_draws_total":                 "counter",
 		"l0_sample_success_total":               "counter",
 		"l0_sample_failure_total":               "counter",
-		"l0_intern_hits_total":                  "counter",
 		"recovery_onesparse_fp_rejects_total":   "counter",
 		"recovery_ssparse_decode_success_total": "counter",
 		"recovery_ssparse_decode_failure_total": "counter",
@@ -71,7 +67,7 @@ func TestMetricFamiliesEndToEnd(t *testing.T) {
 		"sketch_spanning_graph_seconds":         "histogram",
 		"sketch_peel_round_seconds":             "histogram",
 		"vertexconn_forest_failures_total":      "counter",
-		"edgeconn_skeleton_seconds":             "histogram",
+		"sketch_skeleton_seconds":               "histogram",
 		"reconstruct_peel_rounds":               "histogram",
 		"commsim_messages_total":                "counter",
 	}

@@ -98,45 +98,21 @@ func SetFlightRecorderSize(spans, events int) {
 	eventRing.Store(newRing[Event](events))
 }
 
-// attrMap folds alternating key/value attrs into a JSON-friendly map.
-// Non-string keys are stringified; values outside the JSON-native types
-// are rendered with fmt (errors, durations, custom types).
-func attrMap(attrs []any) map[string]any {
-	if len(attrs) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(attrs)/2)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		k, ok := attrs[i].(string)
-		if !ok {
-			k = fmt.Sprint(attrs[i])
-		}
-		m[k] = attrVal(attrs[i+1])
-	}
-	return m
-}
-
-func attrVal(v any) any {
-	switch v := v.(type) {
-	case nil, bool, string,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64:
-		return v
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// spanAttrMap folds a span's attributes into a JSON-friendly map, like
-// attrMap.
-func spanAttrMap(attrs []slog.Attr) map[string]any {
+// attrMap folds span or event attributes into a JSON-friendly map. Values
+// outside the JSON-native types are rendered with fmt (errors, durations,
+// custom types).
+func attrMap(attrs []slog.Attr) map[string]any {
 	if len(attrs) == 0 {
 		return nil
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = attrVal(a.Value.Any())
+		switch v := a.Value.Any().(type) {
+		case bool, string, int64, uint64, float64:
+			m[a.Key] = v
+		default:
+			m[a.Key] = fmt.Sprint(v)
+		}
 	}
 	return m
 }
@@ -149,16 +125,16 @@ func recordSpan(sp *Span, d time.Duration) {
 		Name:   sp.kind.name,
 		Start:  sp.start,
 		DurNS:  int64(d),
-		Attrs:  spanAttrMap(sp.attrs),
+		Attrs:  attrMap(sp.attrs),
 	}
 	spanRing.Load().add(rec, func(r *SpanRecord, s uint64) { r.Seq = s })
 	emitSink(sinkLine{Kind: "span", Span: rec})
 }
 
 // RecordEvent appends a structured event to the flight recorder (and the
-// JSONL sink, when set). attrs are alternating key/value pairs. No-op when
-// collection is disabled.
-func RecordEvent(kind string, attrs ...any) {
+// JSONL sink, when set). Its attributes are slog.Attr values, as a span's
+// are. No-op when collection is disabled.
+func RecordEvent(kind string, attrs ...slog.Attr) {
 	if !Enabled() {
 		return
 	}

@@ -151,7 +151,7 @@ func (o *Oracle) Invalidate() {
 // the flight recorder (a no-op while obs is disabled). Callers hold mu.
 func (o *Oracle) bumpEpoch() {
 	e := o.epoch.Add(1)
-	obs.RecordEvent("oracle.epoch_bump", "epoch", e)
+	obs.RecordEvent("oracle.epoch_bump", slog.Uint64("epoch", e))
 }
 
 // snapshot returns a snapshot whose epoch matched the mutation epoch at
@@ -183,7 +183,7 @@ func (o *Oracle) snapshot() (*snapshot, error) {
 	if err != nil {
 		o.failures.Add(1)
 		om.failures.Inc()
-		obs.RecordEvent("oracle.rebuild_failure", "epoch", epoch, "err", err.Error())
+		obs.RecordEvent("oracle.rebuild_failure", slog.Uint64("epoch", epoch), slog.String("err", err.Error()))
 		if errors.Is(err, sketch.ErrDecodeFailed) {
 			// Operational: the sketch's decode budget ran out. The state is
 			// intact; later epochs may decode fine.

@@ -337,6 +337,27 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestMutationZeroAllocs pins a mutation with obs disabled at zero
+// allocations. The epoch-bump event's attribute is an slog.Attr, which
+// holds the epoch unboxed; epochs from 256 up would box as an any.
+func TestMutationZeroAllocs(t *testing.T) {
+	orc := For(sketch.NewSpanning(1, graph.MustDomain(8, 2), sketch.SpanningConfig{}))
+	for i := 0; i < 300; i++ {
+		orc.Invalidate()
+	}
+	e := graph.MustEdge(0, 1)
+	if a := testing.AllocsPerRun(100, func() { orc.Invalidate() }); a != 0 {
+		t.Errorf("Invalidate allocates %v objects, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := orc.Update(e, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Update allocates %v objects, want 0", a)
+	}
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	h := workload.Cycle(4)
 	sp := sketch.NewSpanning(1, h.Domain(), sketch.SpanningConfig{})

@@ -17,7 +17,6 @@ var spm struct {
 	txBytes       *obs.Counter   // shardplane_tcp_tx_bytes_total
 	rxBytes       *obs.Counter   // shardplane_tcp_rx_bytes_total
 	reconnects    *obs.Counter   // shardplane_reconnects_total
-	gatherFrames  *obs.Counter   // shardplane_gather_frames_total
 	gatherRejects *obs.Counter   // shardplane_gather_rejects_total
 }
 
@@ -31,8 +30,6 @@ func init() {
 			"Frame bytes read from shard connections by the TCP transport")
 		spm.reconnects = r.Counter("shardplane_reconnects_total",
 			"Shard connections re-dialed and restored from checkpoint after a failure")
-		spm.gatherFrames = r.Counter("shardplane_gather_frames_total",
-			"Checkpoint frames merged by Gather")
 		spm.gatherRejects = r.Counter("shardplane_gather_rejects_total",
 			"Gather frames rejected before merging (fingerprint or decode failure)")
 	})

@@ -237,7 +237,6 @@ func (t *TCPTransport) pullAll(rf io.ReaderFrom) error {
 			spm.gatherRejects.Inc()
 			return fmt.Errorf("shardplane: merging shard %d (%s): %w", s, sc.addr, err)
 		}
-		spm.gatherFrames.Inc()
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/testutil/decodetest"
 	"graphsketch/internal/workload"
 )
 
@@ -109,4 +110,18 @@ func TestDecodeSkeletonMatchesSerial(t *testing.T) {
 	if compared == 0 {
 		t.Fatal("no prefix decoded; nothing was compared")
 	}
+}
+
+// TestConcurrentTracedSkeletonDecode decodes a k = 4 skeleton from two
+// goroutines at once with obs enabled (decodetest.Concurrent).
+func TestConcurrentTracedSkeletonDecode(t *testing.T) {
+	const n, k, seed = 32, 4, 5
+	batch := churnBatch(n, k, seed)
+	decodetest.Concurrent(t, func() decodetest.Decoder {
+		sk := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), k, sketch.SpanningConfig{})
+		if err := sk.UpdateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	})
 }

@@ -249,25 +249,23 @@ func (s *SpanningSketch) Clone() *SpanningSketch {
 // It returns ErrDecodeFailed if the rounds are exhausted while some
 // component both fails to produce a sample and cannot be certified as
 // fully merged; every returned edge is fingerprint-certified real.
+//
+// The rounds run over the vertices whose round-0 sampler is allocated. A
+// vertex no update or merge has reached is absent in every round: its cut
+// is zero, so it stays a singleton and the forest is the one an all-vertex
+// decode returns. A vertex-subsampled subgraph's sketch (vertexconn)
+// therefore decodes over its members alone.
 func (s *SpanningSketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	all := make([]int, s.dom.N())
-	for v := range all {
-		all[v] = v
-	}
-	return s.DecodeMembers(parent, all)
-}
-
-// DecodeMembers is Decode for a sketch whose every edge has all its
-// endpoints in members (ascending) and whose other vertices' samplers are
-// zero, as in a vertex-subsampled subgraph's sketch: the Boruvka rounds
-// run over the members alone, and every other vertex is a singleton
-// component of the forest. The forest is the one Decode returns.
-func (s *SpanningSketch) DecodeMembers(parent *obs.Span, members []int) (*graph.Hypergraph, error) {
 	sp := parent.Child(spanningSpan)
 	defer sp.End()
-	n := s.dom.N()
-	forest := graph.MustHypergraph(n, s.dom.R())
-	if _, err := s.Boruvka(sp, graphalg.NewDSU(n), forest, members, nil); err != nil {
+	verts := make([]int, 0, s.dom.N())
+	for v := range s.samplers[0] {
+		if s.samplers[0][v].StateWords() > 0 {
+			verts = append(verts, v)
+		}
+	}
+	forest := graph.MustHypergraph(s.dom.N(), s.dom.R())
+	if _, err := s.Boruvka(sp, graphalg.NewDSU(s.dom.N()), forest, verts, nil); err != nil {
 		return nil, err
 	}
 	return forest, nil
@@ -322,8 +320,8 @@ func (s *SpanningSketch) Boruvka(sp *obs.Span, d *graphalg.DSU, forest *graph.Hy
 		if !s.cutSampler(s.cfg.Rounds-1, verts, terms, g, &b.sum).IsZero() {
 			skm.failures.Inc()
 			obs.RecordEvent("sketch.decode_failure",
-				"structure", "spanning", "n", s.dom.N(), "rounds", s.cfg.Rounds,
-				"verts", len(verts))
+				slog.String("structure", "spanning"), slog.Int("n", s.dom.N()),
+				slog.Int("rounds", s.cfg.Rounds), slog.Int("verts", len(verts)))
 			return draws, ErrDecodeFailed
 		}
 	}

@@ -44,10 +44,8 @@ func ReadEdgeList(r io.Reader) (*graph.Hypergraph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		sm.elLines.Add(1)
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '#' || line[0] == '%' {
-			sm.elComments.Add(1)
 			continue
 		}
 		fields := strings.FieldsFunc(line, func(c rune) bool {

@@ -2,48 +2,21 @@ package stream
 
 import "graphsketch/internal/obs"
 
-// Stream consumption counters: total updates plus the insert/delete split,
-// from which a scraper derives updates/sec and the deletions fraction. The
-// handles are nil while collection is disabled, making Record a no-op.
+// Edge-list loader fault counters: what ReadEdgeList discarded or refused
+// while parsing a dataset file. Self-loops are dropped silently; parse
+// errors abort the load but still count, so a scrape after a failed load
+// shows where ingestion stopped. The handles are nil while collection is
+// disabled.
 var sm struct {
-	updates *obs.Counter // stream_updates_total
-	inserts *obs.Counter // stream_inserts_total
-	deletes *obs.Counter // stream_deletes_total
-
-	// Edge-list loader counters: what ReadEdgeList saw while parsing a
-	// dataset file. Comments/self-loops quantify how much of the input was
-	// discarded silently; parse errors abort the load but still count, so
-	// a scrape after a failed load shows where ingestion stopped.
-	elLines    *obs.Counter // edgelist_lines_total
-	elComments *obs.Counter // edgelist_comment_lines_total
-	elLoops    *obs.Counter // edgelist_self_loops_dropped_total
-	elErrors   *obs.Counter // edgelist_parse_errors_total
+	elLoops  *obs.Counter // edgelist_self_loops_dropped_total
+	elErrors *obs.Counter // edgelist_parse_errors_total
 }
 
 func init() {
 	obs.OnEnable(func(r *obs.Registry) {
-		sm.updates = r.Counter("stream_updates_total",
-			"Stream updates consumed (inserts + deletes)")
-		sm.inserts = r.Counter("stream_inserts_total",
-			"Stream insert updates consumed")
-		sm.deletes = r.Counter("stream_deletes_total",
-			"Stream delete updates consumed")
-		sm.elLines = r.Counter("edgelist_lines_total",
-			"Edge-list lines read by ReadEdgeList (including comments and blanks)")
-		sm.elComments = r.Counter("edgelist_comment_lines_total",
-			"Edge-list comment or blank lines skipped by ReadEdgeList")
 		sm.elLoops = r.Counter("edgelist_self_loops_dropped_total",
 			"Edge-list self-loop edges dropped by ReadEdgeList")
 		sm.elErrors = r.Counter("edgelist_parse_errors_total",
 			"Edge-list lines rejected by ReadEdgeList with a parse error")
 	})
-}
-
-// Record adds a consumed chunk to the stream ingestion counters. Apply
-// records automatically; sinks that consume streams without going through
-// Apply (the parallel engine's Consume) call it once per batch.
-func Record(inserts, deletes int) {
-	sm.updates.Add(int64(inserts + deletes))
-	sm.inserts.Add(int64(inserts))
-	sm.deletes.Add(int64(deletes))
 }

@@ -47,17 +47,11 @@ type Sink interface {
 
 // Apply feeds every update of s into the sink.
 func Apply(s Stream, sink Sink) error {
-	dels := 0
 	for i, u := range s {
 		if err := sink.Update(u.Edge, int64(u.Op)); err != nil {
-			Record(i-dels, dels)
 			return fmt.Errorf("stream: update %d (%v %v): %w", i, u.Op, u.Edge, err)
 		}
-		if u.Op == Delete {
-			dels++
-		}
 	}
-	Record(len(s)-dels, dels)
 	return nil
 }
 
