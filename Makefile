@@ -98,11 +98,13 @@ codec-check:
 # edgeconn tests decode one sketch from two goroutines with obs enabled —
 # plus the obs endpoint smoke test;
 # the fast loop CI runs on every push (race over the whole module is the
-# `race` target). The doc-drift test fails when a registered metric family
-# or /debug/* endpoint is missing from the IMPLEMENTATION.md observability
-# tables.
+# `race` target). The race run repeats at GOMAXPROCS 1: with obs enabled,
+# the counters' atomic adds order goroutines running in parallel, which
+# can hide a race from the detector, and one P interleaves them instead.
+# The doc-drift test fails when a registered metric family or /debug/*
+# endpoint is missing from the IMPLEMENTATION.md observability tables.
 obs-check:
-	$(GO) test -race ./internal/obs/ ./internal/sketch/ ./internal/core/vertexconn/ ./internal/core/edgeconn/ ./internal/oracle/ ./internal/hybrid/
+	$(GO) test -race -cpu 1,4 ./internal/obs/ ./internal/sketch/ ./internal/core/vertexconn/ ./internal/core/edgeconn/ ./internal/oracle/ ./internal/hybrid/
 	$(GO) test -run 'TestObsEndpointSmoke|TestObsDocDrift' ./cmd/experiments/
 
 # Cluster gate: the shard-plane suite under the race detector — wire

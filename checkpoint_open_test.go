@@ -305,18 +305,16 @@ func TestCheckpointOpenOldHybridLayout(t *testing.T) {
 }
 
 // FuzzCheckpointOpen feeds checkpoint frames to codec.Open, seeded with
-// one real frame per registered opener: an empty sketch's and, for the
-// hybrid, one holding exact buffers (a sampler that has seen an update
-// already takes kilobytes, which slows the fuzzer to a crawl). Each
-// input's fingerprint and
-// checksum are recomputed, so mutated params and states reach the opener
-// instead of failing at the header. No input may panic, every rejection
-// must be a typed decode error, and an opened sketch must write a frame.
+// two real frames per registered opener: an empty sketch's and one after
+// four updates, so the corpus starts from non-empty vertex-major states
+// (and the hybrid's exact buffers). Each input's fingerprint and checksum
+// are recomputed, so mutated params and states reach the opener instead
+// of failing at the header. No input may panic, every rejection must be a
+// typed decode error, and an opened sketch must write a frame.
 func FuzzCheckpointOpen(f *testing.F) {
-	for _, frame := range openFrames(f, 0) {
+	for _, frame := range append(openFrames(f, 0), openFrames(f, 4)...) {
 		f.Add(frame)
 	}
-	f.Add(openFrames(f, 4)[len(checkpointCases)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := refingerprint(bytes.Clone(data))
 		s, err := codec.Open(bytes.NewReader(frame))

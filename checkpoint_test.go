@@ -297,6 +297,9 @@ func frameDigestStream(n int) stream.Stream {
 // hybrid-spilled alone was re-recorded, on purpose, when the hybrid's state
 // became its vertex shares (the inner's share, then the exact part) in
 // place of an embedded inner frame, a spill bitmap and the buffers.
+// estimator and sparsify were re-recorded, on purpose, when their states
+// became their vertex shares (each vertex's share of every scale or level)
+// in place of each scale's or level's whole state behind its length.
 func TestCheckpointFrameDigests(t *testing.T) {
 	const n = 16
 	st := frameDigestStream(n)
@@ -340,13 +343,13 @@ func TestCheckpointFrameDigests(t *testing.T) {
 		}, nil, "88287181fc3537118fc681b1cf2dcc0e68c99b489292d043f9fadeda8b299a1c"},
 		{"estimator", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[4].build(t, n, plan.Balanced)
-		}, nil, "667f19d438bc55e5e4d9ca8e20976e965a3fcd11eda00e968830bcf126a45517"},
+		}, nil, "d68414213ce9f6da5f215d1968236287df3b7bc97d67b35f0fe141f86614b902"},
 		{"reconstruct", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[5].build(t, n, plan.Balanced)
 		}, nil, "d2795294cd27301d4d480190510306e125eb19dbf9c66f294fa37806f60b525e"},
 		{"sparsify", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[6].build(t, n, plan.Balanced)
-		}, nil, "3a299b724bc42557bc8b6d21fc4528cb515f69778c1b22f9f87c3f0a86d60c95"},
+		}, nil, "a3aee79660a8014fe0ffcfe0cb8ecd0dae60e2eab23c9f5ede572f8a5a6cb455"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -366,6 +369,51 @@ func TestCheckpointFrameDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointStateIsShares pins the one checkpoint layout: after the
+// digest stream, every structure's state — the payload after its params —
+// is its vertex shares 0..n−1 concatenated in vertex order, v's share being
+// the interior of its share frame where the structure has them and
+// sketch.AppendShare otherwise. The estimator and the sparsifier used to
+// write each scale's or level's whole state behind a length instead.
+func TestCheckpointStateIsShares(t *testing.T) {
+	const n = 16
+	st := frameDigestStream(n)
+	for _, tc := range checkpointCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st, s); err != nil {
+				t.Fatal(err)
+			}
+			_, _, state := splitCheckpoint(t, frametest.Of(t, s))
+			var shares []byte
+			for v := 0; v < n; v++ {
+				shares = append(shares, vertexShare(t, s, v)...)
+			}
+			if !bytes.Equal(state, shares) {
+				t.Fatalf("the %d-byte state is not the %d bytes of the vertex shares in vertex order", len(state), len(shares))
+			}
+		})
+	}
+}
+
+// vertexShare returns vertex v's share of s: the interior of its share
+// frame, or for a structure without share frames sketch.AppendShare's.
+func vertexShare(tb testing.TB, s graphsketch.Checkpointer, v int) []byte {
+	tb.Helper()
+	switch s := s.(type) {
+	case shareSketch:
+		_, payload, _, err := codec.DecodeFrame(s.VertexShareFrame(v))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return payload[4:] // after the vertex index
+	case sketch.Sharer:
+		return sketch.AppendShare(s, nil, v)
+	}
+	tb.Fatalf("%T has no vertex shares", s)
+	return nil
 }
 
 // shareSketch is a structure whose vertex shares travel as codec share

@@ -27,14 +27,14 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return s.state().WriteCheckpoint(w, codec.TagSparsify, s.wireParams())
+	return sketch.Shares{Sharer: s}.WriteCheckpoint(w, codec.TagSparsify, s.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
 // (linearly — an exact restore on a fresh sketch). A frame from a
 // differently-constructed sketch fails with codec.ErrFingerprint.
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
-	return codec.ReadCheckpoint(r, codec.TagSparsify, s.Fingerprint(), s.state().Add)
+	return codec.ReadCheckpoint(r, codec.TagSparsify, s.Fingerprint(), sketch.Shares{Sharer: s}.Add)
 }
 
 // VertexShareFrame frames vertex v's share across all levels for transport.
@@ -62,7 +62,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return s, s.state().Add(state)
+		return s, sketch.Shares{Sharer: s}.Add(state)
 	})
 }
 

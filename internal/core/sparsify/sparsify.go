@@ -246,16 +246,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	return nil
 }
 
-// state is the sketch's full state: its levels' skeleton states, stacked.
-// Parameters are the structure's identity and are not serialized.
-func (s *Sketch) state() sketch.Stack {
-	st := make(sketch.Stack, len(s.levels))
-	for i, l := range s.levels {
-		st[i] = l.Skeleton()
-	}
-	return st
-}
-
 // ShareParts appends vertex v's parts (sketch.Sharer): its share of every
 // level's skeleton, in level order.
 func (s *Sketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {

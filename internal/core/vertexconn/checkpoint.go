@@ -69,14 +69,14 @@ func (e *Estimator) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
-	return e.state().WriteCheckpoint(w, codec.TagEstimator, e.wireParams())
+	return sketch.Shares{Sharer: e}.WriteCheckpoint(w, codec.TagEstimator, e.wireParams())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the estimator
 // (linearly — an exact restore on a fresh estimator). A frame from a
 // differently-constructed estimator fails with codec.ErrFingerprint.
 func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
-	return codec.ReadCheckpoint(r, codec.TagEstimator, e.Fingerprint(), e.state().Add)
+	return codec.ReadCheckpoint(r, codec.TagEstimator, e.Fingerprint(), sketch.Shares{Sharer: e}.Add)
 }
 
 // scaleParams returns the parameters of the estimator's scale k.
@@ -139,7 +139,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return e, e.state().Add(state)
+		return e, sketch.Shares{Sharer: e}.Add(state)
 	})
 }
 

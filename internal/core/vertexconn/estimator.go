@@ -139,14 +139,13 @@ func (e *Estimator) Merge(o graphsketch.Sketch) error {
 	return nil
 }
 
-// state is the estimator's full state: its scales' states, stacked.
-// Parameters are the structure's identity and are not serialized.
-func (e *Estimator) state() sketch.Stack {
-	st := make(sketch.Stack, len(e.scales))
-	for i, s := range e.scales {
-		st[i] = s
+// ShareParts appends vertex v's parts (sketch.Sharer): its share of every
+// scale, in scale order.
+func (e *Estimator) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
+	for _, s := range e.scales {
+		dst = s.ShareParts(dst, v)
 	}
-	return st
+	return dst
 }
 
 var _ graphsketch.Sharded = (*Estimator)(nil)

@@ -90,23 +90,3 @@ func ArticulationVertices(h *graph.Hypergraph) []int {
 	}
 	return out
 }
-
-// BridgeEdges returns the hyperedges whose removal disconnects their
-// component: exactly the hyperedge nodes that are articulation points of
-// the incidence graph, plus any hyperedge incident to a degree-1 endpoint
-// in its component (removing it strands that endpoint).
-func BridgeEdges(h *graph.Hypergraph) []graph.Hyperedge {
-	edges := h.Edges()
-	var out []graph.Hyperedge
-	for _, e := range edges {
-		reduced := h.Clone()
-		w := reduced.Weight(e)
-		reduced.MustAddEdge(e, -w)
-		same := ComponentsOf(h)
-		after := ComponentsOf(reduced)
-		if after.Components() > same.Components() {
-			out = append(out, e)
-		}
-	}
-	return out
-}

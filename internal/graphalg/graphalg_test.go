@@ -664,19 +664,6 @@ func TestArticulationVerticesAgainstBrute(t *testing.T) {
 	}
 }
 
-func TestBridgeEdges(t *testing.T) {
-	// Bridge between two triangles.
-	h := graph.NewGraph(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
-		h.AddSimple(e[0], e[1])
-	}
-	h.AddSimple(2, 3)
-	got := BridgeEdges(h)
-	if len(got) != 1 || !got[0].Equal(graph.MustEdge(2, 3)) {
-		t.Fatalf("bridges = %v, want [{2,3}]", got)
-	}
-}
-
 func TestVertexConnectivityFastPaths(t *testing.T) {
 	// Disconnected: 0 without any flow.
 	dis := graph.NewGraph(6)

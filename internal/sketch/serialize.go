@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 
@@ -113,21 +112,16 @@ func (s Shares) sizes() (size, largest int) {
 }
 
 // WriteCheckpoint writes the state as a checkpoint frame of tag and params
-// (codec.WriteCheckpoint).
+// (codec.WriteCheckpoint). The state streams one vertex share at a time,
+// each appended in place in the frame writer's buffer, which is first made
+// room for the largest share.
 func (s Shares) WriteCheckpoint(w io.Writer, tag codec.Tag, params []byte) (int64, error) {
 	size, largest := s.sizes()
 	return codec.WriteCheckpoint(w, tag, params, size, func(fw *codec.FrameWriter) error {
-		s.write(fw, largest)
+		fw.Reserve(largest)
+		s.each(func(ps Parts) { fw.Append(ps.Append) })
 		return nil
 	})
-}
-
-// write streams the state into a checkpoint frame one vertex share at a
-// time, each appended in place in fw's buffer, which is first made room
-// for the largest share.
-func (s Shares) write(fw *codec.FrameWriter, largest int) {
-	fw.Reserve(largest)
-	s.each(func(ps Parts) { fw.Append(ps.Append) })
 }
 
 // each calls f with every vertex's share parts in vertex order, listed
@@ -145,56 +139,43 @@ func (s Shares) each(f func(ps Parts)) {
 // a non-empty one it adds the two streams' contents, which is itself
 // meaningful by linearity. The shares are merged one at a time, each
 // checked first in the window state serves, which grows to the largest
-// share. A Verified state, ReadFrom's, is checked whole before the first
-// merge, so a rejected one leaves the structure as it was; a streamed one
-// can leave it partly merged, and codec.Open then drops it.
+// share. A Verified state, ReadFrom's, is first checked whole, on a copy
+// that leaves state unread, so a rejected one leaves the structure as it
+// was; a streamed one can leave it partly merged, and codec.Open then
+// drops it.
 func (s Shares) Add(state *codec.StateReader) error {
-	return addState(state, func(state *codec.StateReader, merge bool) error {
-		return s.merge(state, state.Len(), merge)
-	})
-}
-
-// addState runs add over state, with merge set; over a Verified state it
-// first runs it with merge unset, on a copy that leaves state unread, so
-// that nothing changes unless the whole state checks out.
-func addState(state *codec.StateReader, add func(state *codec.StateReader, merge bool) error) error {
 	if state.Verified() {
 		dry := *state
-		if err := add(&dry, false); err != nil {
+		if err := s.merge(&dry, false); err != nil {
 			return err
 		}
 	}
-	return add(state, true)
+	return s.merge(state, true)
 }
 
-// merge merges the next size bytes of state, which must be s's shares in
-// vertex order, a share at a time; with merge unset it only checks them.
-func (s Shares) merge(state *codec.StateReader, size int, merge bool) error {
+// merge merges the rest of state, which must be s's shares in vertex
+// order, a share at a time; with merge unset it only checks them.
+func (s Shares) merge(state *codec.StateReader, merge bool) error {
 	var err error
 	s.each(func(ps Parts) {
 		if err == nil {
-			size, err = mergeShare(ps, state, size, merge)
+			err = mergeShare(ps, state, merge)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	return noTrailing(nil, size)
+	return noTrailing(err, state.Len())
 }
 
 // mergeShare checks the share of parts ps at the front of state's window,
-// reading on while the share runs past the window but not past the size
-// bytes left, then merges it unless merge is unset, consumes it, and
-// returns the bytes left.
-func mergeShare(ps Parts, state *codec.StateReader, size int, merge bool) (int, error) {
+// reading on while the share runs past the window but not past the state,
+// then merges it unless merge is unset and consumes it.
+func mergeShare(ps Parts, state *codec.StateReader, merge bool) error {
 	for want := 0; ; {
 		w, err := state.Next(want)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		w = w[:min(len(w), size)]
 		rest, err := ps.Walk(w, SharePart.CheckBinary)
-		if err != nil && len(w) < size && (errors.Is(err, recovery.ErrShortBuffer) || errors.Is(err, codec.ErrTruncated)) {
+		if err != nil && len(w) < state.Len() && (errors.Is(err, recovery.ErrShortBuffer) || errors.Is(err, codec.ErrTruncated)) {
 			want = len(w) + 1
 			continue
 		}
@@ -202,59 +183,11 @@ func mergeShare(ps Parts, state *codec.StateReader, size int, merge bool) (int, 
 			_, err = ps.Walk(w, SharePart.AddBinary)
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		n := len(w) - len(rest)
-		state.Discard(n)
-		return size - n, nil
-	}
-}
-
-// Stack is the full state of independent vertex-sharded sketches kept side
-// by side — vertexconn.Estimator's scales, sparsify's levels: each one's
-// Shares, prefixed by its big-endian uint64 length so Add can split them
-// back.
-type Stack []Sharer
-
-// WriteCheckpoint writes the state as a checkpoint frame of tag and params
-// (codec.WriteCheckpoint): each member's length, then its shares.
-func (st Stack) WriteCheckpoint(w io.Writer, tag codec.Tag, params []byte) (int64, error) {
-	sizes, largest, total := make([]int, len(st)), make([]int, len(st)), 0
-	for i, s := range st {
-		sizes[i], largest[i] = Shares{s}.sizes()
-		total += 8 + sizes[i]
-	}
-	return codec.WriteCheckpoint(w, tag, params, total, func(fw *codec.FrameWriter) error {
-		for i, s := range st {
-			fw.Append(func(b []byte) []byte { return binary.BigEndian.AppendUint64(b, uint64(sizes[i])) })
-			Shares{s}.write(fw, largest[i])
-		}
+		state.Discard(len(w) - len(rest))
 		return nil
-	})
-}
-
-// Add merges a state (linearly) from state, which it must consume
-// exactly, as Shares.Add does: each member's length, then its shares.
-func (st Stack) Add(state *codec.StateReader) error {
-	return addState(state, func(state *codec.StateReader, merge bool) error {
-		for _, s := range st {
-			w, err := state.Next(8)
-			if err != nil {
-				return err
-			}
-			if len(w) < 8 {
-				return recovery.ErrShortBuffer
-			}
-			n := binary.BigEndian.Uint64(w)
-			if state.Discard(8); uint64(state.Len()) < n {
-				return recovery.ErrShortBuffer
-			}
-			if err := (Shares{s}).merge(state, int(n), merge); err != nil {
-				return err
-			}
-		}
-		return noTrailing(nil, state.Len())
-	})
+	}
 }
 
 // noTrailing requires a merge to have consumed its input exactly: left

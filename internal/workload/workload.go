@@ -389,28 +389,6 @@ func Grid(w, h int) *graph.Hypergraph {
 	return g
 }
 
-// RandomRegularish returns a graph where every vertex has degree close to
-// d, built from d/2 random perfect matchings layered on a Hamiltonian
-// cycle. For d >= 3 these are expanders with high probability — the
-// hard case for cut sparsification (no small cuts to preserve exactly).
-func RandomRegularish(rng *rand.Rand, n, d int) *graph.Hypergraph {
-	h := graph.NewGraph(n)
-	for i := 0; i < n; i++ {
-		addOnce(h, i, (i+1)%n)
-	}
-	perm := make([]int, n)
-	for layer := 0; layer < (d-2+1)/2; layer++ {
-		for i := range perm {
-			perm[i] = i
-		}
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for i := 0; i+1 < n; i += 2 {
-			addOnce(h, perm[i], perm[i+1])
-		}
-	}
-	return h
-}
-
 // SharedHyperCommunities returns an r-uniform hypergraph made of two dense
 // communities that overlap in `overlap` shared vertices; every hyperedge
 // lies entirely inside one community, so under drop-incident semantics the

@@ -247,20 +247,6 @@ func TestGridProperties(t *testing.T) {
 	}
 }
 
-func TestRandomRegularish(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	h := RandomRegularish(rng, 50, 4)
-	if !graphalg.Connected(h) {
-		t.Fatal("regular-ish graph disconnected")
-	}
-	for v := 0; v < 50; v++ {
-		d := h.Degree(v)
-		if d < 2 || d > 6 {
-			t.Fatalf("degree %d at vertex %d outside [2,6]", d, v)
-		}
-	}
-}
-
 func TestSharedHyperCommunities(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 20))
 	h := SharedHyperCommunities(rng, 7, 2, 3, 25)
