@@ -16,6 +16,7 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/codec"
+	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/plan"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/testutil/frametest"
@@ -198,10 +199,12 @@ func TestCheckpointOpenBoundsAllocation(t *testing.T) {
 }
 
 // TestCheckpointOpenAllocation pins the streamed restore: opening the
-// ~48 MB vconn-n64 frame allocates at most 1.25× its bytes (the sketch it
-// builds is about the frame's size), from a bytes.Reader and from a reader
-// without a length alike, where reading the whole frame first took 2.1×.
-// The restored sketch checkpoints back to the same frame.
+// vconn-n64 frame allocates at most 1.25× the state of the sketch it
+// builds (its cell arenas, 8 bytes a state word), from a bytes.Reader
+// and from a reader without a length alike, where reading the whole frame
+// first took 2.1×. The frame lists only nonzero cells, so it is several
+// times shorter than that state and is no measure of the build. The
+// restored sketch checkpoints back to the same frame.
 func TestCheckpointOpenAllocation(t *testing.T) {
 	frame := frametest.Of(t, denseVertexConn(t))
 	want := sha256.Sum256(frame)
@@ -214,10 +217,12 @@ func TestCheckpointOpenAllocation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ratio := float64(alloc) / float64(len(frame))
-			t.Logf("Open allocated %.3f× its %d-byte frame", ratio, len(frame))
+			vc := s.(*vertexconn.Sketch)
+			state := 8 * (vc.Words() - vc.SharedWords())
+			ratio := float64(alloc) / float64(state)
+			t.Logf("Open allocated %.3f× the %d-byte state of its %d-byte frame", ratio, state, len(frame))
 			if ratio > 1.25 {
-				t.Errorf("Open allocated %.2f× its %d-byte frame, want <= 1.25×", ratio, len(frame))
+				t.Errorf("Open allocated %.2f× the %d-byte state it built, want <= 1.25×", ratio, state)
 			}
 			h := sha256.New()
 			if _, err := s.(io.WriterTo).WriteTo(h); err != nil {
@@ -307,13 +312,18 @@ func TestCheckpointOpenOldHybridLayout(t *testing.T) {
 // FuzzCheckpointOpen feeds checkpoint frames to codec.Open, seeded with
 // two real frames per registered opener: an empty sketch's and one after
 // four updates, so the corpus starts from non-empty vertex-major states
-// (and the hybrid's exact buffers). Each input's fingerprint and checksum
-// are recomputed, so mutated params and states reach the opener instead
-// of failing at the header. No input may panic, every rejection must be a
-// typed decode error, and an opened sketch must write a frame.
+// in the sparse cell form (and the hybrid's exact buffers), plus each
+// four-update frame marked format version 1. Each input's fingerprint
+// and checksum are recomputed, so mutated params and states reach the
+// opener instead of failing at the header. No input may panic, every
+// rejection must be a typed decode error, and an opened sketch must write
+// a frame.
 func FuzzCheckpointOpen(f *testing.F) {
 	for _, frame := range append(openFrames(f, 0), openFrames(f, 4)...) {
 		f.Add(frame)
+	}
+	for _, frame := range openFrames(f, 4) {
+		f.Add(asVersion1(frame))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := refingerprint(bytes.Clone(data))

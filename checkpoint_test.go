@@ -29,6 +29,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hybrid"
 	"graphsketch/internal/plan"
+	"graphsketch/internal/recovery"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/testutil/frametest"
@@ -270,7 +271,8 @@ func TestCheckpointDeterministic(t *testing.T) {
 // frameDigestStream is a fixed dynamic stream on n vertices whose churn
 // edges are inserted and then deleted. Vertex n−1 sees only churn, so its
 // samplers end with levels that were allocated and then cancelled back to
-// zero — the state whose serialization the digests below pin.
+// zero — the state whose serialization the digests below pin: such levels
+// write nothing.
 func frameDigestStream(n int) stream.Stream {
 	rng := rand.New(rand.NewPCG(0xd16e57, 0xf4a3e))
 	final := workload.ErdosRenyi(rng, n-1, 0.3)
@@ -299,7 +301,11 @@ func frameDigestStream(n int) stream.Stream {
 // place of an embedded inner frame, a spill bitmap and the buffers.
 // estimator and sparsify were re-recorded, on purpose, when their states
 // became their vertex shares (each vertex's share of every scale or level)
-// in place of each scale's or level's whole state behind its length.
+// in place of each scale's or level's whole state behind its length. All
+// eight were re-recorded, on purpose, with format version 2, when sampler
+// levels and Becker rows came to list only their nonzero cells behind a
+// bitmap and a sampler to write only the levels up to its highest nonzero
+// cell; spanning-cancelled's churn-only vertex now writes no level.
 func TestCheckpointFrameDigests(t *testing.T) {
 	const n = 16
 	st := frameDigestStream(n)
@@ -315,10 +321,10 @@ func TestCheckpointFrameDigests(t *testing.T) {
 			if w := c.(*sketch.SpanningSketch).VertexWords(n - 1); w == 0 {
 				t.Fatal("churn-only vertex holds no allocated levels")
 			}
-		}, "1102df749f24528c209ee70beeece10e16f17ab1a7f1c5a607bc8cab8cf1d115"},
+		}, "100ab98021f1ea3316a0c5f075175e9ce8c9cce56bcdc0fd95178bb502a186a5"},
 		{"skeleton", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[1].build(t, n, plan.Balanced)
-		}, nil, "c4b2b44a2c2f817a355b678817bbce62cd91eddb7ced623a304c8b1565a019f2"},
+		}, nil, "9216face7df590e7b7dbfab4c4f72b009d6729c70de06bc998164a4496d7d202"},
 		{"hybrid-spilled", func(t *testing.T) graphsketch.Checkpointer {
 			inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: 7})
 			if err != nil {
@@ -334,22 +340,22 @@ func TestCheckpointFrameDigests(t *testing.T) {
 			if s := h.SpilledCount(); s == 0 || s == n {
 				t.Fatalf("hybrid spilled %d of %d vertices; want some but not all", s, n)
 			}
-		}, "f9d20214136cfb4365a95e2121a8ed8cf8969088adf317659753e6f39922a6b5"},
+		}, "c62f4697e2110eb223c7b6ee1223fe87138950a66aff427b2ca20bdbeef4d337"},
 		{"vertexconn", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[3].build(t, n, plan.Balanced)
-		}, nil, "2f6318f83f0c2d14136956d561ff16ba647caabe6058012c2d95b0413d0db649"},
+		}, nil, "9c24445587656344b91dae8c5382faffbfb900bd5e34c196ba9eb19c00cadb07"},
 		{"edgeconn", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[2].build(t, n, plan.Balanced)
-		}, nil, "88287181fc3537118fc681b1cf2dcc0e68c99b489292d043f9fadeda8b299a1c"},
+		}, nil, "273e7eb432048eb18fff3a45c7c8ed0e55f0cd571950552de9bbe7872cbad181"},
 		{"estimator", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[4].build(t, n, plan.Balanced)
-		}, nil, "d68414213ce9f6da5f215d1968236287df3b7bc97d67b35f0fe141f86614b902"},
+		}, nil, "d8c4ed120f273653efe52c2513ca46dc442ca3478fdb3c5360f4fe7847a7834e"},
 		{"reconstruct", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[5].build(t, n, plan.Balanced)
-		}, nil, "d2795294cd27301d4d480190510306e125eb19dbf9c66f294fa37806f60b525e"},
+		}, nil, "8989931fa70411fc74f8531a1316f300c138211dd3fae5bc28a9f1ff5aa382bd"},
 		{"sparsify", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[6].build(t, n, plan.Balanced)
-		}, nil, "a3aee79660a8014fe0ffcfe0cb8ecd0dae60e2eab23c9f5ede572f8a5a6cb455"},
+		}, nil, "de6a97623152bad68aff87445cac8139c5c01d5c7fb6716bd0425cf70b814105"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -473,16 +479,18 @@ func shareFrames(tb testing.TB) [][]byte {
 // TestShareFrameDigests pins the exact share frame of one vertex for every
 // share-capable structure by SHA-256, as TestCheckpointFrameDigests does for
 // checkpoint frames: share frames are the per-player messages a referee
-// merges, so their bytes are wire format too.
+// merges, so their bytes are wire format too. All seven were re-recorded,
+// on purpose, with format version 2 (sparse cell blocks; see
+// TestCheckpointFrameDigests).
 func TestShareFrameDigests(t *testing.T) {
 	want := map[string]string{
-		"spanning":    "b5cde05a5f81af272559314c769f80acbcce5d7c1157fd77de5ed30f1a399be9",
-		"skeleton":    "391fda6538f43454a4abc24a5b5af2936228aea10f14007429d28ba423ea8ea1",
-		"vertexconn":  "4afa00c978ade6276d31a2efbf92c84c3f1377391965ed23a950fdc1894167d7",
-		"edgeconn":    "bd9bf5dd668bf495ff9a25132124492d22818045dc19ca35f11cff9f3c0089f6",
-		"reconstruct": "2b970a61a773e4b78463edfb30f268fa6987f165a53314cbdb010eb74ff6bbfc",
-		"sparsify":    "3925930d5cd657689107012a930e0ec1c74837d48c472623a6040a41b8de0f53",
-		"becker":      "866c9ebf150bee44421e28b07eb13597b25f3a1d6ce12117b6090ad87dfeafd2",
+		"spanning":    "302bda3e6c6ec64e40612bb0acbb163de6e7e820bbeedfaa72fb38b74cfacfad",
+		"skeleton":    "40743421ba41b5e4647a75ec1b0ef0f8a09e36d9e0f5990dbf2432350b7e8dfd",
+		"vertexconn":  "7b6ef2cb3d9b526b54059b97fa19208cdaee1ae25498fa5a840e229940924efa",
+		"edgeconn":    "9823f7e83b8f9a6fb1b5dc241ac50b1f70be8282fe0a5e6c7a30e01bc9237825",
+		"reconstruct": "8181b047790ad06e194547ef444e0b1e39977bcd81a5343f1e9d0b2ad6a75478",
+		"sparsify":    "88c3f3e5504624ca95c5fac51d70ae8dd86491b1a876e8af77927f2d11d0d1d4",
+		"becker":      "89eec1799fae3cd97c8d7d357bf1c8eb2d6635cec176c29cea088131a1eb1d1a",
 	}
 	for i, frame := range shareFrames(t) {
 		name := shareCases[i].name
@@ -536,8 +544,167 @@ func TestShareFrameRejectsVertexOutOfRange(t *testing.T) {
 	}
 }
 
+// TestCancelledStreamWritesFreshFrame: a spanning sketch fed a stream and
+// then the stream's inverse holds the zero vector again, so it writes the
+// checkpoint frame and the share frames of a fresh sketch, though its
+// samplers keep the levels the stream allocated. A frame depends only on
+// the linear state.
+func TestCancelledStreamWritesFreshFrame(t *testing.T) {
+	const n = 16
+	st := frameDigestStream(n)
+	inverse := make(stream.Stream, len(st))
+	for i, u := range st {
+		inverse[len(st)-1-i] = stream.Update{Op: -u.Op, Edge: u.Edge}
+	}
+	s := checkpointCases[0].build(t, n, plan.Balanced).(*sketch.SpanningSketch)
+	if err := stream.Apply(append(st, inverse...), s); err != nil {
+		t.Fatal(err)
+	}
+	fresh := checkpointCases[0].build(t, n, plan.Balanced).(*sketch.SpanningSketch)
+	if s.Words() == fresh.Words() {
+		t.Fatal("the stream allocated no sampler level")
+	}
+	if !bytes.Equal(frametest.Of(t, s), frametest.Of(t, fresh)) {
+		t.Error("the cancelled sketch's checkpoint frame differs from a fresh sketch's")
+	}
+	for v := 0; v < n; v++ {
+		if !bytes.Equal(s.VertexShareFrame(v), fresh.VertexShareFrame(v)) {
+			t.Errorf("vertex %d: the cancelled sketch's share frame differs from a fresh sketch's", v)
+		}
+	}
+}
+
+// asVersion1 returns a copy of frame that says format version 1, the
+// layout that wrote every cell of every allocated level, with its
+// checksum recomputed.
+func asVersion1(frame []byte) []byte {
+	g := bytes.Clone(frame)
+	binary.LittleEndian.PutUint16(g[4:], 1)
+	return fixCRC(g)
+}
+
+// TestFormatVersion1Refused: a version-1 checkpoint frame fails codec.Open
+// and ReadFrom with codec.ErrVersion, leaving the ReadFrom receiver as it
+// was, and a version-1 share frame fails AddVertexShareFrame the same way,
+// for every structure.
+func TestFormatVersion1Refused(t *testing.T) {
+	for i, frame := range openFrames(t, 4) {
+		t.Run(checkpointCases[i].name, func(t *testing.T) {
+			old := asVersion1(frame)
+			if _, err := codec.Open(bytes.NewReader(old)); !errors.Is(err, codec.ErrVersion) {
+				t.Errorf("Open: got %v, want ErrVersion", err)
+			}
+			dst := checkpointCases[i].build(t, 8, plan.Balanced)
+			before := frametest.Of(t, dst)
+			if _, err := dst.ReadFrom(bytes.NewReader(old)); !errors.Is(err, codec.ErrVersion) {
+				t.Errorf("ReadFrom: got %v, want ErrVersion", err)
+			}
+			if !bytes.Equal(frametest.Of(t, dst), before) {
+				t.Error("a refused ReadFrom changed the receiver")
+			}
+		})
+	}
+	for i, frame := range shareFrames(t) {
+		s := shareCases[i].build(t, 16)
+		if _, err := s.AddVertexShareFrame(asVersion1(frame)); !errors.Is(err, codec.ErrVersion) {
+			t.Errorf("%s share frame: got %v, want ErrVersion", shareCases[i].name, err)
+		}
+	}
+}
+
+// malformedShare is a share frame whose first part no writer produces,
+// for the shareCases receiver at index receiver, and the error that must
+// refuse it.
+type malformedShare struct {
+	name     string
+	receiver int
+	frame    []byte
+	want     error
+}
+
+// malformedShareFrames returns malformed share frames for vertex v of the
+// spanning sketch (a sampler a round) and the Becker baseline (one row).
+// Each share is a fresh sketch's with its first part replaced, so only
+// that part is wrong, or cut after it. At plan.Balanced a spanning sampler
+// level has 49 cells (S 8, 3 rows of 16 buckets), a 7-byte bitmap, and a
+// Becker row 25 (S 4, 3 rows of 8), a 4-byte bitmap: both bitmaps' last
+// bytes have bits past the cell count.
+func malformedShareFrames(tb testing.TB, v int) []malformedShare {
+	tb.Helper()
+	cell := bytes.Repeat([]byte{7}, recovery.CellBytes)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	level := func(first, last byte) []byte { return []byte{first, 0, 0, 0, 0, 0, last} }
+	spanning := checkpointCases[0].build(tb, 16, plan.Balanced).(*sketch.SpanningSketch)
+	past := byte(spanning.WireConfig().Sampler.MaxLevels + 1)
+	var out []malformedShare
+	for _, c := range []struct {
+		receiver, part int // the part's length in the fresh share
+		cases          []malformedShare
+	}{
+		{0, 1, []malformedShare{
+			{name: "spanning/bit-past-cell-count", frame: join([]byte{1}, level(0x01, 0x02), cell, cell), want: recovery.ErrMalformed},
+			{name: "spanning/empty-top-level", frame: join([]byte{2}, level(0x01, 0), cell, level(0, 0)), want: recovery.ErrMalformed},
+			{name: "spanning/levels-past-max", frame: []byte{past}, want: recovery.ErrMalformed},
+			{name: "spanning/truncated-bitmap", frame: []byte{1, 0x01, 0}, want: recovery.ErrShortBuffer},
+			{name: "spanning/truncated-cells", frame: join([]byte{1}, level(0x03, 0), cell), want: recovery.ErrShortBuffer},
+		}},
+		{6, 4, []malformedShare{
+			{name: "becker/bit-past-cell-count", frame: join([]byte{0x01, 0, 0, 0x02}, cell, cell), want: recovery.ErrMalformed},
+			{name: "becker/truncated-bitmap", frame: []byte{0x01, 0}, want: recovery.ErrShortBuffer},
+			{name: "becker/truncated-cells", frame: join([]byte{0x03, 0, 0, 0}, cell), want: recovery.ErrShortBuffer},
+		}},
+	} {
+		fresh := shareCases[c.receiver].build(tb, 16).VertexShareFrame(v)
+		h, payload, _, err := codec.DecodeFrame(fresh)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rest := payload[4+c.part:] // after the vertex index and the first part
+		for _, m := range c.cases {
+			share := append(bytes.Clone(m.frame), rest...)
+			if m.want == recovery.ErrShortBuffer {
+				share = m.frame // cut after the part, so the bytes run out
+			}
+			m.receiver = c.receiver
+			m.frame = codec.AppendShareFrame(nil, h.Tag, h.Fingerprint, v, len(share),
+				func(b []byte) []byte { return append(b, share...) })
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestShareFrameRefusesMalformed: each malformed share frame is refused by
+// AddVertexShareFrame with its typed error, and leaves every share of a
+// receiver that holds the digest stream as it was.
+func TestShareFrameRefusesMalformed(t *testing.T) {
+	const n, v = 16, 5
+	for _, m := range malformedShareFrames(t, v) {
+		t.Run(m.name, func(t *testing.T) {
+			s := shareCases[m.receiver].build(t, n)
+			if err := stream.Apply(frameDigestStream(n), s); err != nil {
+				t.Fatal(err)
+			}
+			shares := func() (all []byte) {
+				for u := 0; u < n; u++ {
+					all = append(all, s.VertexShareFrame(u)...)
+				}
+				return all
+			}
+			before := shares()
+			if _, err := s.AddVertexShareFrame(m.frame); !errors.Is(err, m.want) {
+				t.Fatalf("got %v, want %v", err, m.want)
+			}
+			if !bytes.Equal(shares(), before) {
+				t.Fatal("a refused share frame changed the receiver")
+			}
+		})
+	}
+}
+
 // FuzzShareFrame feeds share frames to the receiver their tag names,
-// seeded from the pinned share frames and their out-of-range twins. Each
+// seeded from the pinned share frames, their out-of-range twins and the
+// malformed share frames of TestShareFrameRefusesMalformed. Each
 // input is tried as given and with its checksum recomputed, so mutations
 // reach the vertex index and the share parsers instead of stopping at the
 // CRC. No input may panic, and an accepted share must frame again.
@@ -545,6 +712,9 @@ func FuzzShareFrame(f *testing.F) {
 	for _, frame := range shareFrames(f) {
 		f.Add(frame)
 		f.Add(reframe(frame, 1000))
+	}
+	for _, m := range malformedShareFrames(f, shareDigestVertex) {
+		f.Add(m.frame)
 	}
 	receivers := map[codec.Tag]int{}
 	for i, frame := range shareFrames(f) {
@@ -728,8 +898,9 @@ func TestCheckpointWriteFailure(t *testing.T) {
 
 // TestCheckpointStreamAllocation pins the streaming writer at vconn-dense's
 // shape (vertexconn n = 64, K = 3, 48 subgraphs, after churn): WriteTo
-// passes the ~48 MB frame through one buffer of a few hundred KiB, about
-// one vertex share, so it allocates far less than the frame.
+// passes the frame (9.3 MB of nonzero cells; 48 MB when every allocated
+// cell was written) through one buffer of a few hundred KiB, the flush
+// threshold plus the longest batch of shares, so it allocates under 1 MiB.
 func TestCheckpointStreamAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 48 MB sketch")
@@ -759,9 +930,9 @@ func TestCheckpointStreamAllocation(t *testing.T) {
 	if err != nil || n != size {
 		t.Fatalf("WriteTo = (%d, %v), want (%d, nil)", n, err, size)
 	}
-	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-	t.Logf("WriteTo allocated %.4f× its %d-byte frame", ratio, n)
-	if ratio > 1.0/16 {
-		t.Fatalf("WriteTo allocated %.4f× its %d-byte frame, want <= 1/16", ratio, n)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("WriteTo allocated %d bytes, %.4f× its %d-byte frame", alloc, float64(alloc)/float64(n), n)
+	if alloc > 1<<20 {
+		t.Fatalf("WriteTo allocated %d bytes for a %d-byte frame, want <= 1 MiB", alloc, n)
 	}
 }

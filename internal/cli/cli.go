@@ -117,17 +117,27 @@ func restoreSketch[T graphsketch.Sketch](path string, stderr io.Writer) (T, erro
 }
 
 // writeCheckpoint writes a framed checkpoint of the sketch to path and
-// reports the framed size on stderr.
+// reports the framed size on stderr. The frame is written to path+".tmp"
+// in the same directory, synced, and renamed over path, so a write that
+// fails or is cut short leaves the previous checkpoint at path whole.
 func writeCheckpoint(path string, s io.WriterTo, stderr io.Writer) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	n, err := s.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	fmt.Fprintf(stderr, "checkpoint: %d framed bytes written to %s\n", n, path)

@@ -3,12 +3,15 @@ package cli
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphsketch/internal/codec"
+	"graphsketch/internal/graph"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/workload"
 )
@@ -432,5 +435,61 @@ func TestRunEconnConnectedPair(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "0 and 5 are connected") {
 		t.Fatalf("econn connected output: %q", out.String())
+	}
+}
+
+// halfFrame writes the first half of a frame and then fails: a checkpoint
+// write that dies mid-frame.
+type halfFrame []byte
+
+var errMidFrame = errors.New("write failed mid-frame")
+
+func (f halfFrame) WriteTo(w io.Writer) (int64, error) {
+	n, _ := w.Write(f[:len(f)/2])
+	return int64(n), errMidFrame
+}
+
+// TestWriteCheckpointKeepsPrevious: a checkpoint write that fails
+// mid-frame returns its error and leaves the previous checkpoint file
+// whole, so it still opens, with no temporary file left beside it; the
+// next write that succeeds replaces it.
+func TestWriteCheckpointKeepsPrevious(t *testing.T) {
+	s, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "s.ckpt")
+	if err := writeCheckpoint(path, s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(graph.MustEdge(1, 2), 1); err != nil {
+		t.Fatal(err)
+	}
+	var next bytes.Buffer
+	if _, err := s.WriteTo(&next); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpoint(path, halfFrame(next.Bytes()), io.Discard); !errors.Is(err, errMidFrame) {
+		t.Fatalf("a write failing mid-frame returned %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("the previous checkpoint changed (%v)", err)
+	}
+	if _, err := codec.Open(bytes.NewReader(got)); err != nil {
+		t.Fatalf("the previous checkpoint no longer opens: %v", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+	if err := writeCheckpoint(path, s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, next.Bytes()) {
+		t.Fatalf("a successful write did not replace the checkpoint (%v)", err)
 	}
 }

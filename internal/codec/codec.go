@@ -8,7 +8,7 @@
 //
 //	offset size field
 //	0      4    magic "GSKF"
-//	4      2    format version (little-endian uint16; currently 1)
+//	4      2    format version (little-endian uint16; currently 2)
 //	6      1    kind (1 = checkpoint, 2 = vertex share, 3–6 = shard plane)
 //	7      1    structure type tag (TagSpanning … TagBecker)
 //	8      8    identity fingerprint (little-endian uint64)
@@ -48,7 +48,7 @@ var Magic = [4]byte{'G', 'S', 'K', 'F'}
 // Version is the current format version. Decoders accept exactly the
 // versions they know how to parse; see the versioning policy in
 // IMPLEMENTATION.md ("Wire format & checkpointing").
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Kind discriminates what a frame carries.
 type Kind uint8
@@ -193,10 +193,11 @@ type FrameWriter struct {
 	err  error
 }
 
-// newFrameWriter begins a size-byte frame for h on w.
+// newFrameWriter begins a size-byte frame for h on w. Its buffer holds
+// the header only: Reserve, or the appends themselves, size it, so a
+// writer that reserves allocates its buffer once.
 func newFrameWriter(w io.Writer, h Header, size int) *FrameWriter {
-	buf := make([]byte, 0, min(size, flushAt))
-	return &FrameWriter{w: w, buf: beginFrame(buf, h, size-FrameOverhead), left: size - crcLen}
+	return &FrameWriter{w: w, buf: beginFrame(nil, h, size-FrameOverhead), left: size - crcLen}
 }
 
 // Append lets f append to the frame in place, in the writer's buffer, and

@@ -118,25 +118,6 @@ func (f *FlowNetwork) MaxFlow(s, t int, limit int64) int64 {
 	return flow
 }
 
-// MinCutSide returns the set of nodes reachable from s in the residual
-// network after MaxFlow has run: the source side of a minimum cut.
-func (f *FlowNetwork) MinCutSide(s int) []bool {
-	side := make([]bool, f.n)
-	stack := []int{s}
-	side[s] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for e := f.head[u]; e != -1; e = f.next[e] {
-			if f.cap[e] > 0 && !side[f.to[e]] {
-				side[f.to[e]] = true
-				stack = append(stack, f.to[e])
-			}
-		}
-	}
-	return side
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -105,18 +105,6 @@ func TestMaxFlowLimit(t *testing.T) {
 	}
 }
 
-func TestMinCutSide(t *testing.T) {
-	f := NewFlowNetwork(4)
-	f.AddArc(0, 1, 5)
-	f.AddArc(1, 2, 1) // bottleneck
-	f.AddArc(2, 3, 5)
-	f.MaxFlow(0, 3, Unbounded)
-	side := f.MinCutSide(0)
-	if !side[0] || !side[1] || side[2] || side[3] {
-		t.Fatalf("cut side wrong: %v", side)
-	}
-}
-
 func TestSTEdgeCutAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 7))
 	for trial := 0; trial < 40; trial++ {

@@ -80,15 +80,37 @@ func (p *exactPart) AppendBinary(b []byte) []byte {
 }
 
 // CheckBinary validates the part at the front of src and returns the rest.
+// The count must be within the budget, and the keys must increase
+// strictly, each the key of an edge at v, with nonzero weights.
 func (p *exactPart) CheckBinary(src []byte) ([]byte, error) {
-	_, _, rest, err := p.split(src)
-	return rest, err
+	s, v := p.s, p.v
+	pairs, _, rest, err := p.split(src)
+	if err != nil {
+		return nil, err
+	}
+	var buf [8]int
+	for i := 0; i < len(pairs); i += 16 {
+		key := binary.LittleEndian.Uint64(pairs[i:])
+		e, err := s.dom.AppendDecode(buf[:0], key)
+		switch {
+		case i > 0 && key <= binary.LittleEndian.Uint64(pairs[i-16:]):
+			err = errors.New("keys not strictly increasing")
+		case binary.LittleEndian.Uint64(pairs[i+8:]) == 0:
+			err = errors.New("a zero-weight entry")
+		case err == nil && !slices.Contains(e, v):
+			err = fmt.Errorf("key %d, whose edge misses the vertex", key)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: vertex %d buffer: %v: %w", v, err, codec.ErrUnknownType)
+		}
+	}
+	return rest, nil
 }
 
-// AddBinary merges the part at the front of src into v and returns the
-// rest. A vertex with neither entries nor the spilled mark adopts the
-// part's buffer as it is.
-func (p *exactPart) AddBinary(src []byte) ([]byte, error) {
+// AddCheckedBinary merges the part at the front of src, which CheckBinary
+// accepted, into v and returns the rest. A vertex with neither entries nor
+// the spilled mark adopts the part's buffer as it is.
+func (p *exactPart) AddCheckedBinary(src []byte) ([]byte, error) {
 	pairs, spilled, rest, err := p.split(src)
 	if err != nil {
 		return nil, err
@@ -110,10 +132,9 @@ func (p *exactPart) AddBinary(src []byte) ([]byte, error) {
 	return rest, s.addVertex(v, spilled, ks, vs)
 }
 
-// split validates the part at the front of src and returns its pairs,
-// whether it marks v spilled, and the rest. The count must be within the
-// budget, and the keys must increase strictly, each the key of an edge at
-// v, with nonzero weights.
+// split splits the part at the front of src into its pairs, whether it
+// marks v spilled, and the rest, checking only the count against the
+// budget and that the bytes are there.
 func (p *exactPart) split(src []byte) (pairs []byte, spilled bool, rest []byte, err error) {
 	s, v := p.s, p.v
 	if len(src) < 4 {
@@ -129,24 +150,7 @@ func (p *exactPart) split(src []byte) (pairs []byte, spilled bool, rest []byte, 
 	if len(src) < 16*int(cnt) {
 		return nil, false, nil, fmt.Errorf("hybrid: vertex %d buffer truncated: %w", v, codec.ErrTruncated)
 	}
-	pairs, rest = src[:16*cnt], src[16*cnt:]
-	var buf [8]int
-	for i := 0; i < len(pairs); i += 16 {
-		key := binary.LittleEndian.Uint64(pairs[i:])
-		e, err := s.dom.AppendDecode(buf[:0], key)
-		switch {
-		case i > 0 && key <= binary.LittleEndian.Uint64(pairs[i-16:]):
-			err = errors.New("keys not strictly increasing")
-		case binary.LittleEndian.Uint64(pairs[i+8:]) == 0:
-			err = errors.New("a zero-weight entry")
-		case err == nil && !slices.Contains(e, v):
-			err = fmt.Errorf("key %d, whose edge misses the vertex", key)
-		}
-		if err != nil {
-			return nil, false, nil, fmt.Errorf("hybrid: vertex %d buffer: %v: %w", v, err, codec.ErrUnknownType)
-		}
-	}
-	return pairs, false, rest, nil
+	return src[:16*cnt], false, src[16*cnt:], nil
 }
 
 func init() {

@@ -20,12 +20,12 @@
 // working unchanged on the spilled part (the properties Theorems 2/13 of
 // the source paper need). SpillAll makes the invariant testable: after
 // spilling every vertex the inner sketch holds the same linear state as a
-// pure sketch fed the same stream — byte-identical on insert-only streams.
-// On streams with deletions the two serializations can differ without the
-// states differing: an insert/delete pair that cancels inside a buffer
-// never touches the inner's samplers, while the pure sketch lazily
-// allocates sampler levels for it that stay allocated-but-zero and
-// serialize. Equality there is of decoded components, not bytes.
+// pure sketch fed the same stream, and writes the same bytes. That holds on
+// streams with deletions too: an insert/delete pair that cancels inside a
+// buffer never touches the inner's samplers, while the pure sketch lazily
+// allocates sampler levels for it that end all zero, and a sampler's wire
+// form lists only levels up to its highest nonzero cell, so those levels
+// write nothing.
 //
 // Below the spill threshold the win is large on both axes: a buffered
 // update is a binary search plus an insert into a ≤B/2-entry array (tens of

@@ -82,13 +82,17 @@ func TestAbsentSampler(t *testing.T) {
 			}
 		}, true},
 		{"AddBinary/out-of-range", func(t *testing.T, s *Sampler) {
-			if _, err := s.AddBinary([]byte{1, byte(cfg.MaxLevels)}); err == nil {
-				t.Fatal("level MaxLevels accepted")
+			if _, err := s.AddBinary([]byte{byte(cfg.MaxLevels + 1)}); err == nil {
+				t.Fatal("MaxLevels+1 levels accepted")
 			}
 		}, true},
 		{"AddBinary/top-level", func(t *testing.T, s *Sampler) {
 			share := New(0xab5e, dom, cfg)
-			share.grow(cfg.MaxLevels)
+			for k := uint64(1); share.levels() < cfg.MaxLevels; k++ {
+				if top, _ := share.Hash(k); top == cfg.MaxLevels-1 {
+					share.Update(k, 1)
+				}
+			}
 			if _, err := s.AddBinary(share.AppendBinary(nil)); err != nil {
 				t.Fatalf("a share at level %d rejected: %v", cfg.MaxLevels-1, err)
 			}

@@ -55,7 +55,8 @@ type Config struct {
 // Caps on the shape a checkpoint frame may declare, far above any the
 // package defaults, plan profiles or tests use: shared randomness is built
 // eagerly, MaxLevels shapes of Rows hashes, however short the state.
-// LevelsCap is all a share's one-byte level index names; RowsCap and
+// LevelsCap bounds that build, four times the 64 levels a 2⁶³ domain
+// needs (a share's uvarint level count holds any L); RowsCap and
 // BucketsCap (S·BucketsPerS) keep a level's cell count within an int32.
 const (
 	LevelsCap  = 256

@@ -64,6 +64,13 @@ func (c Cell) IsZero() bool {
 	return c.count == 0 && c.mom == 0 && c.fp == 0
 }
 
+// nonzero is 1 when the cell is not IsZero and 0 when it is, computed
+// without a branch.
+func (c Cell) nonzero() int {
+	x := uint64(c.count) | uint64(c.mom) | uint64(c.fp)
+	return int((x | -x) >> 63)
+}
+
 // decode attempts 1-sparse recovery of the cell's vector with fingerprint
 // point z over indices [0, dom): (i, v, true) when exactly one coordinate i
 // is nonzero with value v, ok = false when the vector is zero or not

@@ -30,10 +30,11 @@ func TestOneSparseBinaryMerge(t *testing.T) {
 	}
 }
 
+// A one-cell block that lists its cell must carry all 24 of its bytes.
 func TestOneSparseBinaryShortBuffer(t *testing.T) {
 	c := NewOneSparse(1, testDomain)
-	if _, err := c.AddBinary(make([]byte, 23)); err == nil {
-		t.Fatal("23-byte buffer accepted")
+	if _, err := c.AddBinary(append([]byte{1}, make([]byte, 23)...)); err == nil {
+		t.Fatal("a listed cell of 23 bytes accepted")
 	}
 }
 
@@ -72,14 +73,19 @@ func TestSSparseBinaryMerge(t *testing.T) {
 	}
 }
 
+// An empty structure of 17 cells is its 3-byte bitmap; one coordinate
+// adds the certification cell and one cell a row.
 func TestSSparseBinarySize(t *testing.T) {
 	s := NewSSparse(1, testDomain, SSparseConfig{S: 4, Rows: 2, BucketsPerS: 2})
-	data := s.AppendBinary(nil)
-	if len(data) != s.BinarySize() {
-		t.Fatalf("serialized %d bytes, BinarySize says %d", len(data), s.BinarySize())
-	}
-	if want := (1 + 2*8) * 24; len(data) != want {
-		t.Fatalf("serialized %d bytes, want %d", len(data), want)
+	for _, want := range []int{3, 3 + 3*24} {
+		data := s.AppendBinary(nil)
+		if len(data) != s.BinarySize() {
+			t.Fatalf("serialized %d bytes, BinarySize says %d", len(data), s.BinarySize())
+		}
+		if len(data) != want {
+			t.Fatalf("serialized %d bytes, want %d", len(data), want)
+		}
+		s.Update(5, 1)
 	}
 }
 
@@ -114,6 +120,42 @@ func TestSSparseTruncatedMergeIsNoOp(t *testing.T) {
 		if _, ok := target.Decode(); !ok {
 			t.Fatal("structure no longer decodes after rejected merges")
 		}
+	}
+}
+
+// TestSSparseRefusesMalformed: crafted blocks for a 17-cell structure (a
+// 3-byte bitmap) — a Becker row's form — are refused with a typed error
+// by CheckBinary and AddBinary, and the refusal leaves the structure's
+// bytes as they were.
+func TestSSparseRefusesMalformed(t *testing.T) {
+	cell := bytes.Repeat([]byte{7}, CellBytes)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name  string
+		block []byte
+		want  error
+	}{
+		{"bit-past-cell-count", join([]byte{0x01, 0x00, 0x02}, cell, cell), ErrMalformed},
+		{"empty", nil, ErrShortBuffer},
+		{"truncated-bitmap", []byte{0x01, 0x00}, ErrShortBuffer},
+		{"truncated-cells", join([]byte{0x03, 0x00, 0x00}, cell, cell[:1]), ErrShortBuffer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewSSparse(1, testDomain, SSparseConfig{S: 4, Rows: 2, BucketsPerS: 2})
+			src.Update(5, 1)
+			for _, target := range []*SSparse{NewSSparse(1, testDomain, SSparseConfig{S: 4, Rows: 2, BucketsPerS: 2}), src} {
+				before := target.AppendBinary(nil)
+				if _, err := target.CheckBinary(tc.block); !errors.Is(err, tc.want) {
+					t.Fatalf("CheckBinary: got %v, want %v", err, tc.want)
+				}
+				if _, err := target.AddBinary(tc.block); !errors.Is(err, tc.want) {
+					t.Fatalf("AddBinary: got %v, want %v", err, tc.want)
+				}
+				if !bytes.Equal(target.AppendBinary(nil), before) {
+					t.Fatal("a refused block changed the structure")
+				}
+			}
+		})
 	}
 }
 

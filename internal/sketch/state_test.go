@@ -133,8 +133,8 @@ func TestAddStateRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := stateOf(a)
-	if size, _ := (Shares{a}).sizes(); len(state) != size {
-		t.Fatalf("state of %d bytes, sizes says %d", len(state), size)
+	if ends := (Shares{a}).fan().ends(); len(state) != ends[len(ends)-1] {
+		t.Fatalf("state of %d bytes, ends says %d", len(state), ends[len(ends)-1])
 	}
 	b := NewSpanning(1, dom, SpanningConfig{})
 	if err := addBytes(b, state[:len(state)-3]); err == nil {
