@@ -94,8 +94,9 @@ codec-check:
 
 # Race-enabled run of the packages that bind metrics or start spans from
 # several goroutines — the skeleton peel and the parallel vertexconn H
-# build start child spans concurrently, and the sketch, vertexconn and
-# edgeconn tests decode one sketch from two goroutines with obs enabled —
+# build start child spans concurrently, and the sketch and vertexconn
+# tests decode one sketch from two goroutines with obs enabled (edgeconn's
+# decodes a skeleton, the sketch package's decode, and reads λ off it) —
 # plus the obs endpoint smoke test;
 # the fast loop CI runs on every push (race over the whole module is the
 # `race` target). The race run repeats at GOMAXPROCS 1: with obs enabled,

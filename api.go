@@ -52,9 +52,9 @@ type Mergeable interface {
 }
 
 // Sketch is the interface every linear graph sketch in this repository
-// implements: the five paper structures (sketch.SpanningSketch,
-// sketch.SkeletonSketch, edgeconn.Sketch, vertexconn.Sketch,
-// vertexconn.Estimator) plus reconstruct.Sketch and sparsify.Sketch.
+// implements: the paper structures sketch.SpanningSketch,
+// sketch.SkeletonSketch (whose decoded skeleton edgeconn and reconstruct
+// read), vertexconn.Sketch, vertexconn.Estimator and sparsify.Sketch.
 //
 //   - Update / UpdateBatch ingest the dynamic stream.
 //   - Merge adds another identically-constructed sketch (distributed

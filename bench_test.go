@@ -136,7 +136,7 @@ func BenchmarkE5Skeleton(b *testing.B) {
 	h := workload.ErdosRenyi(rng, n, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk := sketch.NewSkeleton(uint64(i), h.Domain(), k, sketch.SpanningConfig{})
+		sk := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: uint64(i)})
 		if err := sk.UpdateGraph(h, 1); err != nil {
 			b.Fatal(err)
 		}
@@ -152,14 +152,11 @@ func BenchmarkE6Reconstruct(b *testing.B) {
 	h := workload.PaperExample()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := reconstruct.New(reconstruct.Params{N: h.N(), R: h.Domain().R(), K: 2, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2 + 1, Seed: uint64(i)})
 		if err := s.UpdateGraph(h, 1); err != nil {
 			b.Fatal(err)
 		}
-		got, err := s.Reconstruct()
+		got, err := reconstruct.Reconstruct(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,14 +259,15 @@ func BenchmarkE10Ablations(b *testing.B) {
 func BenchmarkE11Extensions(b *testing.B) {
 	h := workload.MustHarary(16, 4)
 	for i := 0; i < b.N; i++ {
-		ec, err := edgeconn.New(edgeconn.Params{N: h.N(), R: h.Domain().R(), K: 6, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
+		ec := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: 6, Seed: uint64(i)})
 		if err := ec.UpdateGraph(h, 1); err != nil {
 			b.Fatal(err)
 		}
-		lambda, _, err := ec.EdgeConnectivity()
+		skel, err := ec.Decode(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lambda, _, err := edgeconn.Connectivity(skel, ec.K())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +497,7 @@ func BenchmarkVertexConnDecode(b *testing.B) {
 func BenchmarkParallelDecode(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
-	sk := sketch.NewSkeleton(3, h.Domain(), k, sketch.SpanningConfig{})
+	sk := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: 3})
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -523,7 +521,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 func BenchmarkCheckpointWrite(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
-	sk := sketch.NewSkeleton(3, h.Domain(), k, sketch.SpanningConfig{})
+	sk := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: 3})
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -581,7 +579,7 @@ func denseVertexConn(tb testing.TB) *vertexconn.Sketch {
 func BenchmarkCheckpointRead(b *testing.B) {
 	const n, k = 64, 8
 	h := workload.MustHarary(n, k)
-	sk := sketch.NewSkeleton(3, h.Domain(), k, sketch.SpanningConfig{})
+	sk := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: 3})
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		b.Fatal(err)
 	}

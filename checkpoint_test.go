@@ -18,11 +18,11 @@ import (
 	"io"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphsketch"
 	"graphsketch/internal/codec"
-	"graphsketch/internal/core/edgeconn"
 	"graphsketch/internal/core/reconstruct"
 	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/core/vertexconn"
@@ -36,12 +36,14 @@ import (
 	"graphsketch/internal/workload"
 )
 
-// checkpointCases builds each of the eight implementations under a given
+// checkpointCases builds each checkpointable structure under a given
 // profile; the Lean and Balanced variants of one case differ only in
 // construction parameters (never seed), which is exactly what the identity
 // fingerprint must distinguish. The hybrid case varies both its own budget
 // and the wrapped inner's profile, so its fingerprint must reject a
-// mismatch at either layer.
+// mismatch at either layer. The edgeconn and reconstruct cases are the
+// skeleton sketches those decoders read, built as the retired tags' sketches
+// were: a 3-skeleton, and the (k+1)-skeleton light_k reads at k = 2.
 var checkpointCases = []struct {
 	name  string
 	build func(t testing.TB, n int, prof plan.Profile) graphsketch.Checkpointer
@@ -66,7 +68,7 @@ var checkpointCases = []struct {
 		return s
 	}},
 	{"edgeconn", func(t testing.TB, n int, prof plan.Profile) graphsketch.Checkpointer {
-		s, err := edgeconn.New(edgeconn.Params{
+		s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
 			N: n, K: 3, Spanning: plan.Spanning(n, prof), Seed: 7,
 		})
 		if err != nil {
@@ -96,8 +98,8 @@ var checkpointCases = []struct {
 		return e
 	}},
 	{"reconstruct", func(t testing.TB, n int, prof plan.Profile) graphsketch.Checkpointer {
-		s, err := reconstruct.New(reconstruct.Params{
-			N: n, K: 2, Spanning: plan.Spanning(n, prof), Seed: 7,
+		s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
+			N: n, K: 2 + 1, Spanning: plan.Spanning(n, prof), Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +307,9 @@ func frameDigestStream(n int) stream.Stream {
 // eight were re-recorded, on purpose, with format version 2, when sampler
 // levels and Becker rows came to list only their nonzero cells behind a
 // bitmap and a sampler to write only the levels up to its highest nonzero
-// cell; spanning-cancelled's churn-only vertex now writes no level.
+// cell; spanning-cancelled's churn-only vertex now writes no level. The
+// edgeconn and reconstruct frames went with their tags (3 and 6); the
+// skeleton state they carried is pinned by TestRetiredTagStatesUnchanged.
 func TestCheckpointFrameDigests(t *testing.T) {
 	const n = 16
 	st := frameDigestStream(n)
@@ -344,15 +348,9 @@ func TestCheckpointFrameDigests(t *testing.T) {
 		{"vertexconn", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[3].build(t, n, plan.Balanced)
 		}, nil, "9c24445587656344b91dae8c5382faffbfb900bd5e34c196ba9eb19c00cadb07"},
-		{"edgeconn", func(t *testing.T) graphsketch.Checkpointer {
-			return checkpointCases[2].build(t, n, plan.Balanced)
-		}, nil, "273e7eb432048eb18fff3a45c7c8ed0e55f0cd571950552de9bbe7872cbad181"},
 		{"estimator", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[4].build(t, n, plan.Balanced)
 		}, nil, "d8c4ed120f273653efe52c2513ca46dc442ca3478fdb3c5360f4fe7847a7834e"},
-		{"reconstruct", func(t *testing.T) graphsketch.Checkpointer {
-			return checkpointCases[5].build(t, n, plan.Balanced)
-		}, nil, "8989931fa70411fc74f8531a1316f300c138211dd3fae5bc28a9f1ff5aa382bd"},
 		{"sparsify", func(t *testing.T) graphsketch.Checkpointer {
 			return checkpointCases[6].build(t, n, plan.Balanced)
 		}, nil, "de6a97623152bad68aff87445cac8139c5c01d5c7fb6716bd0425cf70b814105"},
@@ -374,6 +372,67 @@ func TestCheckpointFrameDigests(t *testing.T) {
 				t.Fatalf("frame SHA-256 = %s (%d bytes), want %s", got, buf.Len(), tc.want)
 			}
 		})
+	}
+}
+
+// TestRetiredTagStatesUnchanged pins that retiring the edgeconn (3) and
+// reconstruct (6) tags changed no state byte: a skeleton sketch built with
+// their params — K = 3, and K = k+1 at k = 2 — writes, after the digest
+// stream, the checkpoint state (the payload after the params) and the
+// share interior of shareDigestVertex those tags' frames carried. The
+// digests were recorded from the tagged frames before the tags went.
+func TestRetiredTagStatesUnchanged(t *testing.T) {
+	const n = 16
+	const state = "2c768735cdf24e374484430ca3f7ce818d18a2b1022c7d4254e1a3344beceea3"
+	const share = "2c9893912ee50ea218af92e7dff98b07f3a0705ffa9a8fc265c4f66145834a3f"
+	st := frameDigestStream(n)
+	for _, i := range []int{2, 5} {
+		tc := checkpointCases[i]
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t, n, plan.Balanced)
+			if err := stream.Apply(st, s); err != nil {
+				t.Fatal(err)
+			}
+			_, _, got := splitCheckpoint(t, frametest.Of(t, s))
+			if d := fmt.Sprintf("%x", sha256.Sum256(got)); d != state {
+				t.Errorf("state SHA-256 = %s (%d bytes), want %s", d, len(got), state)
+			}
+			interior := vertexShare(t, s, shareDigestVertex)
+			if d := fmt.Sprintf("%x", sha256.Sum256(interior)); d != share {
+				t.Errorf("share interior SHA-256 = %s (%d bytes), want %s", d, len(interior), share)
+			}
+		})
+	}
+}
+
+// TestRetiredTagsRefused: a checkpoint frame or a share frame under a
+// retired tag (edgeconn 3, reconstruct 6), carrying a skeleton's params and
+// state, is refused with codec.ErrUnknownType, and the share leaves its
+// receiver as it was.
+func TestRetiredTagsRefused(t *testing.T) {
+	const n = 8
+	s := checkpointCases[2].build(t, n, plan.Balanced).(*sketch.SkeletonSketch)
+	if err := stream.Apply(checkpointStream(n), s); err != nil {
+		t.Fatal(err)
+	}
+	_, params, state := splitCheckpoint(t, frametest.Of(t, s))
+	share := s.VertexShareFrame(shareDigestVertex)
+	for _, tag := range []codec.Tag{codec.TagEdgeConn, codec.TagReconstr} {
+		if slices.Contains(codec.RegisteredTags(), tag) {
+			t.Errorf("retired %v has an opener", tag)
+		}
+		if _, err := codec.Open(bytes.NewReader(checkpointFrame(tag, params, state))); !errors.Is(err, codec.ErrUnknownType) {
+			t.Errorf("%v checkpoint frame: got %v, want ErrUnknownType", tag, err)
+		}
+		f := bytes.Clone(share)
+		f[7] = byte(tag)
+		before := frametest.Of(t, s)
+		if _, err := s.AddVertexShareFrame(fixCRC(f)); !errors.Is(err, codec.ErrUnknownType) {
+			t.Errorf("%v share frame: got %v, want ErrUnknownType", tag, err)
+		}
+		if !bytes.Equal(frametest.Of(t, s), before) {
+			t.Errorf("a refused %v share frame changed the receiver", tag)
+		}
 	}
 }
 
@@ -481,19 +540,22 @@ func shareFrames(tb testing.TB) [][]byte {
 // checkpoint frames: share frames are the per-player messages a referee
 // merges, so their bytes are wire format too. All seven were re-recorded,
 // on purpose, with format version 2 (sparse cell blocks; see
-// TestCheckpointFrameDigests).
+// TestCheckpointFrameDigests). The edgeconn and reconstruct entries went
+// with their tags: those cases now send skeleton frames, whose interiors
+// TestRetiredTagStatesUnchanged pins.
 func TestShareFrameDigests(t *testing.T) {
 	want := map[string]string{
-		"spanning":    "302bda3e6c6ec64e40612bb0acbb163de6e7e820bbeedfaa72fb38b74cfacfad",
-		"skeleton":    "40743421ba41b5e4647a75ec1b0ef0f8a09e36d9e0f5990dbf2432350b7e8dfd",
-		"vertexconn":  "7b6ef2cb3d9b526b54059b97fa19208cdaee1ae25498fa5a840e229940924efa",
-		"edgeconn":    "9823f7e83b8f9a6fb1b5dc241ac50b1f70be8282fe0a5e6c7a30e01bc9237825",
-		"reconstruct": "8181b047790ad06e194547ef444e0b1e39977bcd81a5343f1e9d0b2ad6a75478",
-		"sparsify":    "88c3f3e5504624ca95c5fac51d70ae8dd86491b1a876e8af77927f2d11d0d1d4",
-		"becker":      "89eec1799fae3cd97c8d7d357bf1c8eb2d6635cec176c29cea088131a1eb1d1a",
+		"spanning":   "302bda3e6c6ec64e40612bb0acbb163de6e7e820bbeedfaa72fb38b74cfacfad",
+		"skeleton":   "40743421ba41b5e4647a75ec1b0ef0f8a09e36d9e0f5990dbf2432350b7e8dfd",
+		"vertexconn": "7b6ef2cb3d9b526b54059b97fa19208cdaee1ae25498fa5a840e229940924efa",
+		"sparsify":   "88c3f3e5504624ca95c5fac51d70ae8dd86491b1a876e8af77927f2d11d0d1d4",
+		"becker":     "89eec1799fae3cd97c8d7d357bf1c8eb2d6635cec176c29cea088131a1eb1d1a",
 	}
 	for i, frame := range shareFrames(t) {
 		name := shareCases[i].name
+		if name == "edgeconn" || name == "reconstruct" {
+			continue
+		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(frame)); got != want[name] {
 			t.Errorf("%s: share frame SHA-256 = %s (%d bytes), want %s", name, got, len(frame), want[name])
 		}

@@ -51,7 +51,12 @@ func runE10(cfg Config, out *os.File) error {
 		// Independent (valid): a Theorem 14 skeleton stack sized for full
 		// extraction (only at the smallest n — it is big).
 		if n <= 24 {
-			sk := sketch.NewSkeleton(cfg.Seed, h.Domain(), n/2, lean)
+			sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
+				N: n, R: h.Domain().R(), K: n / 2, Spanning: lean, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return err
+			}
 			if err := sk.UpdateGraph(h, 1); err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/hashutil"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/workload"
 )
@@ -46,7 +47,7 @@ func runE11(cfg Config, out *os.File) error {
 		churn := workload.ErdosRenyi(rng, in.g.N(), 0.3)
 		st := stream.WithChurn(in.g, churn, rng)
 
-		ec, err := edgeconn.New(edgeconn.Params{
+		ec, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
 			N: in.g.N(), R: in.g.Domain().R(), K: 8, Seed: cfg.Seed})
 		if err != nil {
 			return err
@@ -54,7 +55,11 @@ func runE11(cfg Config, out *os.File) error {
 		if err := stream.Apply(st, ec); err != nil {
 			return err
 		}
-		lambdaHat, _, err := ec.EdgeConnectivity()
+		skel, err := ec.Decode(nil)
+		if err != nil {
+			return err
+		}
+		lambdaHat, _, err := edgeconn.Connectivity(skel, ec.K())
 		if err != nil {
 			return err
 		}

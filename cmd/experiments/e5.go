@@ -38,7 +38,12 @@ func runE5(cfg Config, out *os.File) error {
 					final = workload.UniformHypergraph(rng, n, r, 3*n)
 				}
 				churn := workload.MixedHypergraph(rng, n, r, 2*n)
-				sk := sketch.NewSkeleton(cfg.Seed^uint64(trial+k*7), final.Domain(), k, sketch.SpanningConfig{})
+				sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
+					N: final.N(), R: final.Domain().R(), K: k, Seed: cfg.Seed ^ uint64(trial+k*7),
+				})
+				if err != nil {
+					return err
+				}
 				if err := stream.Apply(stream.WithChurn(final, churn, rng), sk); err != nil {
 					return err
 				}

@@ -8,6 +8,7 @@ import (
 	"graphsketch/internal/core/reconstruct"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/hashutil"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/workload"
 )
@@ -76,15 +77,15 @@ func runE6(cfg Config, out *os.File) error {
 		churn := workload.ErdosRenyi(rng, in.g.N(), 0.3)
 		st := stream.WithChurn(in.g, churn, rng)
 
-		sk, err := reconstruct.New(reconstruct.Params{
-			N: in.g.N(), R: in.g.Domain().R(), K: in.d, Seed: cfg.Seed})
+		sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
+			N: in.g.N(), R: in.g.Domain().R(), K: in.d + 1, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}
 		if err := stream.Apply(st, sk); err != nil {
 			return err
 		}
-		skGot, skErr := sk.Reconstruct()
+		skGot, skErr := reconstruct.Reconstruct(sk)
 		skStatus := "FAILED"
 		if skErr == nil && skGot.Equal(in.g) {
 			skStatus = "exact"

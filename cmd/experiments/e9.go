@@ -53,8 +53,12 @@ func runE9(cfg Config, out *os.File) error {
 			bench.FmtBytes(res.FramedTotalBytes), status)
 
 		// 2-skeleton protocol.
-		refSk := sketch.NewSkeleton(seed, dom, 2, scfg)
-		resSk, err := commsim.Run(h, func() commsim.Protocol { return sketch.NewSkeleton(seed, dom, 2, scfg) }, refSk)
+		skP := sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: 2, Spanning: scfg, Seed: seed}
+		refSk, err := sketch.NewSkeletonSketch(skP)
+		if err != nil {
+			return err
+		}
+		resSk, err := commsim.Run(h, skeletonPlayers(skP), refSk)
 		if err != nil {
 			return err
 		}
@@ -72,22 +76,16 @@ func runE9(cfg Config, out *os.File) error {
 	// Becker et al. that Section 4 generalizes).
 	pe := workload.PaperExample()
 	seed := cfg.Seed ^ 0xabc
-	recP := reconstruct.Params{N: pe.N(), R: pe.Domain().R(), K: 2, Seed: seed}
-	refRec, err := reconstruct.New(recP)
+	recP := sketch.SkeletonParams{N: pe.N(), R: pe.Domain().R(), K: 2 + 1, Seed: seed}
+	refRec, err := sketch.NewSkeletonSketch(recP)
 	if err != nil {
 		return err
 	}
-	resRec, err := commsim.Run(pe, func() commsim.Protocol {
-		p, err := reconstruct.New(recP)
-		if err != nil {
-			panic(err) // recP already validated by the referee construction
-		}
-		return p
-	}, refRec)
+	resRec, err := commsim.Run(pe, skeletonPlayers(recP), refRec)
 	if err != nil {
 		return err
 	}
-	got, err := refRec.Reconstruct()
+	got, err := reconstruct.Reconstruct(refRec)
 	status := "FAILED"
 	if err == nil && got.Equal(pe) {
 		status = "exact"
@@ -98,4 +96,16 @@ func runE9(cfg Config, out *os.File) error {
 
 	emitTable(t, out)
 	return nil
+}
+
+// skeletonPlayers returns a factory of fresh players for p, which the
+// referee's construction has already validated.
+func skeletonPlayers(p sketch.SkeletonParams) func() commsim.Protocol {
+	return func() commsim.Protocol {
+		s, err := sketch.NewSkeletonSketch(p)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
 }

@@ -89,16 +89,17 @@ func TestCrossCheckRandomizedStreams(t *testing.T) {
 
 		// 2. Edge connectivity via skeleton, vs MA-ordering and Karger.
 		kCap := 5
-		ec, err := edgeconn.New(edgeconn.Params{N: final.N(), R: final.Domain().R(), K: kCap, Seed: uint64(iter) + 99})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ec := mustSkeleton(sketch.SkeletonParams{N: final.N(), R: final.Domain().R(), K: kCap, Seed: uint64(iter) + 99})
 		if err := stream.Apply(st, ec); err != nil {
 			t.Fatal(err)
 		}
-		lambdaHat, _, err := ec.EdgeConnectivity()
+		skel, err := ec.Decode(nil)
 		if err != nil {
-			t.Fatalf("iter %d: edgeconn decode: %v", iter, err)
+			t.Fatalf("iter %d: skeleton decode: %v", iter, err)
+		}
+		lambdaHat, _, err := edgeconn.Connectivity(skel, kCap)
+		if err != nil {
+			t.Fatalf("iter %d: edgeconn: %v", iter, err)
 		}
 		trueLambda, _, err := graphalg.GlobalMinCutAll(final)
 		if err != nil {

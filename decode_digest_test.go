@@ -44,7 +44,7 @@ func TestDecodeDigests(t *testing.T) {
 			return s.Decode(nil)
 		}, "8e497041953aad2a3cd985ea6c71b7a242187a9c5184c2aef2f0f63bf9624abd"},
 		{"skeleton-k4-harary-8-64", func(t *testing.T) (*graph.Hypergraph, error) {
-			s := sketch.NewSkeleton(3, harary.Domain(), 4, sketch.SpanningConfig{})
+			s := mustSkeleton(sketch.SkeletonParams{N: harary.N(), R: harary.Domain().R(), K: 4, Seed: 3})
 			if err := s.UpdateGraph(harary, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -94,4 +94,14 @@ func TestDecodeDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustSkeleton is sketch.NewSkeletonSketch for params the test knows are
+// valid.
+func mustSkeleton(p sketch.SkeletonParams) *sketch.SkeletonSketch {
+	s, err := sketch.NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -13,8 +13,8 @@
 // Querier (Connected(u,v) answered from an epoch-cached snapshot in
 // O(α(n))) and Oracle (adds vertex-cut DisconnectedBy and the Epoch
 // counter), implemented by internal/oracle for the spanning, skeleton,
-// vertex-connectivity, edge-connectivity, and sparsifier sketches. Constructors across the library follow one
-// convention: a Params struct whose zero fields receive sound defaults,
+// hybrid, vertex-connectivity, and sparsifier sketches. Constructors
+// across the library follow one convention: a Params struct whose zero fields receive sound defaults,
 // returning (*Sketch, error); incompatibilities and decode failures are
 // reported via sentinel errors (graphsketch.ErrMergeMismatch,
 // graphsketch.ErrStaleDecode, graphsketch.ErrVertexRange,
@@ -36,7 +36,10 @@
 //   - internal/core/vertexconn — Section 3: vertex-connectivity query
 //     structures (Theorem 4) and estimators (Theorem 8)
 //   - internal/core/reconstruct — Section 4: light_k and cut-degenerate
-//     reconstruction (Theorem 15) plus the Becker et al. baseline
+//     reconstruction (Theorem 15) from a (k+1)-skeleton sketch, plus the
+//     Becker et al. baseline
+//   - internal/core/edgeconn — edge connectivity and a minimum cut read
+//     off a decoded k-skeleton (the Theorem 14 corollary)
 //   - internal/core/sparsify — Section 5: hypergraph sparsifiers
 //     (Theorems 19/20)
 //   - internal/sketch — the AGM spanning-graph sketch generalized to

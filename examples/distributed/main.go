@@ -22,6 +22,7 @@ import (
 
 	"graphsketch/internal/commsim"
 	"graphsketch/internal/core/reconstruct"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/workload"
 )
 
@@ -31,15 +32,16 @@ func main() {
 		g.N(), g.EdgeCount())
 
 	const seed = 1515 // the shared public randomness
-	p := reconstruct.Params{N: g.N(), K: 2, Seed: seed}
+	// Theorem 15 at k = 2 reads a (k+1)-skeleton sketch.
+	p := sketch.SkeletonParams{N: g.N(), K: 2 + 1, Seed: seed}
 
-	referee, err := reconstruct.New(p)
+	referee, err := sketch.NewSkeletonSketch(p)
 	if err != nil {
 		log.Fatal(err)
 	}
 	res, err := commsim.Run(g,
 		func() commsim.Protocol {
-			s, err := reconstruct.New(p)
+			s, err := sketch.NewSkeletonSketch(p)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -52,7 +54,7 @@ func main() {
 	fmt.Printf("%d players sent one message each: max %d bytes, mean %.0f bytes\n",
 		res.Players, res.MaxMessageBytes, res.MeanMessageBytes())
 
-	got, err := referee.Reconstruct()
+	got, err := reconstruct.Reconstruct(referee)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,10 +35,7 @@ func TestFullPipelineAllSketches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := edgeconn.New(edgeconn.Params{N: n, R: final.Domain().R(), K: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec := mustSkeleton(sketch.SkeletonParams{N: n, R: final.Domain().R(), K: 5, Seed: 2})
 	sp, err := sparsify.New(sparsify.Params{N: n, K: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +62,11 @@ func TestFullPipelineAllSketches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lambdaHat, _, err := ec.EdgeConnectivity()
+	skel, err := ec.Decode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambdaHat, _, err := edgeconn.Connectivity(skel, ec.K())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +131,12 @@ func TestReconstructionAgainstGroundTruthFamilies(t *testing.T) {
 		if got := graphalg.CutDegeneracy(fam.g); got > int64(fam.d) {
 			t.Fatalf("%s: cut-degeneracy %d exceeds expected %d", fam.name, got, fam.d)
 		}
-		s, err := reconstruct.New(reconstruct.Params{N: fam.g.N(), R: fam.g.Domain().R(), K: fam.d, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustSkeleton(sketch.SkeletonParams{N: fam.g.N(), R: fam.g.Domain().R(), K: fam.d + 1, Seed: 7})
 		churn := workload.ErdosRenyi(rng, fam.g.N(), 0.3)
 		if err := stream.Apply(stream.WithChurn(fam.g, churn, rng), s); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Reconstruct()
+		got, err := reconstruct.Reconstruct(s)
 		if err != nil {
 			t.Fatalf("%s: %v", fam.name, err)
 		}

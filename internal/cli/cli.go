@@ -23,9 +23,11 @@ import (
 	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
+	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/oracle"
 	"graphsketch/internal/plan"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 )
 
@@ -241,7 +243,7 @@ func parseVertexSet(spec string, n int) (map[int]bool, error) {
 func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("vconn", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int("n", 0, "number of vertices (required)")
+	n := fs.Int("n", 0, "number of vertices (required unless -restore)")
 	r := fs.Int("r", 2, "maximum hyperedge cardinality")
 	k := fs.Int("k", 1, "connectivity parameter / max query size")
 	subgraphs := fs.Int("subgraphs", 0, "number of vertex-subsampled subgraphs (0 = use -profile)")
@@ -266,36 +268,37 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeTrace()
-	if *n < 2 {
+	if *restore == "" && *n < 2 {
 		return errors.New("need -n >= 2")
 	}
 	if *query == "" && *connected == "" && !*estimate && *ckpt == "" && !*health {
 		return errors.New("need -query, -connected, -estimate, -checkpoint, or -health")
 	}
 
-	var p vertexconn.Params
-	if *subgraphs > 0 {
-		p = vertexconn.Params{N: *n, R: *r, K: *k, Subgraphs: *subgraphs, Seed: *seed}
-	} else {
-		prof, err := parseProfile(*profile)
-		if err != nil {
-			return err
-		}
-		if *estimate {
-			p = plan.VertexConnEstimate(*n, *r, *k, 1.0, *seed, prof)
-		} else {
-			p = plan.VertexConnQuery(*n, *r, *k, *seed, prof)
-		}
-	}
 	var s *vertexconn.Sketch
 	if *restore != "" {
 		s, err = restoreSketch[*vertexconn.Sketch](*restore, stderr)
 	} else {
+		var p vertexconn.Params
+		if *subgraphs > 0 {
+			p = vertexconn.Params{N: *n, R: *r, K: *k, Subgraphs: *subgraphs, Seed: *seed}
+		} else {
+			prof, err := parseProfile(*profile)
+			if err != nil {
+				return err
+			}
+			if *estimate {
+				p = plan.VertexConnEstimate(*n, *r, *k, 1.0, *seed, prof)
+			} else {
+				p = plan.VertexConnQuery(*n, *r, *k, *seed, prof)
+			}
+		}
 		s, err = vertexconn.New(p)
 	}
 	if err != nil {
 		return err
 	}
+	*n, *r, *k = s.NumVertices(), s.Params().R, s.MaxRemove() // a restored frame's, not the flags'
 	obs.RegisterInspector("vertexconn", s)
 	defer obs.RegisterInspector("vertexconn", nil)
 	st, err := readAndApply(*file, stdin, s)
@@ -377,7 +380,7 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sparsify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int("n", 0, "number of vertices (required)")
+	n := fs.Int("n", 0, "number of vertices (required unless -restore)")
 	r := fs.Int("r", 2, "maximum hyperedge cardinality")
 	eps := fs.Float64("eps", 0.5, "target cut approximation (sets K unless -K given)")
 	kFlag := fs.Int("K", 0, "strength threshold (overrides -eps and -profile)")
@@ -399,24 +402,24 @@ func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 		return err
 	}
 	defer closeTrace()
-	if *n < 2 {
+	if *restore == "" && *n < 2 {
 		return errors.New("need -n >= 2")
-	}
-	var params sparsify.Params
-	if *kFlag > 0 {
-		params = sparsify.Params{N: *n, R: *r, K: *kFlag, Levels: *levels, Seed: *seed}
-	} else {
-		prof, err := parseProfile(*profile)
-		if err != nil {
-			return err
-		}
-		params = plan.Sparsify(*n, *r, *eps, *seed, prof)
-		params.Levels = *levels
 	}
 	var s *sparsify.Sketch
 	if *restore != "" {
 		s, err = restoreSketch[*sparsify.Sketch](*restore, stderr)
 	} else {
+		var params sparsify.Params
+		if *kFlag > 0 {
+			params = sparsify.Params{N: *n, R: *r, K: *kFlag, Levels: *levels, Seed: *seed}
+		} else {
+			prof, err := parseProfile(*profile)
+			if err != nil {
+				return err
+			}
+			params = plan.Sparsify(*n, *r, *eps, *seed, prof)
+			params.Levels = *levels
+		}
 		s, err = sparsify.New(params)
 	}
 	if err != nil {
@@ -424,10 +427,7 @@ func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 	}
 	obs.RegisterInspector("sparsify", s)
 	defer obs.RegisterInspector("sparsify", nil)
-	k := params.K
-	if *kFlag > 0 {
-		k = *kFlag
-	}
+	*n, *r = s.NumVertices(), s.Params().R // a restored frame's, not the flags'
 	st, err := readAndApply(*file, stdin, s)
 	if err != nil {
 		return err
@@ -443,7 +443,7 @@ func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 	}
 	stats, _ := stream.Summarize(st, *n, *r)
 	fmt.Fprintf(stderr, "stream: %d updates → %d live edges; sparsifier: %d edges, total weight %d; K=%d; sketch %d KiB\n",
-		stats.Updates, stats.MaxActive, sp.EdgeCount(), sp.TotalWeight(), k, s.Words()*8/1024)
+		stats.Updates, stats.MaxActive, sp.EdgeCount(), sp.TotalWeight(), s.Params().K, s.Words()*8/1024)
 
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
@@ -461,7 +461,7 @@ func RunSparsify(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 func RunReconstruct(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("reconstruct", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int("n", 0, "number of vertices (required)")
+	n := fs.Int("n", 0, "number of vertices (required unless -restore)")
 	r := fs.Int("r", 2, "maximum hyperedge cardinality")
 	k := fs.Int("k", 1, "cut-degeneracy parameter")
 	seed := fs.Uint64("seed", 1, "random seed")
@@ -481,18 +481,22 @@ func RunReconstruct(args []string, stdin io.Reader, stdout, stderr io.Writer) er
 		return err
 	}
 	defer closeTrace()
-	if *n < 2 {
+	if *restore == "" && *n < 2 {
 		return errors.New("need -n >= 2")
 	}
-	var s *reconstruct.Sketch
+	var s *sketch.SkeletonSketch
 	if *restore != "" {
-		s, err = restoreSketch[*reconstruct.Sketch](*restore, stderr)
+		s, err = restoreSketch[*sketch.SkeletonSketch](*restore, stderr)
+		if err == nil && s.K() < 2 {
+			return fmt.Errorf("checkpoint %s holds a %d-skeleton; light_k needs a (k+1)-skeleton with k >= 1", *restore, s.K())
+		}
 	} else {
-		s, err = reconstruct.New(reconstruct.Params{N: *n, R: *r, K: *k, Seed: *seed})
+		s, err = sketch.NewSkeletonSketch(sketch.SkeletonParams{N: *n, R: *r, K: *k + 1, Seed: *seed})
 	}
 	if err != nil {
 		return err
 	}
+	*k = s.K() - 1 // a restored frame's, not the flag's
 	obs.RegisterInspector("reconstruct", s)
 	defer obs.RegisterInspector("reconstruct", nil)
 	if _, err := readAndApply(*file, stdin, s); err != nil {
@@ -506,12 +510,12 @@ func RunReconstruct(args []string, stdin io.Reader, stdout, stderr io.Writer) er
 
 	var out *graph.Hypergraph
 	if *light {
-		out, err = s.LightEdges(nil, nil)
+		out, err = reconstruct.LightEdges(nil, s, nil)
 		if err != nil {
 			return err
 		}
 	} else {
-		out, err = s.Reconstruct()
+		out, err = reconstruct.Reconstruct(s)
 		if errors.Is(err, reconstruct.ErrIncomplete) {
 			return fmt.Errorf("graph is not %d-cut-degenerate (use -light to print the recovered light_%d set)", *k, *k)
 		}
@@ -538,7 +542,7 @@ func RunReconstruct(args []string, stdin io.Reader, stdout, stderr io.Writer) er
 func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("econn", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int("n", 0, "number of vertices (required)")
+	n := fs.Int("n", 0, "number of vertices (required unless -restore)")
 	r := fs.Int("r", 2, "maximum hyperedge cardinality")
 	k := fs.Int("k", 4, "cut values below k are exact; larger report '>= k'")
 	seed := fs.Uint64("seed", 1, "random seed")
@@ -560,18 +564,19 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeTrace()
-	if *n < 2 {
+	if *restore == "" && *n < 2 {
 		return errors.New("need -n >= 2")
 	}
-	var s *edgeconn.Sketch
+	var s *sketch.SkeletonSketch
 	if *restore != "" {
-		s, err = restoreSketch[*edgeconn.Sketch](*restore, stderr)
+		s, err = restoreSketch[*sketch.SkeletonSketch](*restore, stderr)
 	} else {
-		s, err = edgeconn.New(edgeconn.Params{N: *n, R: *r, K: *k, Seed: *seed})
+		s, err = sketch.NewSkeletonSketch(sketch.SkeletonParams{N: *n, R: *r, K: *k, Seed: *seed})
 	}
 	if err != nil {
 		return err
 	}
+	*n, *k = s.NumVertices(), s.K() // a restored frame's, not the flags'
 	obs.RegisterInspector("edgeconn", s)
 	defer obs.RegisterInspector("edgeconn", nil)
 	updates, err := readAndApply(*file, stdin, s)
@@ -616,18 +621,22 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		for v := range set {
 			uv = append(uv, v)
 		}
-		cut, err := s.STCut(uv[0], uv[1])
+		skel, err := s.Decode(nil)
 		if err != nil {
 			return err
 		}
-		if cut >= int64(*k) {
+		if cut := graphalg.STEdgeCut(skel, uv[0], uv[1], int64(*k)); cut >= int64(*k) {
 			fmt.Fprintf(stdout, "λ(%s) >= %d (raise -k for the exact value)\n", *st, *k)
 		} else {
 			fmt.Fprintf(stdout, "λ(%s) = %d\n", *st, cut)
 		}
 		return nil
 	}
-	lambda, side, err := s.EdgeConnectivity()
+	skel, err := s.Decode(nil)
+	if err != nil {
+		return err
+	}
+	lambda, side, err := edgeconn.Connectivity(skel, *k)
 	if err != nil {
 		return err
 	}

@@ -130,6 +130,52 @@ func TestRunEconnCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestRunEconnRestoreReadsFrame: a restored checkpoint fixes n and k, not
+// the construction flags. K₁₂ checkpointed at k = 2 and restored without
+// -k (whose default is 4) reports λ >= 2, the 2-skeleton's cap, where
+// comparing against the flag's k reported "edge connectivity = 2" with
+// an empty witness side; and a pair is checked against the frame's 12
+// vertices, not -n.
+func TestRunEconnRestoreReadsFrame(t *testing.T) {
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "ec2.ckpt")
+	h := workload.Complete(12)
+	st := stream.FromGraph(h)
+	half := len(st) / 2
+	var out, errOut bytes.Buffer
+	if err := RunEconn([]string{"-n", "12", "-k", "2", "-checkpoint", ck},
+		strings.NewReader(streamText(t, h, st[:half])), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	second := streamText(t, h, st[half:])
+	out.Reset()
+	if err := RunEconn([]string{"-n", "12", "-restore", ck},
+		strings.NewReader(second), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "edge connectivity >= 2") {
+		t.Fatalf("restored λ(K12) at k = 2 output: %q", out.String())
+	}
+	out.Reset()
+	if err := RunEconn([]string{"-n", "5", "-restore", ck, "-connected", "10,11"},
+		strings.NewReader(second), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "10 and 11 are connected") {
+		t.Fatalf("restored connected output: %q", out.String())
+	}
+	// A 1-skeleton has no k >= 1 to reconstruct at.
+	ck1 := filepath.Join(dir, "ec1.ckpt")
+	if err := RunEconn([]string{"-n", "12", "-k", "1", "-checkpoint", ck1},
+		strings.NewReader(second), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	err := RunReconstruct([]string{"-restore", ck1}, strings.NewReader(second), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "1-skeleton") {
+		t.Fatalf("reconstruct restore of a 1-skeleton: got %v", err)
+	}
+}
+
 func TestRunSparsifyCheckpointRestore(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "sparsify.ckpt")

@@ -84,13 +84,15 @@ const (
 type Tag uint8
 
 // One tag per serializable structure. Tags are wire format: never renumber.
+// A retired tag's structure is gone; its frames are refused with
+// ErrUnknownType, and the number is never reused.
 const (
 	TagSpanning   Tag = 1 // sketch.SpanningSketch
 	TagSkeleton   Tag = 2 // sketch.SkeletonSketch
-	TagEdgeConn   Tag = 3 // edgeconn.Sketch
+	TagEdgeConn   Tag = 3 // retired; never reuse (a skeleton's state under its own tag)
 	TagVertexConn Tag = 4 // vertexconn.Sketch
 	TagEstimator  Tag = 5 // vertexconn.Estimator
-	TagReconstr   Tag = 6 // reconstruct.Sketch
+	TagReconstr   Tag = 6 // retired; never reuse (a skeleton's state under its own tag)
 	TagSparsify   Tag = 7 // sparsify.Sketch
 	TagBecker     Tag = 8 // reconstruct.BeckerSketch (shares only)
 	TagHybrid     Tag = 9 // hybrid.Sketch (adaptive exact/sketch wrapper)
@@ -99,6 +101,9 @@ const (
 var tagNames = [...]string{TagSpanning: "spanning", TagSkeleton: "skeleton", TagEdgeConn: "edgeconn",
 	TagVertexConn: "vertexconn", TagEstimator: "vertexconn-estimator", TagReconstr: "reconstruct",
 	TagSparsify: "sparsify", TagBecker: "becker", TagHybrid: "hybrid"}
+
+// retired reports whether t is a retired tag.
+func (t Tag) retired() bool { return t == TagEdgeConn || t == TagReconstr }
 
 // String names the tag for diagnostics.
 func (t Tag) String() string {

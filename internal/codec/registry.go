@@ -221,8 +221,9 @@ func AppendShareFrame(dst []byte, tag Tag, fp uint64, v, shareSize int, appendSh
 // whose identity is (wantTag, wantFP) and whose vertex space is [0, n), and
 // returns the vertex, the interior share bytes, and any remaining bytes. A
 // frame from a sketch with different parameters, profile, or seed fails
-// with ErrFingerprint instead of decoding to garbage; a vertex index
-// outside [0, n) fails with graphsketch.ErrVertexRange.
+// with ErrFingerprint instead of decoding to garbage, one of a retired tag
+// with ErrUnknownType; a vertex index outside [0, n) fails with
+// graphsketch.ErrVertexRange.
 func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64, n int) (v int, interior, rest []byte, err error) {
 	defer func() { cdm.reject(err) }()
 	h, payload, rest, err := DecodeFrame(b)
@@ -231,6 +232,8 @@ func DecodeShareFrame(b []byte, wantTag Tag, wantFP uint64, n int) (v int, inter
 		return 0, nil, nil, err
 	case h.Kind != KindShare:
 		return 0, nil, nil, fmt.Errorf("codec: expected a share frame, got kind %d: %w", h.Kind, ErrUnknownType)
+	case h.Tag.retired():
+		return 0, nil, nil, fmt.Errorf("codec: %v frames are retired: %w", h.Tag, ErrUnknownType)
 	case h.Tag != wantTag || h.Fingerprint != wantFP:
 		return 0, nil, nil, fmt.Errorf("codec: share is %v/%016x, receiver is %v/%016x: %w",
 			h.Tag, h.Fingerprint, wantTag, wantFP, ErrFingerprint)

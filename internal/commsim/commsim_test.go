@@ -68,8 +68,10 @@ func TestSkeletonProtocol(t *testing.T) {
 	cfg := sketch.SpanningConfig{}
 	const seed = 99
 
-	referee := sketch.NewSkeleton(seed, dom, 2, cfg)
-	if _, err := Run(h, func() Protocol { return sketch.NewSkeleton(seed, dom, 2, cfg) }, referee); err != nil {
+	referee := mustSkeleton(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: 2, Spanning: cfg, Seed: seed})
+	if _, err := Run(h, func() Protocol {
+		return mustSkeleton(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: 2, Spanning: cfg, Seed: seed})
+	}, referee); err != nil {
 		t.Fatal(err)
 	}
 	skel, err := referee.Decode(nil)
@@ -92,19 +94,15 @@ func TestReconstructProtocolPaperExample(t *testing.T) {
 	cfg := sketch.SpanningConfig{}
 	const seed = 13
 
-	mk := func() *reconstruct.Sketch {
-		s, err := reconstruct.New(reconstruct.Params{N: dom.N(), R: dom.R(), K: 2, Spanning: cfg, Seed: seed})
-		if err != nil {
-			panic(err)
-		}
-		return s
+	mk := func() *sketch.SkeletonSketch {
+		return mustSkeleton(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: 2 + 1, Spanning: cfg, Seed: seed})
 	}
 	referee := mk()
 	res, err := Run(h, func() Protocol { return mk() }, referee)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := referee.Reconstruct()
+	got, err := reconstruct.Reconstruct(referee)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +147,9 @@ func TestFramedSizesIncludeEnvelope(t *testing.T) {
 		mk   func() player
 	}{
 		{"spanning", func() player { return sketch.NewSpanning(seed, dom, cfg) }},
-		{"skeleton", func() player { return sketch.NewSkeleton(seed, dom, 2, cfg) }},
+		{"skeleton", func() player {
+			return mustSkeleton(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: 2, Spanning: cfg, Seed: seed})
+		}},
 		{"becker", func() player { return reconstruct.NewBecker(seed, h.N(), 2, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,4 +251,14 @@ func TestMessageSizeTracksDegree(t *testing.T) {
 			t.Fatalf("hub message (%d) smaller than leaf %d (%d)", sizes[0], v, sizes[v])
 		}
 	}
+}
+
+// mustSkeleton is sketch.NewSkeletonSketch for params the test knows are
+// valid.
+func mustSkeleton(p sketch.SkeletonParams) *sketch.SkeletonSketch {
+	s, err := sketch.NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

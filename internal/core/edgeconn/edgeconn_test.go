@@ -6,6 +6,7 @@ import (
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/testutil/decodetest"
 	"graphsketch/internal/testutil/frametest"
@@ -21,11 +22,7 @@ func TestEdgeConnectivityExactBelowK(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 6
-		s := mustNew(t, uint64(trial), h.Domain(), k)
-		if err := s.UpdateGraph(h, 1); err != nil {
-			t.Fatal(err)
-		}
-		got, side, err := s.EdgeConnectivity()
+		got, side, err := Connectivity(skeletonOf(t, uint64(trial), h, k), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,31 +47,21 @@ func TestEdgeConnectivityExactBelowK(t *testing.T) {
 }
 
 func TestIsKEdgeConnectedHarary(t *testing.T) {
-	// H_{k,n} is exactly k-edge-connected as well as k-vertex-connected.
+	// H_{k,n} is exactly k-edge-connected as well as k-vertex-connected:
+	// λ ≥ k, read off a k-skeleton, holds for k = 3, 4 and fails for 5.
 	h := workload.MustHarary(16, 4)
-	for _, k := range []int{3, 4} {
-		s := mustNew(t, uint64(k), h.Domain(), k)
-		if err := s.UpdateGraph(h, 1); err != nil {
-			t.Fatal(err)
-		}
-		ok, err := s.IsKEdgeConnected()
+	for _, c := range []struct {
+		seed uint64
+		k    int
+		want bool
+	}{{3, 3, true}, {4, 4, true}, {9, 5, false}} {
+		lambda, _, err := Connectivity(skeletonOf(t, c.seed, h, c.k), c.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatalf("H_{4,16} should be %d-edge-connected", k)
+		if got := lambda >= int64(c.k); got != c.want {
+			t.Fatalf("H_{4,16} %d-edge-connected = %v, want %v", c.k, got, c.want)
 		}
-	}
-	s := mustNew(t, 9, h.Domain(), 5)
-	if err := s.UpdateGraph(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := s.IsKEdgeConnected()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("H_{4,16} is not 5-edge-connected")
 	}
 }
 
@@ -84,11 +71,7 @@ func TestEdgeVsVertexConnectivityGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustNew(t, 3, h.Domain(), 8)
-	if err := s.UpdateGraph(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	lambda, _, err := s.EdgeConnectivity()
+	lambda, _, err := Connectivity(skeletonOf(t, 3, h, 8), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +87,11 @@ func TestEdgeConnectivityWithChurn(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	final := workload.Cycle(12) // λ = 2
 	churn := workload.ErdosRenyi(rng, 12, 0.5)
-	s := mustNew(t, 5, final.Domain(), 4)
+	s := newSkeleton(t, 5, final.Domain(), 4)
 	if err := stream.Apply(stream.WithChurn(final, churn, rng), s); err != nil {
 		t.Fatal(err)
 	}
-	lambda, _, err := s.EdgeConnectivity()
+	lambda, _, err := Connectivity(decode(t, s), s.K())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +107,7 @@ func TestHypergraphEdgeConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustNew(t, 7, h.Domain(), 5)
-	if err := s.UpdateGraph(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := s.EdgeConnectivity()
+	got, _, err := Connectivity(skeletonOf(t, 7, h, 5), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,42 +117,31 @@ func TestHypergraphEdgeConnectivity(t *testing.T) {
 }
 
 func TestSTCut(t *testing.T) {
-	// Path graph: every s–t cut along the path is 1.
+	// Path graph: every s–t cut along the path is 1, and a 3-skeleton
+	// keeps it.
 	h := graph.NewGraph(6)
 	for i := 0; i < 5; i++ {
 		h.AddSimple(i, i+1)
 	}
-	s := mustNew(t, 11, h.Domain(), 3)
-	if err := s.UpdateGraph(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.STCut(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
+	if got := graphalg.STEdgeCut(skeletonOf(t, 11, h, 3), 0, 5, 3); got != 1 {
 		t.Fatalf("path s-t cut = %d, want 1", got)
 	}
 }
 
 func TestConnectedAndCache(t *testing.T) {
 	h := workload.Cycle(8)
-	s := mustNew(t, 13, h.Domain(), 2)
+	s := newSkeleton(t, 13, h.Domain(), 2)
 	if err := s.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := s.Connected()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !graphalg.Connected(decode(t, s)) {
 		t.Fatal("cycle reported disconnected")
 	}
-	// Delete an edge: the next query decodes the new state, a path.
+	// Delete an edge: the next decode reads the new state, a path.
 	if err := s.Update(graph.MustEdge(0, 1), -1); err != nil {
 		t.Fatal(err)
 	}
-	lambda, _, err := s.EdgeConnectivity()
+	lambda, _, err := Connectivity(decode(t, s), s.K())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,25 +150,30 @@ func TestConnectedAndCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedDecode decodes a k = 2 sketch from two goroutines
-// at once with obs enabled (decodetest.Concurrent).
+// TestConcurrentTracedDecode decodes a k = 2 skeleton from two goroutines
+// at once with obs enabled (decodetest.Concurrent), and reads λ = 2 off a
+// decode.
 func TestConcurrentTracedDecode(t *testing.T) {
 	h := workload.MustHarary(12, 4)
-	decodetest.Concurrent(t, func() decodetest.Decoder {
-		s := mustNew(t, 23, h.Domain(), 2)
+	build := func() *sketch.SkeletonSketch {
+		s := newSkeleton(t, 23, h.Domain(), 2)
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
 		return s
-	})
+	}
+	decodetest.Concurrent(t, func() decodetest.Decoder { return build() })
+	if lambda, _, err := Connectivity(decode(t, build()), 2); err != nil || lambda != 2 {
+		t.Fatalf("λ(H_{4,12}) capped at 2 = %d, %v; want 2", lambda, err)
+	}
 }
 
 func TestVertexShareRoundTrip(t *testing.T) {
 	h := workload.Cycle(10)
 	const seed = 21
-	ref := mustNew(t, seed, h.Domain(), 2)
+	ref := newSkeleton(t, seed, h.Domain(), 2)
 	for v := 0; v < h.N(); v++ {
-		p := mustNew(t, seed, h.Domain(), 2)
+		p := newSkeleton(t, seed, h.Domain(), 2)
 		for _, e := range h.Edges() {
 			if e.Contains(v) {
 				if err := p.Update(e, 1); err != nil {
@@ -212,7 +185,7 @@ func TestVertexShareRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lambda, _, err := ref.EdgeConnectivity()
+	lambda, _, err := Connectivity(decode(t, ref), ref.K())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +195,13 @@ func TestVertexShareRoundTrip(t *testing.T) {
 }
 
 func TestParamsConstruction(t *testing.T) {
-	// Identical Params must yield byte-identical state after identical
+	// Identical params must yield byte-identical state after identical
 	// streams (the wire-identity property checkpointing relies on), and
-	// invalid Params must be rejected, not defaulted.
+	// invalid params — a skeleton's or the cap's — must be rejected, not
+	// defaulted.
 	h := workload.MustHarary(12, 3)
-	a, err := New(Params{N: h.N(), R: h.Domain().R(), K: 3, Seed: 55})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Params{N: h.N(), R: h.Domain().R(), K: 3, Seed: 55})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSkeleton(t, 55, h.Domain(), 3)
+	b := newSkeleton(t, 55, h.Domain(), 3)
 	if err := a.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -241,23 +209,46 @@ func TestParamsConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !frametest.Equal(t, a, b) {
-		t.Fatal("identical Params diverge: serialized state differs")
+		t.Fatal("identical params diverge: serialized state differs")
 	}
-	if _, err := New(Params{N: h.N(), K: 0}); err == nil {
-		t.Fatal("New accepted K = 0")
+	if _, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: h.N(), K: 0}); err == nil {
+		t.Fatal("NewSkeletonSketch accepted K = 0")
 	}
-	if _, err := New(Params{N: 0, K: 3}); err == nil {
-		t.Fatal("New accepted N = 0")
+	if _, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: 0, K: 3}); err == nil {
+		t.Fatal("NewSkeletonSketch accepted N = 0")
+	}
+	if _, _, err := Connectivity(decode(t, a), 0); err == nil {
+		t.Fatal("Connectivity accepted k = 0")
 	}
 }
 
-// mustNew is the test shorthand for New over a validated domain with
+// newSkeleton is the test shorthand for a k-skeleton sketch over dom with
 // default spanning configuration.
-func mustNew(tb testing.TB, seed uint64, dom graph.Domain, k int) *Sketch {
+func newSkeleton(tb testing.TB, seed uint64, dom graph.Domain, k int) *sketch.SkeletonSketch {
 	tb.Helper()
-	s, err := New(Params{N: dom.N(), R: dom.R(), K: k, Seed: seed})
+	s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: k, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// decode returns s's decoded skeleton.
+func decode(tb testing.TB, s *sketch.SkeletonSketch) *graph.Hypergraph {
+	tb.Helper()
+	skel, err := s.Decode(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return skel
+}
+
+// skeletonOf returns a decoded k-skeleton of h.
+func skeletonOf(tb testing.TB, seed uint64, h *graph.Hypergraph, k int) *graph.Hypergraph {
+	tb.Helper()
+	s := newSkeleton(tb, seed, h.Domain(), k)
+	if err := s.UpdateGraph(h, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return decode(tb, s)
 }

@@ -3,6 +3,7 @@ package reconstruct
 import (
 	"errors"
 
+	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/recovery"
@@ -189,4 +190,24 @@ func (b *BeckerSketch) VertexWords(v int) int { return b.rows[v].Words() }
 // (sketch.Sharer).
 func (b *BeckerSketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
 	return append(dst, b.rows[v])
+}
+
+// Fingerprint returns the Becker sketch's wire identity: n, d, the recovery
+// budget, and the seed. Becker shares carry TagBecker frames; the sketch has
+// no checkpoint opener (it is the shares-only baseline protocol).
+func (b *BeckerSketch) Fingerprint() uint64 {
+	params := codec.AppendUint64s(nil,
+		uint64(b.n), uint64(b.d), uint64(b.budget), b.seed)
+	return codec.Fingerprint(codec.TagBecker, params)
+}
+
+// VertexShareFrame frames row v — player P_v's message — for transport.
+func (b *BeckerSketch) VertexShareFrame(v int) []byte {
+	return sketch.ShareFrame(b, codec.TagBecker, b.Fingerprint(), v)
+}
+
+// AddVertexShareFrame verifies and merges one framed row share from the
+// front of data, returning the remaining bytes.
+func (b *BeckerSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
+	return sketch.AddShareFrame(b, codec.TagBecker, b.Fingerprint(), data)
 }

@@ -20,7 +20,7 @@ import (
 // sum, so the lack of a prior bound costs only a constant factor.
 type DegeneracySketch struct {
 	dmax   int
-	scales []*Sketch
+	scales []*sketch.SkeletonSketch // scale d is a (d+1)-skeleton sketch
 }
 
 // NewDegeneracySketch returns a sketch resolving cut-degeneracy values up
@@ -31,7 +31,9 @@ func NewDegeneracySketch(seed uint64, dom graph.Domain, dmax int, cfg sketch.Spa
 	}
 	s := &DegeneracySketch{dmax: dmax}
 	for d := 1; ; d *= 2 {
-		sc, err := New(Params{N: dom.N(), R: dom.R(), K: d, Spanning: cfg, Seed: seed ^ uint64(d)*0x9e3779b9})
+		sc, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
+			N: dom.N(), R: dom.R(), K: d + 1, Spanning: cfg, Seed: seed ^ uint64(d)*0x9e3779b9,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +65,7 @@ var ErrAboveDMax = errors.New("reconstruct: cut-degeneracy exceeds the sketch's 
 // exactly via the offline strength decomposition.
 func (s *DegeneracySketch) CutDegeneracy() (int64, *graph.Hypergraph, error) {
 	for _, sc := range s.scales {
-		got, err := sc.Reconstruct()
+		got, err := Reconstruct(sc)
 		if errors.Is(err, ErrIncomplete) {
 			continue // cut-degeneracy above this scale
 		}

@@ -4,21 +4,23 @@ import (
 	"fmt"
 
 	"graphsketch/internal/core/reconstruct"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/workload"
 )
 
 // Example reconstructs the paper's Lemma 10 example graph — which is
-// 2-cut-degenerate but NOT 2-degenerate — from a d = 2 sketch.
+// 2-cut-degenerate but NOT 2-degenerate — from a d = 2 sketch, a
+// (d+1)-skeleton sketch.
 func Example() {
 	g := workload.PaperExample()
-	s, err := reconstruct.New(reconstruct.Params{N: g.N(), R: g.Domain().R(), K: 2, Seed: 9})
+	s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: g.N(), R: g.Domain().R(), K: 2 + 1, Seed: 9})
 	if err != nil {
 		panic(err)
 	}
 	if err := s.UpdateGraph(g, 1); err != nil {
 		panic(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := reconstruct.Reconstruct(s)
 	if err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/testutil/frametest"
 	"graphsketch/internal/workload"
@@ -24,7 +25,7 @@ func TestLightEdgesMatchesOffline(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.LightEdges(nil, nil)
+		got, err := LightEdges(nil, s, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -44,7 +45,7 @@ func TestLightEdgesRandomGraphs(t *testing.T) {
 		if err := s.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.LightEdges(nil, nil)
+		got, err := LightEdges(nil, s, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -65,7 +66,7 @@ func TestReconstructPaperExample(t *testing.T) {
 	if err := s.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := Reconstruct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestReconstructCliqueTree(t *testing.T) {
 	if err := s.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := Reconstruct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestReconstructDetectsIncomplete(t *testing.T) {
 	if err := s.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := Reconstruct(s)
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("want ErrIncomplete, got %v", err)
 	}
@@ -127,7 +128,7 @@ func TestReconstructWithDeletions(t *testing.T) {
 	if err := stream.Apply(stream.WithChurn(final, churn, rng), s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := Reconstruct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestReconstructHypergraph(t *testing.T) {
 	if err := s.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Reconstruct()
+	got, err := Reconstruct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,18 +227,13 @@ func TestSpaceComparisonBeckerVsSkeleton(t *testing.T) {
 }
 
 func TestParamsConstruction(t *testing.T) {
-	// Identical Params must yield byte-identical state after identical
+	// Identical params must yield byte-identical state after identical
 	// streams (the wire-identity property checkpointing relies on), and
-	// invalid Params must be rejected, not defaulted.
+	// invalid params must be rejected, not defaulted: a skeleton of fewer
+	// than 2 layers has no k >= 1 to reconstruct at.
 	h := workload.PaperExample()
-	a, err := New(Params{N: h.N(), R: h.Domain().R(), K: 2, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Params{N: h.N(), R: h.Domain().R(), K: 2, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustNew(t, 77, h.Domain(), 2)
+	b := mustNew(t, 77, h.Domain(), 2)
 	if err := a.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -245,21 +241,25 @@ func TestParamsConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !frametest.Equal(t, a, b) {
-		t.Fatal("identical Params diverge: serialized state differs")
+		t.Fatal("identical params diverge: serialized state differs")
 	}
-	if _, err := New(Params{N: h.N(), K: 0}); err == nil {
-		t.Fatal("New accepted K = 0")
+	one, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: h.N(), K: 0 + 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Params{N: 0, K: 2}); err == nil {
-		t.Fatal("New accepted N = 0")
+	if _, err := LightEdges(nil, one, nil); err == nil {
+		t.Fatal("LightEdges accepted k = 0")
+	}
+	if _, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: 0, K: 2 + 1}); err == nil {
+		t.Fatal("NewSkeletonSketch accepted N = 0")
 	}
 }
 
-// mustNew is the test shorthand for New over a validated domain with
-// default spanning configuration.
-func mustNew(tb testing.TB, seed uint64, dom graph.Domain, k int) *Sketch {
+// mustNew is the test shorthand for the (k+1)-skeleton sketch light_k
+// reads, over a validated domain with default spanning configuration.
+func mustNew(tb testing.TB, seed uint64, dom graph.Domain, k int) *sketch.SkeletonSketch {
 	tb.Helper()
-	s, err := New(Params{N: dom.N(), R: dom.R(), K: k, Seed: seed})
+	s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: dom.N(), R: dom.R(), K: k + 1, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestSketchRefusesStackedFrame(t *testing.T) {
 		members := make([][]byte, len(s.levels))
 		for i, l := range s.levels {
 			for v := 0; v < n; v++ {
-				members[i] = sketch.AppendShare(l.Skeleton(), members[i], v)
+				members[i] = sketch.AppendShare(l, members[i], v)
 			}
 		}
 		twin, err := New(p)

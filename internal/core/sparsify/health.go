@@ -7,12 +7,12 @@ import (
 )
 
 // healthLevelCap bounds how many of the nested subsample levels a Health
-// scan inspects — each level is a full light_k sketch whose report walks
-// a (K+1)-layer skeleton, so levels are strided evenly.
+// scan inspects — each level's report walks a (K+1)-layer skeleton, so
+// levels are strided evenly.
 const healthLevelCap = 4
 
 // Health introspects the sparsifier (obs.Inspector): a strided sample of
-// per-level light_k reports (level 0 is the full graph, deeper levels are
+// per-level skeleton reports (level 0 is the full graph, deeper levels are
 // geometrically subsampled), with the worst sampled decode-failure risk
 // promoted.
 func (s *Sketch) Health() obs.Report {

@@ -72,13 +72,14 @@ func (p Params) withDefaults() (Params, error) {
 	return p, nil
 }
 
-// Sketch is the sparsifier sketch: one light_K reconstruction sketch per
-// subsampling level. Total size O(ε⁻²·n·polylog n) words at the paper's K.
+// Sketch is the sparsifier sketch: one light_K reconstruction sketch — a
+// (K+1)-skeleton sketch — per subsampling level. Total size
+// O(ε⁻²·n·polylog n) words at the paper's K.
 type Sketch struct {
 	p      Params
 	dom    graph.Domain
 	lh     hashutil.LevelHash
-	levels []*reconstruct.Sketch
+	levels []*sketch.SkeletonSketch
 }
 
 // New returns an empty sparsifier sketch.
@@ -97,10 +98,10 @@ func New(p Params) (*Sketch, error) {
 		dom: dom,
 		lh:  hashutil.NewLevelHash(ss.At(0), p.Levels),
 	}
-	s.levels = make([]*reconstruct.Sketch, p.Levels+1)
+	s.levels = make([]*sketch.SkeletonSketch, p.Levels+1)
 	for i := range s.levels {
-		s.levels[i], err = reconstruct.New(reconstruct.Params{
-			N: p.N, R: p.R, K: p.K, Spanning: p.Spanning, Seed: ss.At(uint64(1 + i)),
+		s.levels[i], err = sketch.NewSkeletonSketch(sketch.SkeletonParams{
+			N: p.N, R: p.R, K: p.K + 1, Spanning: p.Spanning, Seed: ss.At(uint64(1 + i)),
 		})
 		if err != nil {
 			return nil, err
@@ -152,7 +153,6 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	out := graph.MustHypergraph(s.p.N, s.p.R) // weighted union
 	cum := graph.MustHypergraph(s.p.N, s.p.R) // F_0 ∪ … ∪ F_{i-1}, unit weights
 	for i := 0; i <= s.p.Levels; i++ {
-		work := s.levels[i]
 		// Peel the already-extracted light edges that live in G_i.
 		sub := graph.MustHypergraph(s.p.N, s.p.R)
 		for _, e := range cum.Edges() {
@@ -164,7 +164,7 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 				sub.MustAddEdge(e, 1)
 			}
 		}
-		fi, err := work.LightEdges(sp, sub)
+		fi, err := reconstruct.LightEdges(sp, s.levels[i], sub)
 		if err != nil {
 			return nil, fmt.Errorf("sparsify: level %d: %w", i, err)
 		}
@@ -189,7 +189,7 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 			sub.MustAddEdge(e, 1)
 		}
 	}
-	rest, err := s.levels[s.p.Levels].SkeletonMinus(sp, sub)
+	rest, err := reconstruct.SkeletonMinus(sp, s.levels[s.p.Levels], sub)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 // level's skeleton, in level order.
 func (s *Sketch) ShareParts(dst []sketch.SharePart, v int) []sketch.SharePart {
 	for _, l := range s.levels {
-		dst = l.Skeleton().ShareParts(dst, v)
+		dst = l.ShareParts(dst, v)
 	}
 	return dst
 }

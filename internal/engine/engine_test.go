@@ -83,12 +83,12 @@ func TestConcurrentUpdateBatch(t *testing.T) {
 	const n, seed = 20, 11
 	st, batch := testStream(n, 3, seed)
 
-	serial := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), 3, sketch.SpanningConfig{})
+	serial := mustSkeleton(sketch.SkeletonParams{N: n, K: 3, Seed: seed})
 	if err := stream.Apply(st, serial); err != nil {
 		t.Fatal(err)
 	}
 
-	par := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), 3, sketch.SpanningConfig{})
+	par := mustSkeleton(sketch.SkeletonParams{N: n, K: 3, Seed: seed})
 	eng := engine.New(par, engine.Options{Workers: 4})
 	defer eng.Close()
 
@@ -154,29 +154,41 @@ func TestEngineIsDropInSink(t *testing.T) {
 	const n, seed = 16, 5
 	st, _ := testStream(n, 4, seed)
 
-	serial, err := edgeconn.New(edgeconn.Params{N: n, K: 4, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := mustSkeleton(sketch.SkeletonParams{N: n, K: 4, Seed: seed})
 	if err := stream.Apply(st, serial); err != nil {
 		t.Fatal(err)
 	}
-	par, err := edgeconn.New(edgeconn.Params{N: n, K: 4, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := mustSkeleton(sketch.SkeletonParams{N: n, K: 4, Seed: seed})
 	eng := engine.New(par, engine.Options{})
 	defer eng.Close()
 	if err := eng.Consume(st, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	wantL, _, errS := serial.EdgeConnectivity()
-	gotL, _, errP := par.EdgeConnectivity()
+	connectivity := func(s *sketch.SkeletonSketch) (int64, error) {
+		skel, err := s.Decode(nil)
+		if err != nil {
+			return 0, err
+		}
+		lambda, _, err := edgeconn.Connectivity(skel, s.K())
+		return lambda, err
+	}
+	wantL, errS := connectivity(serial)
+	gotL, errP := connectivity(par)
 	if errS != nil || errP != nil {
 		t.Fatalf("decode errors: serial %v, parallel %v", errS, errP)
 	}
 	if gotL != wantL {
 		t.Fatalf("edge connectivity: parallel %d, serial %d", gotL, wantL)
 	}
+}
+
+// mustSkeleton is sketch.NewSkeletonSketch for params the test knows are
+// valid.
+func mustSkeleton(p sketch.SkeletonParams) *sketch.SkeletonSketch {
+	s, err := sketch.NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -10,7 +10,7 @@ import (
 
 // Decoder is a sketch the oracle can serve from: every decodable
 // structure in the library (the spanning, skeleton and hybrid sketches,
-// vertexconn, edgeconn and sparsify) implements it. Decode hangs its trace
+// vertexconn and sparsify) implements it. Decode hangs its trace
 // under the oracle's rebuild span, so a recorded rebuild reads
 // oracle.rebuild → <structure decode> → … → peel_round.
 type Decoder interface {

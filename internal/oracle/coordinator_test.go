@@ -9,8 +9,6 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/codec"
-	"graphsketch/internal/core/edgeconn"
-	"graphsketch/internal/core/reconstruct"
 	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/graph"
@@ -94,7 +92,6 @@ func TestForCoordinatorEveryType(t *testing.T) {
 		{"hybrid-spanning", must(hybrid.New(spanning(), 4))},
 		{"hybrid-skeleton", must(hybrid.New(skeleton(), 4))},
 		{"vertexconn", must(vertexconn.New(vertexconn.Params{N: n, K: 2, Subgraphs: 16, Seed: seed}))},
-		{"edgeconn", must(edgeconn.New(edgeconn.Params{N: n, K: 2, Seed: seed}))},
 		{"sparsify", must(sparsify.New(sparsify.Params{N: n, K: 4, Seed: seed}))},
 	}
 	addrs := startShards(t, 2)
@@ -151,14 +148,14 @@ func TestForCoordinatorEveryType(t *testing.T) {
 	}
 
 	// A member with no Decode method is refused at construction.
-	proto := must(reconstruct.New(reconstruct.Params{N: n, K: 2, Seed: seed}))
+	proto := must(vertexconn.NewEstimator(vertexconn.EstimatorParams{N: n, KMax: 2, Seed: seed}))
 	tr, err := shardplane.DialTCP(proto, addrs, shardplane.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	if _, err := ForCoordinator(tr, proto); !errors.Is(err, ErrNoDecodeRoute) {
-		t.Fatalf("ForCoordinator over a reconstruct member: got %v, want ErrNoDecodeRoute", err)
+		t.Fatalf("ForCoordinator over an estimator member: got %v, want ErrNoDecodeRoute", err)
 	}
 
 	// A vertexconn coordinator caps DisconnectedBy's removal sets at K, as
@@ -205,7 +202,7 @@ func TestDecodeExhaustedSentinel(t *testing.T) {
 		fails := 0
 		withGOMAXPROCS(procs, func() {
 			for trial := 0; trial < 20; trial++ {
-				sk := sketch.NewSkeleton(uint64(trial), h.Domain(), 2, tiny)
+				sk := mustSkeleton(sketch.SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Spanning: tiny, Seed: uint64(trial)})
 				if err := sk.UpdateGraph(h, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -226,4 +223,14 @@ func TestDecodeExhaustedSentinel(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: undersized skeleton decoded a 32-path in all 20 trials", procs)
 		}
 	}
+}
+
+// mustSkeleton is sketch.NewSkeletonSketch for params the test knows are
+// valid.
+func mustSkeleton(p sketch.SkeletonParams) *sketch.SkeletonSketch {
+	s, err := sketch.NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -61,8 +61,8 @@ func TestDecodeSkeletonMatchesSerial(t *testing.T) {
 	const n, k, seed = 18, 4, 3
 	batch := churnBatch(n, k, seed)
 
-	serial := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), k, sketch.SpanningConfig{})
-	par := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), k, sketch.SpanningConfig{})
+	serial := mustSkeleton(sketch.SkeletonParams{N: n, K: k, Seed: seed})
+	par := mustSkeleton(sketch.SkeletonParams{N: n, K: k, Seed: seed})
 	eng := engine.New(par, engine.Options{Workers: 3})
 	defer eng.Close()
 
@@ -118,10 +118,20 @@ func TestConcurrentTracedSkeletonDecode(t *testing.T) {
 	const n, k, seed = 32, 4, 5
 	batch := churnBatch(n, k, seed)
 	decodetest.Concurrent(t, func() decodetest.Decoder {
-		sk := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), k, sketch.SpanningConfig{})
+		sk := mustSkeleton(sketch.SkeletonParams{N: n, K: k, Seed: seed})
 		if err := sk.UpdateBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		return sk
 	})
+}
+
+// mustSkeleton is sketch.NewSkeletonSketch for params the test knows are
+// valid.
+func mustSkeleton(p sketch.SkeletonParams) *sketch.SkeletonSketch {
+	s, err := sketch.NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -32,8 +32,10 @@ func ExampleSpanningSketch() {
 // ExampleSkeletonSketch decodes a 2-skeleton: every cut of the original
 // graph keeps at least min(cut, 2) edges.
 func ExampleSkeletonSketch() {
-	dom := graph.MustDomain(4, 2)
-	sk := sketch.NewSkeleton(3, dom, 2, sketch.SpanningConfig{})
+	sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: 4, K: 2, Seed: 3})
+	if err != nil {
+		panic(err)
+	}
 	// K4.
 	for u := 0; u < 4; u++ {
 		for v := u + 1; v < 4; v++ {

@@ -82,7 +82,7 @@ func TestUndersizedSkeletonNeverFabricates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 1))
 	for trial := 0; trial < 10; trial++ {
 		h := workload.ErdosRenyi(rng, 16, 0.5)
-		sk := NewSkeleton(uint64(trial), h.Domain(), 3, tinyConfig())
+		sk := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 3, Spanning: tinyConfig(), Seed: uint64(trial)})
 		if err := sk.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -64,23 +64,12 @@ func NewSkeletonSketch(p SkeletonParams) (*SkeletonSketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewSkeleton(p.Seed, dom, p.K, p.Spanning), nil
-}
-
-// NewSkeleton returns an empty k-skeleton sketch. k must be at least 1.
-//
-// Deprecated: prefer NewSkeletonSketch with SkeletonParams; this positional
-// variant is kept for callers that already hold a validated Domain.
-func NewSkeleton(seed uint64, dom graph.Domain, k int, cfg SpanningConfig) *SkeletonSketch {
-	if k < 1 {
-		panic("sketch: skeleton needs k >= 1")
-	}
-	ss := hashutil.NewSeedStream(seed ^ 0x5ce1e7_0a)
-	layers := make([]*SpanningSketch, k)
+	ss := hashutil.NewSeedStream(p.Seed ^ 0x5ce1e7_0a)
+	layers := make([]*SpanningSketch, p.K)
 	for i := range layers {
-		layers[i] = NewSpanning(ss.At(uint64(i)), dom, cfg)
+		layers[i] = NewSpanning(ss.At(uint64(i)), dom, p.Spanning)
 	}
-	return &SkeletonSketch{dom: dom, k: k, seed: seed, layers: layers}
+	return &SkeletonSketch{dom: dom, k: p.K, seed: p.Seed, layers: layers}, nil
 }
 
 // Update applies a weighted hyperedge update to every layer.

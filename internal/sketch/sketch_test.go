@@ -283,7 +283,7 @@ func TestSkeletonCutPreservation(t *testing.T) {
 		n := 12
 		h := randomGraph(rng, n, 4*n)
 		k := 3
-		sk := NewSkeleton(uint64(trial), h.Domain(), k, SpanningConfig{})
+		sk := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: uint64(trial)})
 		if err := sk.UpdateGraph(h, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestSkeletonHypergraph(t *testing.T) {
 	n := 12
 	h := randomHypergraph(rng, n, 3, 3*n)
 	k := 2
-	sk := NewSkeleton(3, h.Domain(), k, SpanningConfig{})
+	sk := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: 3})
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestSkeletonLemma12(t *testing.T) {
 	n := 12
 	h := randomGraph(rng, n, 3*n)
 	k := 3
-	sk := NewSkeleton(5, h.Domain(), k, SpanningConfig{})
+	sk := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: k, Seed: 5})
 	if err := sk.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestSkeletonWithDeletionChurn(t *testing.T) {
 	n := 12
 	final := randomGraph(rng, n, 3*n)
 	churn := randomGraph(rng, n, 3*n)
-	sk := NewSkeleton(13, final.Domain(), 2, SpanningConfig{})
+	sk := mustSkeleton(SkeletonParams{N: final.N(), R: final.Domain().R(), K: 2, Seed: 13})
 	// Insert churn, then final, then delete churn (skipping overlaps).
 	for _, e := range churn.Edges() {
 		if !final.Has(e) {
@@ -447,8 +447,8 @@ func TestSkeletonAccessorsAndLinearity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	h := randomGraph(rng, 12, 30)
 	const seed = 77
-	a := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
-	b := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	a := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
+	b := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	if a.K() != 2 || a.Domain() != h.Domain() {
 		t.Fatal("accessors wrong")
 	}
@@ -466,7 +466,7 @@ func TestSkeletonAccessorsAndLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compare against a clone of a single-stream sketch.
-	direct := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	direct := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	if err := direct.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestSkeletonAccessorsAndLinearity(t *testing.T) {
 		t.Fatal("words accounting empty")
 	}
 	// Incompatible merge rejected.
-	other := NewSkeleton(seed+1, h.Domain(), 2, SpanningConfig{})
+	other := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed + 1})
 	if err := a.AddScaled(other, 1); err == nil {
 		t.Fatal("different seeds accepted")
 	}
@@ -493,13 +493,13 @@ func TestSkeletonVertexShareExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 1))
 	h := randomGraph(rng, 10, 20)
 	const seed = 88
-	direct := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	direct := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	if err := direct.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	ref := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	for v := 0; v < 10; v++ {
-		p := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+		p := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 		for _, e := range h.Edges() {
 			if e.Contains(v) {
 				if err := p.Update(e, 1); err != nil {
@@ -563,4 +563,13 @@ func TestUpdateEdgeRangeSkipsUnownedEdges(t *testing.T) {
 			t.Fatalf("range %v accepted an edge outside [0, 8)", r)
 		}
 	}
+}
+
+// mustSkeleton is NewSkeletonSketch for params the test knows are valid.
+func mustSkeleton(p SkeletonParams) *SkeletonSketch {
+	s, err := NewSkeletonSketch(p)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

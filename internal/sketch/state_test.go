@@ -108,11 +108,11 @@ func TestSkeletonStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 1))
 	h := randomGraph(rng, 12, 30)
 	const seed = 5
-	a := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	a := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	if err := a.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	b := NewSkeleton(seed, h.Domain(), 2, SpanningConfig{})
+	b := mustSkeleton(SkeletonParams{N: h.N(), R: h.Domain().R(), K: 2, Seed: seed})
 	if err := addBytes(b, stateOf(a)); err != nil {
 		t.Fatal(err)
 	}
