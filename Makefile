@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet test race bench bench-json bench-diff bench-check \
 	codec-check obs-check cluster-check fmt-check ci lint lint-gsvet lint-staticcheck \
-	lint-govulncheck lint-timing lint-json
+	lint-govulncheck lint-timing lint-json loc
 
 # Benchmark knobs for bench-json: runs to average and time per run.
 # CI smoke uses BENCHTIME=1x; real measurements want the defaults or more.
@@ -116,6 +116,13 @@ obs-check:
 cluster-check:
 	$(GO) test -race ./internal/shardplane/
 	$(GO) test -race -run 'TestGSD|TestGenstreamLoadgen' ./internal/cli/
+
+# Non-test Go lines of the module — library, commands, examples — the
+# size figure CHANGES.md entries report. gsbench/ (a module of its own),
+# testdata and dot directories (build outputs) are left out.
+loc:
+	@find . \( -name gsbench -o -name testdata -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 fmt-check:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \

@@ -577,6 +577,21 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	*n, *k = s.NumVertices(), s.K() // a restored frame's, not the flags'
+	// Pairs are checked before the stream is read, against the sketch's n.
+	var cu, cv, su, sv int
+	if *connected != "" {
+		if cu, cv, err = parsePair(*connected, *n); err != nil {
+			return err
+		}
+	}
+	if *st != "" {
+		if su, sv, err = parsePair(*st, *n); err != nil {
+			return fmt.Errorf("-st: %w", err)
+		}
+		if su == sv {
+			return fmt.Errorf("-st wants two distinct vertices, got %q", *st)
+		}
+	}
 	obs.RegisterInspector("edgeconn", s)
 	defer obs.RegisterInspector("edgeconn", nil)
 	updates, err := readAndApply(*file, stdin, s)
@@ -597,35 +612,23 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		len(updates), s.Words()*8/1024, *k)
 
 	if *connected != "" {
-		u, v, err := parsePair(*connected, *n)
-		if err != nil {
-			return err
-		}
-		ok, err := oracle.For(s).Connected(u, v)
+		ok, err := oracle.For(s).Connected(cu, cv)
 		if err != nil {
 			return err
 		}
 		if ok {
-			fmt.Fprintf(stdout, "%d and %d are connected\n", u, v)
+			fmt.Fprintf(stdout, "%d and %d are connected\n", cu, cv)
 		} else {
-			fmt.Fprintf(stdout, "%d and %d are NOT connected\n", u, v)
+			fmt.Fprintf(stdout, "%d and %d are NOT connected\n", cu, cv)
 		}
 		return nil
 	}
 	if *st != "" {
-		set, err := parseVertexSet(*st, *n)
-		if err != nil || len(set) != 2 {
-			return fmt.Errorf("-st wants 'u,v': %v", err)
-		}
-		var uv []int
-		for v := range set {
-			uv = append(uv, v)
-		}
 		skel, err := s.Decode(nil)
 		if err != nil {
 			return err
 		}
-		if cut := graphalg.STEdgeCut(skel, uv[0], uv[1], int64(*k)); cut >= int64(*k) {
+		if cut := graphalg.STEdgeCut(skel, su, sv, int64(*k)); cut >= int64(*k) {
 			fmt.Fprintf(stdout, "λ(%s) >= %d (raise -k for the exact value)\n", *st, *k)
 		} else {
 			fmt.Fprintf(stdout, "λ(%s) = %d\n", *st, cut)

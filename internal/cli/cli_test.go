@@ -329,6 +329,29 @@ func TestRunEconnBadArgs(t *testing.T) {
 	}
 }
 
+// TestRunEconnSTPair: -st takes two distinct vertices. A pair that is
+// one vertex, or one vertex twice, is refused with an error naming it
+// before the stream is read (the stream file here does not exist), and a
+// valid pair prints λ.
+func TestRunEconnSTPair(t *testing.T) {
+	for _, bad := range []string{"3", "3,3"} {
+		err := RunEconn([]string{"-n", "24", "-k", "6", "-st", bad, "-stream", "/nonexistent/file"},
+			strings.NewReader(""), &bytes.Buffer{}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Errorf("-st %s: got %v, want an error naming %q", bad, err, bad)
+		}
+	}
+	h := workload.Cycle(12)
+	var out bytes.Buffer
+	if err := RunEconn([]string{"-n", "12", "-k", "4", "-st", "0, 6"},
+		strings.NewReader(streamText(t, h, stream.FromGraph(h))), &out, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != "λ(0, 6) = 2\n" {
+		t.Fatalf("-st 0, 6 printed %q", got)
+	}
+}
+
 func TestMissingStreamFile(t *testing.T) {
 	err := RunEconn([]string{"-n", "8", "-stream", "/nonexistent/file"},
 		strings.NewReader(""), &bytes.Buffer{}, &bytes.Buffer{})

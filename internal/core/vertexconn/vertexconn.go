@@ -297,15 +297,6 @@ func (s *Sketch) EstimateConnectivity(limit int64) (int64, error) {
 	return graphalg.VertexConnectivity(h, limit), nil
 }
 
-// IsKConnected reports whether κ(H) ≥ k, the Theorem 8 decision.
-func (s *Sketch) IsKConnected() (bool, error) {
-	got, err := s.EstimateConnectivity(int64(s.p.K))
-	if err != nil {
-		return false, err
-	}
-	return got >= int64(s.p.K), nil
-}
-
 // Params returns the sketch parameters.
 func (s *Sketch) Params() Params { return s.p }
 

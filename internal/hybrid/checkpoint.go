@@ -14,9 +14,10 @@ import (
 )
 
 // Wire format. A hybrid checkpoint frame's params are the exact-buffer
-// budget, then the inner sketch's identity (sketch.AppendInner: its tag
-// word and its own params words), so the opener rebuilds the empty inner
-// through the sketch package's own reader. The state is the hybrid's
+// budget, then the inner spanning sketch's identity (sketch.AppendInner:
+// the spanning tag word and its own params words), so the opener rebuilds
+// the empty inner through the sketch package's own reader, which refuses
+// any other tag. The state is the hybrid's
 // vertex shares in vertex order (sketch.Shares), as for every other
 // vertex-sharded structure: vertex v's share is the inner's share of v,
 // then v's exact part — a little-endian uint32 entry count, or

@@ -1,7 +1,6 @@
 package hybrid
 
 import (
-	"fmt"
 	"log/slog"
 	"slices"
 
@@ -31,37 +30,16 @@ import (
 // applies). With no spilled vertex — or only one component holding any —
 // the decode draws no sampler at all.
 
-// Decode decodes whatever certificate the inner sketch type supports,
-// with the decode spans hung under parent (nil starts a fresh trace).
-//
-// A spanning inner gets the contract-then-sample spanning decode: a
-// subgraph with the same connected components, at most n−1 hyperedges. If
-// at most one component holds a spilled vertex the decode is fully exact —
-// deterministic, no sampler draws, and it cannot fail (with no spilled
-// vertex at all the forest is the min-endpoint scan of the buffers).
-// Otherwise it returns sketch.ErrDecodeFailed if the Boruvka rounds are
-// exhausted before every spilled component is resolved or certified.
-//
-// A skeleton inner gets the unchanged Theorem 14 peel
-// (sketch.SkeletonSketch.Decode), run on a clone with every buffer spilled
-// first: the spill invariant makes the clone's inner byte-identical to a
-// pure skeleton of the stream.
+// Decode returns a spanning subgraph — the same connected components, at
+// most n−1 hyperedges — by contracting first and sampling only the
+// components that hold a spilled vertex, with the decode spans hung under
+// parent (nil starts a fresh trace). If at most one component holds a
+// spilled vertex the decode is fully exact — deterministic, no sampler
+// draws, and it cannot fail (with no spilled vertex at all the forest is
+// the min-endpoint scan of the buffers). Otherwise it returns
+// sketch.ErrDecodeFailed if the Boruvka rounds are exhausted before every
+// spilled component is resolved or certified.
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
-	switch in := s.inner.(type) {
-	case *sketch.SpanningSketch:
-		return s.spanningGraph(parent, in)
-	case *sketch.SkeletonSketch:
-		cp := s.Clone()
-		if err := cp.SpillAll(); err != nil {
-			return nil, err
-		}
-		return cp.inner.(*sketch.SkeletonSketch).Decode(parent)
-	}
-	return nil, fmt.Errorf("hybrid: no decoder for inner type %T", s.inner)
-}
-
-// spanningGraph is Decode over a spanning inner sp.
-func (s *Sketch) spanningGraph(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	s.observeOccupancy()
 	span := parent.Child(spanningSpan)
 	defer span.End()
@@ -78,7 +56,7 @@ func (s *Sketch) spanningGraph(parent *obs.Span, sp *sketch.SpanningSketch) (*gr
 	if err != nil {
 		return nil, err
 	}
-	draws, err := sp.Boruvka(span, d, forest, spilled, terms)
+	draws, err := s.inner.Boruvka(span, d, forest, spilled, terms)
 	hm.mixedComponents.Add(int64(draws))
 	if draws == 0 {
 		hm.exactDecodes.Inc()

@@ -34,19 +34,7 @@ func fuzzHybrid(tb testing.TB) *hybrid.Sketch {
 // hybridFrame wraps state in a well-formed hybrid checkpoint frame whose
 // params are hy's.
 func hybridFrame(tb testing.TB, hy *hybrid.Sketch, state []byte) []byte {
-	_, payload, _, err := codec.DecodeFrame(frametest.Of(tb, hy))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	params := payload[4 : 4+binary.LittleEndian.Uint32(payload)]
-	var buf bytes.Buffer
-	if _, err := codec.WriteCheckpoint(&buf, codec.TagHybrid, params, len(state), func(fw *codec.FrameWriter) error {
-		_, err := fw.Write(state)
-		return err
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return frametest.Checkpoint(tb, codec.TagHybrid, frametest.Params(tb, frametest.Of(tb, hy)), state)
 }
 
 // FuzzHybridUnmarshal feeds arbitrary state bytes, inside an otherwise

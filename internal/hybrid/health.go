@@ -4,11 +4,11 @@ import "graphsketch/internal/obs"
 
 // Health introspects the hybrid representation (obs.Inspector): the spill
 // fraction and mean exact-buffer occupancy (fraction of the word budget in
-// use, over unspilled vertices), with the inner sketch's own report nested
-// when it is an Inspector. A spill fraction near 1 means the stream has
-// outgrown the exact tier and the hybrid is paying pure-sketch costs plus
-// buffer bookkeeping; occupancy near 1 with a low spill fraction means the
-// budget sits right at the workload's degree knee.
+// use, over unspilled vertices), with the inner sketch's own report
+// nested. A spill fraction near 1 means the stream has outgrown the exact
+// tier and the hybrid is paying pure-sketch costs plus buffer bookkeeping;
+// occupancy near 1 with a low spill fraction means the budget sits right
+// at the workload's degree knee.
 func (s *Sketch) Health() obs.Report {
 	n := s.dom.N()
 	spilled := 0
@@ -29,11 +29,7 @@ func (s *Sketch) Health() obs.Report {
 	if unspilled := n - spilled; unspilled > 0 {
 		m["buffer_occupancy_mean"] = occSum / float64(unspilled)
 	}
-	var subs []obs.Report
-	if insp, ok := s.inner.(obs.Inspector); ok {
-		subs = append(subs, insp.Health())
-	}
-	return obs.Report{Structure: "hybrid", Metrics: m, Subs: subs}
+	return obs.Report{Structure: "hybrid", Metrics: m, Subs: []obs.Report{s.inner.Health()}}
 }
 
 var _ obs.Inspector = (*Sketch)(nil)

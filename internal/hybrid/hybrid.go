@@ -2,8 +2,11 @@
 // sparse dynamic streams: each vertex keeps its incidence updates in a small
 // exact buffer (sorted canonical edge keys with net weights) until the
 // buffer overflows a fixed word budget, at which point the vertex is
-// *spilled* — its buffered entries are replayed into a wrapped linear sketch
-// and every later update at that vertex goes straight to the sketch.
+// *spilled* — its buffered entries are replayed into a wrapped spanning
+// sketch and every later update at that vertex goes straight to the sketch.
+// Connectivity on sparse graphs is the use the representation is designed
+// for (De Man et al., Hybrid Sketching Methods for Dynamic Connectivity on
+// Sparse Graphs).
 //
 // The decomposition is per vertex, so one hyperedge may be exact on one
 // endpoint and sketched on another. Because both halves are linear in the
@@ -16,9 +19,9 @@
 // semantic no-op: it moves mass from the exact term to the sketched term
 // without changing their sum. That is the spill invariant every operation
 // here preserves, and it is why Merge, checkpoint restore (a linear
-// ReadFrom), skeleton peeling, and the engine's sharded ingestion all keep
-// working unchanged on the spilled part (the properties Theorems 2/13 of
-// the source paper need). SpillAll makes the invariant testable: after
+// ReadFrom), the Boruvka rounds and the engine's sharded ingestion all keep
+// working unchanged on the spilled part (the properties Theorem 2 of the
+// source paper needs). SpillAll makes the invariant testable: after
 // spilling every vertex the inner sketch holds the same linear state as a
 // pure sketch fed the same stream, and writes the same bytes. That holds on
 // streams with deletions too: an insert/delete pair that cancels inside a
@@ -67,13 +70,13 @@ var (
 )
 
 // Sketch is the adaptive hybrid wrapper. It satisfies the same contracts
-// as the inner sketch — Updater, Mergeable, Sharded, Checkpointer and
-// sketch.Sharer — and is safe for the parallel engine: all mutable state is
-// owned per vertex (buffers, spill flags), so workers applying
+// as the inner spanning sketch — Updater, Mergeable, Sharded, Checkpointer
+// and sketch.Sharer — and is safe for the parallel engine: all mutable
+// state is owned per vertex (buffers, spill flags), so workers applying
 // UpdateBatchRange over disjoint vertex ranges never write the same
 // element.
 type Sketch struct {
-	inner sketch.Inner
+	inner *sketch.SpanningSketch
 	dom   graph.Domain
 
 	budget     int // per-vertex buffer budget in 64-bit words
@@ -94,12 +97,14 @@ type Sketch struct {
 	exact []exactPart
 }
 
-// New wraps inner, a spanning or skeleton sketch, in the adaptive hybrid
-// representation. budget is the per-vertex exact-buffer budget in 64-bit
-// words (each buffered incidence entry costs two: key and net weight);
-// budget <= 0 selects DefaultBudgetWords. The inner sketch is normally
-// empty; a non-empty inner is legal and simply contributes linearly.
-func New(inner sketch.Inner, budget int) (*Sketch, error) {
+// New wraps inner, a spanning sketch, in the adaptive hybrid
+// representation: the only inner a hybrid takes, and what its checkpoint
+// opener refuses any other for. budget is the per-vertex exact-buffer
+// budget in 64-bit words (each buffered incidence entry costs two: key and
+// net weight); budget <= 0 selects DefaultBudgetWords. The inner sketch is
+// normally empty; a non-empty inner is legal and simply contributes
+// linearly.
+func New(inner *sketch.SpanningSketch, budget int) (*Sketch, error) {
 	if inner == nil {
 		return nil, errors.New("hybrid: nil inner sketch")
 	}
@@ -113,7 +118,7 @@ func New(inner sketch.Inner, budget int) (*Sketch, error) {
 }
 
 // build returns an all-exact hybrid over inner with a valid budget.
-func build(inner sketch.Inner, budget int) *Sketch {
+func build(inner *sketch.SpanningSketch, budget int) *Sketch {
 	dom := inner.Domain()
 	n := dom.N()
 	s := &Sketch{
@@ -132,9 +137,9 @@ func build(inner sketch.Inner, budget int) *Sketch {
 	return s
 }
 
-// Inner returns the wrapped sketch. Its state is only the spilled part of
-// the stream; decode through the hybrid's own methods (or SpillAll first).
-func (s *Sketch) Inner() sketch.Inner { return s.inner }
+// Inner returns the wrapped spanning sketch. Its state is only the spilled
+// part of the stream; decode through the hybrid's own Decode.
+func (s *Sketch) Inner() graphsketch.Sharded { return s.inner }
 
 // Domain returns the hyperedge key domain.
 func (s *Sketch) Domain() graph.Domain { return s.dom }
@@ -343,13 +348,12 @@ func (s *Sketch) replayExact(v int, ks []uint64, vs []int64) error {
 
 // SpillAll spills every still-exact vertex. Afterwards the inner sketch
 // holds the whole stream: its checkpoint frame is byte-identical to that of
-// a pure sketch fed the same updates, which is how decode paths without a
-// mixed-mode implementation (skeleton peeling) reuse the inner machinery
-// unchanged, and how the property tests pin the spill invariant.
+// a pure sketch fed the same updates, which is how the property tests pin
+// the spill invariant.
 //
 // It moves buffers without counting them as spills: hybrid_spills_total
 // counts buffers that overflowed their budget or met a spilled vertex in a
-// merge, and a decode's SpillAll on a clone is neither.
+// merge.
 func (s *Sketch) SpillAll() error {
 	for v := range s.spilled {
 		if !s.spilled[v] {
@@ -436,14 +440,7 @@ func (s *Sketch) addExact(v int, ks []uint64, vs []int64) error {
 
 // Clone returns a deep copy (buffers, spill flags, and inner sketch).
 func (s *Sketch) Clone() *Sketch {
-	var in sketch.Inner
-	switch t := s.inner.(type) {
-	case *sketch.SpanningSketch:
-		in = t.Clone()
-	case *sketch.SkeletonSketch:
-		in = t.Clone()
-	}
-	cp := build(in, s.budget)
+	cp := build(s.inner.Clone(), s.budget)
 	copy(cp.spilled, s.spilled)
 	for v := range s.keys {
 		if len(s.keys[v]) > 0 {

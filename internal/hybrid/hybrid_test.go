@@ -405,48 +405,6 @@ func TestHybridEngineParallelSerial(t *testing.T) {
 	}
 }
 
-// TestHybridSkeletonDecode covers the skeleton inner: the clone+SpillAll
-// path must reproduce the pure skeleton's certificate.
-func TestHybridSkeletonDecode(t *testing.T) {
-	const n, k, budget = 48, 2, 16
-	st, _ := sparseChurnStream(t, n, 2, 3, 17)
-	purei, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: k, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: k, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy, err := hybrid.New(inner, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply(t, st, purei, hy)
-	want, err := purei.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := hy.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(got) {
-		t.Fatal("hybrid skeleton differs from pure skeleton")
-	}
-	// The decode must not have consumed the hybrid itself.
-	if hy.SpilledCount() == len(make([]bool, n)) {
-		t.Fatal("decode spilled the original")
-	}
-	got2, err := hy.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(got2) {
-		t.Fatal("serial hybrid skeleton decode differs")
-	}
-}
-
 // TestHybridOracle covers the query-serving adapter: warm Connected answers
 // against the hybrid-decoded snapshot.
 func TestHybridOracle(t *testing.T) {
@@ -640,35 +598,6 @@ func TestHybridRestoreCountsNoSpills(t *testing.T) {
 	}
 }
 
-// TestHybridSkeletonDecodeCountsNoSpills: a skeleton decode moves a clone's
-// buffers into its inner, which is no spill of the live sketch, so
-// decoding leaves hybrid_spills_total where it was.
-func TestHybridSkeletonDecodeCountsNoSpills(t *testing.T) {
-	obs.Enable()
-	spills := obs.Default().Counter("hybrid_spills_total", "")
-	const n = 64
-	inner, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy, err := hybrid.New(inner, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hy.Update(graph.MustEdge(0, 1), 1); err != nil {
-		t.Fatal(err)
-	}
-	before := spills.Value()
-	for i := 0; i < 3; i++ {
-		if _, err := hy.Decode(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := spills.Value() - before; d != 0 {
-		t.Fatalf("three decodes of a hybrid with %d spilled vertices counted %d spills", hy.SpilledCount(), d)
-	}
-}
-
 // TestHybridRejectsForeignBufferKeys: a checkpoint whose vertex 0 buffers
 // a key that does not decode, or the key of an edge without vertex 0, is
 // rejected typed by codec.Open and by ReadFrom, which leaves its receiver
@@ -716,4 +645,27 @@ func TestHybridRejectsForeignBufferKeys(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHybridRefusesSkeletonInner: a hybrid wraps a spanning sketch only. A
+// frame whose params name a skeleton inner — the budget word, the skeleton
+// tag, a skeleton's params — and whose state is that skeleton's empty
+// shares, each followed by an empty exact part, fails codec.Open with a
+// typed decode error, and ReadFrom leaves its receiver as it was.
+func TestHybridRefusesSkeletonInner(t *testing.T) {
+	const n, budget = 8, 4
+	skel, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := append(codec.AppendUint64s(nil, budget, uint64(codec.TagSkeleton)), frametest.Params(t, frametest.Of(t, skel))...)
+	var state []byte
+	for v := range n {
+		_, share, _, err := codec.DecodeShareFrame(skel.VertexShareFrame(v), codec.TagSkeleton, skel.Fingerprint(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state = binary.LittleEndian.AppendUint32(append(state, share...), 0)
+	}
+	frametest.Refused(t, frametest.Checkpoint(t, codec.TagHybrid, params, state), fuzzHybrid(t))
 }

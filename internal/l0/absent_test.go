@@ -28,11 +28,6 @@ func TestAbsentSampler(t *testing.T) {
 				t.Fatal("absent sampler returned a sample")
 			}
 		}, true},
-		{"Decode", func(t *testing.T, s *Sampler) {
-			if vec, ok := s.Decode(); !ok || len(vec) != 0 {
-				t.Fatalf("Decode = (%v, %v), want (empty, true)", vec, ok)
-			}
-		}, true},
 		{"Hash", func(t *testing.T, s *Sampler) {
 			if top, _ := s.Hash(77); top < 0 || top >= cfg.MaxLevels {
 				t.Fatalf("Hash level %d outside [0, %d)", top, cfg.MaxLevels)
@@ -77,12 +72,12 @@ func TestAbsentSampler(t *testing.T) {
 			}
 		}, true},
 		{"AddBinary/empty-share", func(t *testing.T, s *Sampler) {
-			if rest, err := s.AddBinary([]byte{0, 9}); err != nil || !bytes.Equal(rest, []byte{9}) {
-				t.Fatalf("AddBinary([0]) = (%v, %v)", rest, err)
+			if rest, err := merge(s, []byte{0, 9}); err != nil || !bytes.Equal(rest, []byte{9}) {
+				t.Fatalf("merge([0]) = (%v, %v)", rest, err)
 			}
 		}, true},
 		{"AddBinary/out-of-range", func(t *testing.T, s *Sampler) {
-			if _, err := s.AddBinary([]byte{byte(cfg.MaxLevels + 1)}); err == nil {
+			if _, err := merge(s, []byte{byte(cfg.MaxLevels + 1)}); err == nil {
 				t.Fatal("MaxLevels+1 levels accepted")
 			}
 		}, true},
@@ -93,7 +88,7 @@ func TestAbsentSampler(t *testing.T) {
 					share.Update(k, 1)
 				}
 			}
-			if _, err := s.AddBinary(share.AppendBinary(nil)); err != nil {
+			if _, err := merge(s, share.AppendBinary(nil)); err != nil {
 				t.Fatalf("a share at level %d rejected: %v", cfg.MaxLevels-1, err)
 			}
 		}, false},

@@ -283,17 +283,6 @@ func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
 // draw allocates nothing after warm-up.
 var coordPool = sync.Pool{New: func() any { return new([]recovery.Coord) }}
 
-// Decode attempts full recovery of the vector, which succeeds when the
-// support has at most S elements (level 0 decodes). This is what the
-// spanning-graph sketches use when a supernode has few incident edges.
-func (s *Sampler) Decode() (map[uint64]int64, bool) {
-	if len(s.cells) == 0 {
-		return map[uint64]int64{}, true
-	}
-	level := s.level(0)
-	return level.Decode()
-}
-
 // Domain returns the exclusive index upper bound.
 func (s *Sampler) Domain() uint64 { return s.sh.dom }
 

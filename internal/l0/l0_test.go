@@ -212,9 +212,11 @@ func TestDecodeSmallSupport(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		s.Update(i*31, int64(i+1))
 	}
-	vec, ok := s.Decode()
+	// Level 0 holds the whole vector, so a small support decodes there.
+	level := s.level(0)
+	vec, ok := level.Decode()
 	if !ok || len(vec) != 5 {
-		t.Fatalf("Decode: ok=%v len=%d", ok, len(vec))
+		t.Fatalf("level 0 decode: ok=%v len=%d", ok, len(vec))
 	}
 	for i := uint64(0); i < 5; i++ {
 		if vec[i*31] != int64(i+1) {
@@ -340,7 +342,7 @@ func TestBinaryMergeMatchesAddScaled(t *testing.T) {
 	// Merge b into a copy of a via bytes, and via AddScaled; compare
 	// samples (deterministic given equal state).
 	viaBytes := a.Clone()
-	rest, err := viaBytes.AddBinary(b.AppendBinary(nil))
+	rest, err := merge(viaBytes, b.AppendBinary(nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err, len(rest))
 	}
@@ -357,26 +359,28 @@ func TestBinaryMergeMatchesAddScaled(t *testing.T) {
 
 func TestAddBinaryMalformed(t *testing.T) {
 	s := New(1, dom, Config{})
-	if _, err := s.AddBinary(nil); err == nil {
+	if _, err := s.CheckBinary(nil); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
-	if _, err := s.AddBinary([]byte{5}); err == nil {
+	if _, err := s.CheckBinary([]byte{5}); err == nil {
 		t.Fatal("truncated level list accepted")
 	}
-	if _, err := s.AddBinary([]byte{1, 200}); err == nil {
+	if _, err := s.CheckBinary([]byte{1, 200}); err == nil {
 		t.Fatal("out-of-range level accepted")
 	}
 }
 
 func TestDecodeFailsOnDenseLevelZero(t *testing.T) {
-	// Full decode requires level 0 to be s-sparse; a dense vector fails
-	// (detected) rather than returning partial data.
+	// Decoding level 0, which holds the whole vector, requires it to be
+	// s-sparse; a dense vector fails (detected) rather than returning
+	// partial data.
 	rng := rand.New(rand.NewPCG(23, 24))
 	s := New(9, dom, Config{S: 4})
 	for j := 0; j < 500; j++ {
 		s.Update(rng.Uint64N(dom), 1)
 	}
-	if _, ok := s.Decode(); ok {
+	level := s.level(0)
+	if _, ok := level.Decode(); ok {
 		t.Fatal("dense vector fully decoded from an S=4 sampler")
 	}
 }

@@ -95,20 +95,12 @@ func (s *Sampler) CheckBinary(b []byte) ([]byte, error) {
 	return rest, nil
 }
 
-// AddBinary adds a serialized sampler into s (linear merge) and returns the
-// remaining bytes. The serialized sampler must come from a sampler with the
-// same seed, domain and config. The whole share is validated first
-// (CheckBinary), so a rejected share leaves s exactly as it was.
-func (s *Sampler) AddBinary(b []byte) ([]byte, error) {
-	if _, err := s.CheckBinary(b); err != nil {
-		return nil, err
-	}
-	return s.AddCheckedBinary(b)
-}
-
-// AddCheckedBinary is AddBinary for a share CheckBinary accepted: it
-// merges without checking the share again. The arena grows once, to the
-// share's L levels, and each level's listed cells are scatter-added
+// AddCheckedBinary adds a serialized sampler, which CheckBinary accepted,
+// into s (linear merge) and returns the remaining bytes. It does not check
+// the share again: checking first is what leaves s exactly as it was when
+// a share is rejected. The share must come from a sampler with the same
+// seed, domain and config. The arena grows once, to the share's L levels,
+// and each level's listed cells are scatter-added
 // (recovery.AddCheckedCells). A share of L = 0, an absent sampler's, is
 // read without touching s: most samplers of a sparse sketch are absent.
 //

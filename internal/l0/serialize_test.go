@@ -39,6 +39,15 @@ func manyLevelKeys() []uint64 {
 	return keys
 }
 
+// merge checks a serialized sampler and then adds it into s: the one
+// merge path, CheckBinary before AddCheckedBinary.
+func merge(s *Sampler, b []byte) ([]byte, error) {
+	if _, err := s.CheckBinary(b); err != nil {
+		return nil, err
+	}
+	return s.AddCheckedBinary(b)
+}
+
 // TestSamplerTruncatedMergeIsNoOp merges every strict prefix of a
 // many-level share, and the share with its level count raised past
 // MaxLevels, into a sampler that holds state: each must be rejected and
@@ -54,7 +63,7 @@ func TestSamplerTruncatedMergeIsNoOp(t *testing.T) {
 	for _, target := range []*Sampler{samplerWith(), samplerWith(3, 1<<20)} {
 		before := target.AppendBinary(nil)
 		for _, in := range inputs {
-			if _, err := target.AddBinary(in); err == nil {
+			if _, err := merge(target, in); err == nil {
 				t.Fatalf("%d-byte malformed share accepted", len(in))
 			}
 			if got := target.AppendBinary(nil); !bytes.Equal(got, before) {
@@ -89,8 +98,8 @@ var malformedShares = []struct {
 }
 
 // TestSamplerRefusesMalformed: each malformed share is refused by
-// CheckBinary and AddBinary with its typed error, and the refusal leaves
-// the receiver's bytes as they were and an absent receiver absent.
+// CheckBinary with its typed error, and the refusal of a merge leaves the
+// receiver's bytes as they were and an absent receiver absent.
 func TestSamplerRefusesMalformed(t *testing.T) {
 	for _, tc := range malformedShares {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,8 +108,8 @@ func TestSamplerRefusesMalformed(t *testing.T) {
 				if _, err := target.CheckBinary(tc.share); !errors.Is(err, tc.want) {
 					t.Fatalf("CheckBinary: got %v, want %v", err, tc.want)
 				}
-				if _, err := target.AddBinary(tc.share); !errors.Is(err, tc.want) {
-					t.Fatalf("AddBinary: got %v, want %v", err, tc.want)
+				if _, err := merge(target, tc.share); !errors.Is(err, tc.want) {
+					t.Fatalf("merge: got %v, want %v", err, tc.want)
 				}
 				if got := target.AppendBinary(nil); !bytes.Equal(got, before) || absent != (target.cells == nil) {
 					t.Fatal("a refused share changed the receiver")
@@ -129,7 +138,7 @@ func TestSamplerBinaryIsCanonical(t *testing.T) {
 		in = append(append(in, make([]byte, levels-1)...), 0x01)
 		in = append(in, cell...)
 		s := New(fuzzSeed, dom, cfg)
-		if rest, err := s.AddBinary(in); err != nil || len(rest) != 0 {
+		if rest, err := merge(s, in); err != nil || len(rest) != 0 {
 			t.Fatalf("%d levels: rest %d bytes, err %v", levels, len(rest), err)
 		}
 		if got := s.AppendBinary(nil); !bytes.Equal(got, in) || s.BinarySize() != len(in) {
@@ -157,7 +166,7 @@ func TestShareAllocationBound(t *testing.T) {
 		in = append(in, cell...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := s.AddBinary(in)
+		_, err := merge(s, in)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -171,9 +180,11 @@ func TestShareAllocationBound(t *testing.T) {
 	}
 }
 
-// FuzzSamplerAddBinary feeds arbitrary shares to Sampler.AddBinary. It
-// must never panic; a rejected share must leave the target's bytes
-// unchanged; and an accepted share, merged into a fresh sampler and
+// FuzzSamplerAddBinary feeds arbitrary shares to Sampler.CheckBinary and,
+// when it accepts them, Sampler.AddCheckedBinary: the pair every merge of
+// a share runs. It must never panic; a rejected share must leave the
+// target's bytes unchanged; the check and the merge must consume the same
+// bytes; and an accepted share, merged into a fresh sampler and
 // serialized, must re-serialize to the same bytes through another fresh
 // sampler. The seeds are shares this package writes, one with a level
 // whose bitmap is empty below its top, and the malformed shares.
@@ -189,7 +200,7 @@ func FuzzSamplerAddBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target := base.Clone()
 		before := target.AppendBinary(nil)
-		rest, err := target.AddBinary(data)
+		rest, err := target.CheckBinary(data)
 		if err != nil {
 			if got := target.AppendBinary(nil); !bytes.Equal(got, before) {
 				t.Fatalf("rejected share changed the target: %v", err)
@@ -197,10 +208,13 @@ func FuzzSamplerAddBinary(f *testing.F) {
 			return
 		}
 		if !bytes.HasSuffix(data, rest) {
-			t.Fatal("AddBinary returned bytes that are not a suffix of its input")
+			t.Fatal("CheckBinary returned bytes that are not a suffix of its input")
+		}
+		if added, err := target.AddCheckedBinary(data); err != nil || len(added) != len(rest) {
+			t.Fatalf("AddCheckedBinary left %d bytes (err %v), CheckBinary %d", len(added), err, len(rest))
 		}
 		once := samplerWith()
-		if _, err := once.AddBinary(data); err != nil {
+		if _, err := merge(once, data); err != nil {
 			t.Fatalf("a share the target accepted is rejected by a fresh sampler: %v", err)
 		}
 		b1 := once.AppendBinary(nil)
@@ -208,7 +222,7 @@ func FuzzSamplerAddBinary(f *testing.F) {
 			t.Fatalf("AppendBinary wrote %d bytes, BinarySize says %d", len(b1), once.BinarySize())
 		}
 		twice := samplerWith()
-		if rest, err := twice.AddBinary(b1); err != nil || len(rest) != 0 {
+		if rest, err := merge(twice, b1); err != nil || len(rest) != 0 {
 			t.Fatalf("re-serialized share: rest %d bytes, err %v", len(rest), err)
 		}
 		if b2 := twice.AppendBinary(nil); !bytes.Equal(b1, b2) {

@@ -90,7 +90,6 @@ func TestForCoordinatorEveryType(t *testing.T) {
 		{"spanning", spanning()},
 		{"skeleton", skeleton()},
 		{"hybrid-spanning", must(hybrid.New(spanning(), 4))},
-		{"hybrid-skeleton", must(hybrid.New(skeleton(), 4))},
 		{"vertexconn", must(vertexconn.New(vertexconn.Params{N: n, K: 2, Subgraphs: 16, Seed: seed}))},
 		{"sparsify", must(sparsify.New(sparsify.Params{N: n, K: 4, Seed: seed}))},
 	}

@@ -26,7 +26,6 @@ package recovery
 
 import (
 	"errors"
-	"fmt"
 
 	"graphsketch/internal/field"
 	"graphsketch/internal/hashutil"
@@ -119,27 +118,11 @@ func AddCells(dst, src []Cell, scale int64) {
 	}
 }
 
-// OneSparse is an exact 1-sparse recovery cell over the index domain
-// [0, Domain): a Cell together with its fingerprint point and domain.
-type OneSparse struct {
-	Cell
-	z   field.Elem // fingerprint evaluation point, derived from the seed
-	dom uint64     // exclusive upper bound on valid indices
-}
-
-// NewOneSparse returns a cell for indices in [0, domain). Cells created with
-// equal seeds and domains are compatible for AddScaled.
-func NewOneSparse(seed uint64, domain uint64) *OneSparse {
-	return &OneSparse{z: fingerprintPoint(seed), dom: domain}
-}
-
 // FingerprintPoint derives the fingerprint evaluation point a structure
 // with this seed uses. Containers that share one point across many
 // sub-structures (the L0 sampler shares one across its levels, paired with
 // a field.Ladder) derive it here so compatibility checks keep working.
-func FingerprintPoint(seed uint64) field.Elem { return fingerprintPoint(seed) }
-
-func fingerprintPoint(seed uint64) field.Elem {
+func FingerprintPoint(seed uint64) field.Elem {
 	// Avoid the degenerate points 0 and 1, which would blind the
 	// fingerprint to entire classes of vectors.
 	z := field.Reduce(hashutil.Mix64(seed ^ 0x0f1e_2d3c_4b5a_6978))
@@ -148,37 +131,3 @@ func fingerprintPoint(seed uint64) field.Elem {
 	}
 	return z
 }
-
-// Update applies f[i] += delta.
-func (c *OneSparse) Update(i uint64, delta int64) {
-	if i >= c.dom {
-		panic(fmt.Sprintf("recovery: index %d out of domain %d", i, c.dom))
-	}
-	dMom, dFp := DeltaTerms(field.Reduce(i), field.Pow(c.z, i), delta)
-	c.add(delta, dMom, dFp)
-}
-
-// AddScaled adds scale copies of o into c: f_c += scale * f_o.
-func (c *OneSparse) AddScaled(o *OneSparse, scale int64) error {
-	if c.z != o.z || c.dom != o.dom {
-		return ErrIncompatible
-	}
-	s := field.FromInt64(scale)
-	c.add(scale*o.count, field.Mul(s, o.mom), field.Mul(s, o.fp))
-	return nil
-}
-
-// Decode attempts 1-sparse recovery. If the cell's vector has exactly one
-// nonzero coordinate i with value v, it returns (i, v, true) with high
-// probability. If the vector is zero or not 1-sparse, ok is false (with
-// failure probability O(domain/p) of a false positive).
-func (c *OneSparse) Decode() (i uint64, v int64, ok bool) {
-	return c.decode(c.z, c.dom)
-}
-
-// Domain returns the exclusive index upper bound.
-func (c *OneSparse) Domain() uint64 { return c.dom }
-
-// Words returns the memory footprint in 64-bit words, used by the space
-// accounting in the experiments (the paper's results are all about space).
-func (c *OneSparse) Words() int { return 3 } // count, mom, fp; z is shared randomness

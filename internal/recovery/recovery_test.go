@@ -4,44 +4,55 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"graphsketch/internal/field"
 )
 
 const testDomain = 1 << 20
 
+// update applies f[i] += delta to a lone 1-sparse cell whose fingerprint
+// point is z, as Shape.ApplyDelta does to every cell it touches.
+func update(c *Cell, z field.Elem, i uint64, delta int64) {
+	dMom, dFp := DeltaTerms(field.Reduce(i), field.Pow(z, i), delta)
+	c.add(delta, dMom, dFp)
+}
+
 func TestOneSparseZero(t *testing.T) {
-	c := NewOneSparse(1, testDomain)
+	var c Cell
 	if !c.IsZero() {
 		t.Fatal("fresh cell not zero")
 	}
-	if _, _, ok := c.Decode(); ok {
+	if _, _, ok := c.decode(FingerprintPoint(1), testDomain); ok {
 		t.Fatal("zero cell decoded")
 	}
 }
 
 func TestOneSparseSingle(t *testing.T) {
+	z := FingerprintPoint(2)
 	for _, tc := range []struct {
 		i uint64
 		v int64
 	}{{0, 1}, {1, -3}, {testDomain - 1, 7}, {12345, 1000000}} {
-		c := NewOneSparse(2, testDomain)
-		c.Update(tc.i, tc.v)
-		i, v, ok := c.Decode()
+		var c Cell
+		update(&c, z, tc.i, tc.v)
+		i, v, ok := c.decode(z, testDomain)
 		if !ok || i != tc.i || v != tc.v {
-			t.Fatalf("Decode = (%d,%d,%v), want (%d,%d,true)", i, v, ok, tc.i, tc.v)
+			t.Fatalf("decode = (%d,%d,%v), want (%d,%d,true)", i, v, ok, tc.i, tc.v)
 		}
 	}
 }
 
 func TestOneSparseInsertDelete(t *testing.T) {
-	c := NewOneSparse(3, testDomain)
-	c.Update(5, 1)
-	c.Update(9, 1)
-	c.Update(5, -1)
-	i, v, ok := c.Decode()
+	z := FingerprintPoint(3)
+	var c Cell
+	update(&c, z, 5, 1)
+	update(&c, z, 9, 1)
+	update(&c, z, 5, -1)
+	i, v, ok := c.decode(z, testDomain)
 	if !ok || i != 9 || v != 1 {
 		t.Fatalf("after cancel: got (%d,%d,%v), want (9,1,true)", i, v, ok)
 	}
-	c.Update(9, -1)
+	update(&c, z, 9, -1)
 	if !c.IsZero() {
 		t.Fatal("fully cancelled cell not zero")
 	}
@@ -50,7 +61,8 @@ func TestOneSparseInsertDelete(t *testing.T) {
 func TestOneSparseRejectsMultiple(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	for trial := 0; trial < 500; trial++ {
-		c := NewOneSparse(uint64(trial), testDomain)
+		z := FingerprintPoint(uint64(trial))
+		var c Cell
 		n := 2 + rng.IntN(10)
 		seen := map[uint64]bool{}
 		for j := 0; j < n; j++ {
@@ -59,9 +71,9 @@ func TestOneSparseRejectsMultiple(t *testing.T) {
 				i = rng.Uint64N(testDomain)
 			}
 			seen[i] = true
-			c.Update(i, 1+int64(rng.IntN(5)))
+			update(&c, z, i, 1+int64(rng.IntN(5)))
 		}
-		if _, _, ok := c.Decode(); ok {
+		if _, _, ok := c.decode(z, testDomain); ok {
 			t.Fatalf("trial %d: %d-sparse vector decoded as 1-sparse", trial, n)
 		}
 	}
@@ -69,70 +81,68 @@ func TestOneSparseRejectsMultiple(t *testing.T) {
 
 func TestOneSparseZeroCountNonzeroVector(t *testing.T) {
 	// Two coordinates with cancelling values: count is 0 but the vector is
-	// not zero; IsZero must say no and Decode must say no.
-	c := NewOneSparse(11, testDomain)
-	c.Update(3, 5)
-	c.Update(8, -5)
+	// not zero; IsZero must say no and decode must say no.
+	z := FingerprintPoint(11)
+	var c Cell
+	update(&c, z, 3, 5)
+	update(&c, z, 8, -5)
 	if c.IsZero() {
 		t.Fatal("cancelling-count vector reported zero")
 	}
-	if _, _, ok := c.Decode(); ok {
+	if _, _, ok := c.decode(z, testDomain); ok {
 		t.Fatal("cancelling-count vector decoded as 1-sparse")
 	}
 }
 
 func TestOneSparseAddScaled(t *testing.T) {
-	a := NewOneSparse(5, testDomain)
-	b := NewOneSparse(5, testDomain)
-	a.Update(10, 2)
-	b.Update(10, 2)
-	b.Update(20, 3)
-	// a - b should leave only -3 at 20... a=2@10, b=2@10+3@20; a-b = -3@20.
-	if err := a.AddScaled(b, -1); err != nil {
-		t.Fatal(err)
-	}
-	i, v, ok := a.Decode()
+	z := FingerprintPoint(5)
+	a, b := make([]Cell, 1), make([]Cell, 1)
+	update(&a[0], z, 10, 2)
+	update(&b[0], z, 10, 2)
+	update(&b[0], z, 20, 3)
+	// a=2@10, b=2@10+3@20; a-b = -3@20.
+	AddCells(a, b, -1)
+	i, v, ok := a[0].decode(z, testDomain)
 	if !ok || i != 20 || v != -3 {
 		t.Fatalf("got (%d,%d,%v), want (20,-3,true)", i, v, ok)
 	}
 }
 
+// A cell carries no seed or domain; the structure holding it checks that
+// two of them may be added.
 func TestOneSparseAddScaledIncompatible(t *testing.T) {
-	a := NewOneSparse(1, testDomain)
-	b := NewOneSparse(2, testDomain)
-	if err := a.AddScaled(b, 1); err == nil {
+	a := NewSSparse(1, testDomain, SSparseConfig{S: 1})
+	if err := a.AddScaled(NewSSparse(2, testDomain, SSparseConfig{S: 1}), 1); err == nil {
 		t.Fatal("expected incompatibility error for different seeds")
 	}
-	c := NewOneSparse(1, testDomain/2)
-	if err := a.AddScaled(c, 1); err == nil {
+	if err := a.AddScaled(NewSSparse(1, testDomain/2, SSparseConfig{S: 1}), 1); err == nil {
 		t.Fatal("expected incompatibility error for different domains")
 	}
 }
 
+// A cell carries no domain; the structure holding it refuses an index
+// outside its domain.
 func TestOneSparseOutOfDomainPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-domain update did not panic")
 		}
 	}()
-	NewOneSparse(1, 10).Update(10, 1)
+	NewSSparse(1, 10, SSparseConfig{S: 1}).Update(10, 1)
 }
 
 func TestOneSparseLinearityProperty(t *testing.T) {
 	// sketch(x) + sketch(y) == sketch(x+y) for random sparse vectors.
+	z := FingerprintPoint(9)
 	f := func(idxA, idxB uint64, vA, vB int16) bool {
 		ia, ib := idxA%testDomain, idxB%testDomain
-		a := NewOneSparse(9, testDomain)
-		b := NewOneSparse(9, testDomain)
-		sum := NewOneSparse(9, testDomain)
-		a.Update(ia, int64(vA))
-		b.Update(ib, int64(vB))
-		sum.Update(ia, int64(vA))
-		sum.Update(ib, int64(vB))
-		if err := a.AddScaled(b, 1); err != nil {
-			return false
-		}
-		return *a == *sum
+		a, b, sum := make([]Cell, 1), make([]Cell, 1), make([]Cell, 1)
+		update(&a[0], z, ia, int64(vA))
+		update(&b[0], z, ib, int64(vB))
+		update(&sum[0], z, ia, int64(vA))
+		update(&sum[0], z, ib, int64(vB))
+		AddCells(a, b, 1)
+		return a[0] == sum[0]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -321,9 +331,10 @@ func TestSSparseDecodeDoesNotMutate(t *testing.T) {
 }
 
 func BenchmarkOneSparseUpdate(b *testing.B) {
-	c := NewOneSparse(1, 1<<40)
+	z := FingerprintPoint(1)
+	var c Cell
 	for i := 0; i < b.N; i++ {
-		c.Update(uint64(i)&((1<<40)-1), 1)
+		update(&c, z, uint64(i)&((1<<40)-1), 1)
 	}
 }
 

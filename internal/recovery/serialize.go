@@ -106,18 +106,6 @@ func CheckCells(b []byte, n int) (listed int, rest []byte, err error) {
 	return 0, nil, ErrShortBuffer
 }
 
-// AddCellsBinary adds a block (AppendCells bytes) into cells (linear
-// merge) and returns the remaining bytes. It checks the block (CheckCells)
-// before touching any cell, so a rejected one leaves cells unchanged. The
-// block must come from same-shape cells with the same seed and domain;
-// that invariant is the caller's (the protocol's public randomness).
-func AddCellsBinary(cells []Cell, b []byte) ([]byte, error) {
-	if _, _, err := CheckCells(b, len(cells)); err != nil {
-		return nil, err
-	}
-	return AddCheckedCells(cells, b), nil
-}
-
 // AddCheckedCells scatter-adds the cells a block lists into cells and
 // returns the bytes after it. The block must be one CheckCells accepted
 // for len(cells) cells: it is not checked again. Field words are reduced
@@ -139,29 +127,10 @@ func AddCheckedCells(cells []Cell, b []byte) []byte {
 	return b
 }
 
-// AppendBinary serializes the cell's state as a one-cell block.
-func (c *OneSparse) AppendBinary(b []byte) []byte {
-	return AppendCells(b, []Cell{c.Cell})
-}
-
-// AddBinary adds a serialized cell state into c (linear merge) and returns
-// the remaining bytes.
-func (c *OneSparse) AddBinary(b []byte) ([]byte, error) {
-	cells := []Cell{c.Cell}
-	rest, err := AddCellsBinary(cells, b)
-	c.Cell = cells[0]
-	return rest, err
-}
-
 // AppendBinary serializes the structure's cells as one block, in their
 // storage order: the certification cell followed by the grid cells in
 // row-major order. Shape and hashes are public randomness.
 func (t *SSparse) AppendBinary(b []byte) []byte { return AppendCells(b, t.cells) }
-
-// AddBinary adds a serialized structure into t (linear merge) and returns
-// the remaining bytes. A malformed block is rejected before any cell
-// changes.
-func (t *SSparse) AddBinary(b []byte) ([]byte, error) { return AddCellsBinary(t.cells, b) }
 
 // CheckBinary validates a serialized structure at the front of b
 // (CheckCells) and returns the remaining bytes.
@@ -170,8 +139,10 @@ func (t *SSparse) CheckBinary(b []byte) ([]byte, error) {
 	return rest, err
 }
 
-// AddCheckedBinary is AddBinary for bytes CheckBinary accepted: it merges
-// without checking them again.
+// AddCheckedBinary merges (linearly) a serialized structure at the front
+// of b, which CheckBinary accepted, and returns the remaining bytes. It
+// does not check the bytes again. Check first, then add: that is how a
+// malformed block is rejected before any cell changes.
 func (t *SSparse) AddCheckedBinary(b []byte) ([]byte, error) {
 	return AddCheckedCells(t.cells, b), nil
 }

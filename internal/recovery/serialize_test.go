@@ -7,34 +7,44 @@ import (
 	"testing"
 )
 
+// merge checks a serialized structure and then adds it into t: the one
+// merge path, CheckBinary before AddCheckedBinary.
+func merge(t *SSparse, b []byte) ([]byte, error) {
+	if _, err := t.CheckBinary(b); err != nil {
+		return nil, err
+	}
+	return t.AddCheckedBinary(b)
+}
+
 func TestOneSparseBinaryMerge(t *testing.T) {
-	a := NewOneSparse(5, testDomain)
-	b := NewOneSparse(5, testDomain)
-	a.Update(10, 3)
-	b.Update(20, -2)
+	z := FingerprintPoint(5)
+	a, b := make([]Cell, 1), make([]Cell, 1)
+	update(&a[0], z, 10, 3)
+	update(&b[0], z, 20, -2)
 
-	merged := NewOneSparse(5, testDomain)
-	rest, err := merged.AddBinary(a.AppendBinary(nil))
-	if err != nil || len(rest) != 0 {
-		t.Fatal(err, len(rest))
-	}
-	if _, err := merged.AddBinary(b.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
+	merged := make([]Cell, 1)
+	for _, src := range [][]Cell{a, b} {
+		block := AppendCells(nil, src)
+		if _, rest, err := CheckCells(block, 1); err != nil || len(rest) != 0 {
+			t.Fatal(err, len(rest))
+		}
+		if rest := AddCheckedCells(merged, block); len(rest) != 0 {
+			t.Fatal(len(rest))
+		}
 	}
 
-	direct := NewOneSparse(5, testDomain)
-	direct.Update(10, 3)
-	direct.Update(20, -2)
-	if *merged != *direct {
+	direct := make([]Cell, 1)
+	update(&direct[0], z, 10, 3)
+	update(&direct[0], z, 20, -2)
+	if merged[0] != direct[0] {
 		t.Fatal("binary merge differs from direct updates")
 	}
 }
 
 // A one-cell block that lists its cell must carry all 24 of its bytes.
 func TestOneSparseBinaryShortBuffer(t *testing.T) {
-	c := NewOneSparse(1, testDomain)
-	if _, err := c.AddBinary(append([]byte{1}, make([]byte, 23)...)); err == nil {
-		t.Fatal("a listed cell of 23 bytes accepted")
+	if _, _, err := CheckCells(append([]byte{1}, make([]byte, 23)...), 1); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("a listed cell of 23 bytes: got %v, want ErrShortBuffer", err)
 	}
 }
 
@@ -56,7 +66,7 @@ func TestSSparseBinaryMerge(t *testing.T) {
 	}
 	merged := NewSSparse(9, testDomain, cfg)
 	for _, src := range []*SSparse{a, b} {
-		rest, err := merged.AddBinary(src.AppendBinary(nil))
+		rest, err := merge(merged, src.AppendBinary(nil))
 		if err != nil || len(rest) != 0 {
 			t.Fatal(err, len(rest))
 		}
@@ -94,7 +104,7 @@ func TestSSparseBinaryTruncated(t *testing.T) {
 	s.Update(5, 1)
 	data := s.AppendBinary(nil)
 	r := NewSSparse(1, testDomain, SSparseConfig{S: 4})
-	if _, err := r.AddBinary(data[:len(data)-1]); err == nil {
+	if _, err := merge(r, data[:len(data)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
 }
@@ -110,7 +120,7 @@ func TestSSparseTruncatedMergeIsNoOp(t *testing.T) {
 	for _, target := range []*SSparse{NewSSparse(1, testDomain, SSparseConfig{S: 4}), src.Clone()} {
 		before := target.AppendBinary(nil)
 		for cut := 0; cut < len(data); cut++ {
-			if _, err := target.AddBinary(data[:cut]); !errors.Is(err, ErrShortBuffer) {
+			if _, err := merge(target, data[:cut]); !errors.Is(err, ErrShortBuffer) {
 				t.Fatalf("%d-byte prefix: err %v, want ErrShortBuffer", cut, err)
 			}
 			if !bytes.Equal(target.AppendBinary(nil), before) {
@@ -125,8 +135,8 @@ func TestSSparseTruncatedMergeIsNoOp(t *testing.T) {
 
 // TestSSparseRefusesMalformed: crafted blocks for a 17-cell structure (a
 // 3-byte bitmap) — a Becker row's form — are refused with a typed error
-// by CheckBinary and AddBinary, and the refusal leaves the structure's
-// bytes as they were.
+// by CheckBinary, and the refusal leaves the structure's bytes as they
+// were.
 func TestSSparseRefusesMalformed(t *testing.T) {
 	cell := bytes.Repeat([]byte{7}, CellBytes)
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -148,8 +158,8 @@ func TestSSparseRefusesMalformed(t *testing.T) {
 				if _, err := target.CheckBinary(tc.block); !errors.Is(err, tc.want) {
 					t.Fatalf("CheckBinary: got %v, want %v", err, tc.want)
 				}
-				if _, err := target.AddBinary(tc.block); !errors.Is(err, tc.want) {
-					t.Fatalf("AddBinary: got %v, want %v", err, tc.want)
+				if _, err := merge(target, tc.block); !errors.Is(err, tc.want) {
+					t.Fatalf("merge: got %v, want %v", err, tc.want)
 				}
 				if !bytes.Equal(target.AppendBinary(nil), before) {
 					t.Fatal("a refused block changed the structure")
@@ -176,7 +186,7 @@ func TestCorruptedStateDetected(t *testing.T) {
 		// Flip a random byte.
 		data[rng.IntN(len(data))] ^= 0xff
 		r := NewSSparse(uint64(trial), testDomain, SSparseConfig{S: 4})
-		if _, err := r.AddBinary(data); err != nil {
+		if _, err := merge(r, data); err != nil {
 			caught++
 			continue
 		}

@@ -97,7 +97,7 @@ func NewShape(seed uint64, domain uint64, cfg SSparseConfig, z field.Elem) *Shap
 	}
 	ss := newSeedStream(seed)
 	if z == 0 {
-		z = fingerprintPoint(ss.At(0))
+		z = FingerprintPoint(ss.At(0))
 	}
 	mask := -1
 	if buckets&(buckets-1) == 0 {

@@ -7,7 +7,6 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/codec"
-	"graphsketch/internal/graph"
 	"graphsketch/internal/l0"
 )
 
@@ -177,43 +176,22 @@ const (
 	allocSlack   = 64 << 20
 )
 
-// Inner is a spanning or skeleton sketch: the sketches a hybrid
-// (internal/hybrid) wraps. A wrapper carries its inner's identity inside
-// its own params (AppendInner) and rebuilds the inner empty from them
-// (OpenInner), so its state holds only shares. The unexported method
-// keeps the set closed.
-type Inner interface {
-	graphsketch.Sharded
-	Sharer
-	Domain() graph.Domain
-	Fingerprint() uint64
-	SharedWords() int
-	wireParams() []byte
-}
-
-// AppendInner appends in's identity to a wrapper's params: its tag word,
-// then its own params words.
-func AppendInner(dst []byte, in Inner) []byte {
-	tag := codec.TagSpanning
-	if _, ok := in.(*SkeletonSketch); ok {
-		tag = codec.TagSkeleton
-	}
-	return append(codec.AppendUint64s(dst, uint64(tag)), in.wireParams()...)
+// AppendInner appends in's identity to a wrapper's params (the hybrid,
+// internal/hybrid, wraps a spanning sketch): the spanning tag word, then
+// in's own params words. A wrapper rebuilds the inner empty from them
+// (OpenInner), so its state holds only shares.
+func AppendInner(dst []byte, in *SpanningSketch) []byte {
+	return append(codec.AppendUint64s(dst, uint64(codec.TagSpanning)), in.wireParams()...)
 }
 
 // OpenInner reads the identity AppendInner wrote from pr, which it must
-// end, and builds that sketch empty once Fit finds the wrapper's state
-// backs it.
-func OpenInner(pr *codec.ParamReader, state *codec.StateReader) (Inner, error) {
-	switch tag := pr.Uint64(); tag {
-	case uint64(codec.TagSpanning):
-		return openSpanning(pr, state)
-	case uint64(codec.TagSkeleton):
-		return openSkeleton(pr, state)
-	default:
-		pr.Check(false, "inner tag", tag)
-		return nil, pr.Done()
-	}
+// end, and builds that spanning sketch empty once Fit finds the wrapper's
+// state backs it. An identity whose tag word names any other sketch fails
+// codec.ErrUnknownType.
+func OpenInner(pr *codec.ParamReader, state *codec.StateReader) (*SpanningSketch, error) {
+	tag := pr.Uint64()
+	pr.Check(tag == uint64(codec.TagSpanning), "inner tag", tag)
+	return openSpanning(pr, state)
 }
 
 // openSpanning builds the empty spanning sketch whose params pr reads.
@@ -225,15 +203,6 @@ func openSpanning(pr *codec.ParamReader, state *codec.StateReader) (*SpanningSke
 	return NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: seed})
 }
 
-// openSkeleton builds the empty skeleton sketch whose params pr reads.
-func openSkeleton(pr *codec.ParamReader, state *codec.StateReader) (*SkeletonSketch, error) {
-	p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
-	if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
-		return nil, err
-	}
-	return NewSkeletonSketch(p)
-}
-
 func init() {
 	codec.Register(codec.TagSpanning, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
 		s, err := openSpanning(codec.ReadParams(params), state)
@@ -243,7 +212,12 @@ func init() {
 		return s, Shares{s}.Add(state)
 	})
 	codec.Register(codec.TagSkeleton, func(params []byte, state *codec.StateReader) (graphsketch.Sketch, error) {
-		s, err := openSkeleton(codec.ReadParams(params), state)
+		pr := codec.ReadParams(params)
+		p := SkeletonParams{N: pr.Int("n"), R: pr.Int("r"), K: pr.Int("k"), Spanning: ReadWireConfig(pr), Seed: pr.Uint64()}
+		if err := Fit(pr, state, p.Spanning, p.N, p.K, p.N*p.K); err != nil {
+			return nil, err
+		}
+		s, err := NewSkeletonSketch(p)
 		if err != nil {
 			return nil, err
 		}
@@ -254,6 +228,4 @@ func init() {
 var (
 	_ graphsketch.Checkpointer = (*SpanningSketch)(nil)
 	_ graphsketch.Checkpointer = (*SkeletonSketch)(nil)
-	_ Inner                    = (*SpanningSketch)(nil)
-	_ Inner                    = (*SkeletonSketch)(nil)
 )

@@ -34,6 +34,31 @@ func Equal(tb testing.TB, a, b any) bool {
 	return bytes.Equal(Of(tb, a), Of(tb, b))
 }
 
+// Params returns the params encoding checkpoint frame f carries.
+func Params(tb testing.TB, f []byte) []byte {
+	tb.Helper()
+	_, payload, _, err := codec.DecodeFrame(f)
+	if err != nil {
+		tb.Fatalf("frametest: %v", err)
+	}
+	return payload[4 : 4+binary.LittleEndian.Uint32(payload)]
+}
+
+// Checkpoint returns a well-formed checkpoint frame for tag, params and
+// state: its fingerprint commits to (tag, params) and its checksum covers
+// it, so only its contents can make it refused.
+func Checkpoint(tb testing.TB, tag codec.Tag, params, state []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := codec.WriteCheckpoint(&buf, tag, params, len(state), func(fw *codec.FrameWriter) error {
+		_, err := fw.Write(state)
+		return err
+	}); err != nil {
+		tb.Fatalf("frametest: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // Stacked returns checkpoint frame f with its state replaced by members,
 // each behind its big-endian uint64 length, and its checksum recomputed:
 // the layout in which the vertexconn estimator and the sparsifier once
